@@ -314,21 +314,31 @@ class Program:
     decls: tuple[Decl, ...]
 
 
+def call_parts(e: Expr) -> tuple[Expr | None, tuple[Expr, ...]] | None:
+    """(receiver, arguments) of a call-like node, None for any other node.
+    A function or constructor call has no receiver, an index read's argument
+    is its index, and a property read has no arguments."""
+    if isinstance(e, MethodCall):
+        return e.receiver, e.args
+    if isinstance(e, Index):
+        return e.receiver, (e.index,)
+    if isinstance(e, PropertyGet):
+        return e.receiver, ()
+    if isinstance(e, CallExpr):
+        return None, e.args
+    return None
+
+
 def walk_exprs(e: Expr):
     """Yield `e` and every sub-expression, preorder."""
     yield e
-    if isinstance(e, CallExpr):
-        for a in e.args:
+    parts = call_parts(e)
+    if parts is not None:
+        receiver, args = parts
+        if receiver is not None:
+            yield from walk_exprs(receiver)
+        for a in args:
             yield from walk_exprs(a)
-    elif isinstance(e, MethodCall):
-        yield from walk_exprs(e.receiver)
-        for a in e.args:
-            yield from walk_exprs(a)
-    elif isinstance(e, PropertyGet):
-        yield from walk_exprs(e.receiver)
-    elif isinstance(e, Index):
-        yield from walk_exprs(e.receiver)
-        yield from walk_exprs(e.index)
     elif isinstance(e, (CastExpr, IsExpr)):
         yield from walk_exprs(e.expr)
 
@@ -341,3 +351,15 @@ def walk_stmts(stmts):
             yield from walk_stmts(s.then_body)
             if s.else_body is not None:
                 yield from walk_stmts(s.else_body)
+
+
+def walk_body_exprs(stmts):
+    """Yield every expression in a body: statement by statement, preorder,
+    each statement's expression before those of the statements nested in it."""
+    for s in walk_stmts(stmts):
+        if isinstance(s, If):
+            yield from walk_exprs(s.cond)
+        elif isinstance(s, ValDecl):
+            yield from walk_exprs(s.init)
+        else:  # ExprStmt, Return
+            yield from walk_exprs(s.expr)

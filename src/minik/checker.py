@@ -21,11 +21,9 @@ from .ast import (
     BOOLEAN,
     CallExpr,
     CastExpr,
-    ClassDecl,
     ClassType,
     Expr,
     ExprStmt,
-    FunDecl,
     If,
     Index,
     IntLit,
@@ -38,7 +36,6 @@ from .ast import (
     Return,
     SourceLoc,
     Stmt,
-    StmtDecl,
     StringLit,
     TypeRef,
     ValDecl,
@@ -47,10 +44,13 @@ from .ast import (
 )
 from .diagnostics import Diagnostic, error, has_errors, warning
 from .typesys import (
+    Body,
     ClassEntry,
     ClassTable,
     TypeResolutionError,
+    ancestor_entries,
     lub,
+    program_bodies,
     resolve_type,
     substitute,
     subtype,
@@ -72,24 +72,12 @@ class CallInfo:
     """Resolution of one call-like expression, kept for the runtime."""
 
     kind: str  # "ctor" | "fun" | "builtin" | "method" | "index-get" | "property-get"
-    class_name: str | None  # static class of the receiver (member kinds)
-    declaring_class: str | None  # class that declares the member
     member: str | None
     type_args: tuple[TypeRef, ...]  # resolved function/ctor type arguments
     type_param_names: tuple[str, ...]
     declared_params: tuple[TypeRef, ...]  # as written at the declaration
     declared_return: TypeRef
     param_types: tuple[TypeRef, ...]  # substituted at this call
-    return_type: TypeRef
-
-
-@dataclass(frozen=True)
-class Coercion:
-    kind: str  # "decl" | "arg" | "return"
-    node_id: int  # id() of the coerced expression
-    from_type: TypeRef
-    to_type: TypeRef
-    loc: SourceLoc
 
 
 @dataclass(frozen=True)
@@ -112,15 +100,13 @@ class CheckedProgram:
     cast_class: dict[int, CastClassification] = field(default_factory=dict)
     is_targets: dict[int, TypeRef] = field(default_factory=dict)
     decl_types: dict[int, TypeRef] = field(default_factory=dict)
-    coercions: list[Coercion] = field(default_factory=list)
+    # id() of each implicitly upcast expression -> the type it is upcast to
+    coercions: dict[int, TypeRef] = field(default_factory=dict)
     narrowings: list[Narrowing] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not has_errors(self.diagnostics)
-
-    def type_of(self, e: Expr) -> TypeRef:
-        return self.expr_types[id(e)]
 
 
 # ============================================================
@@ -261,23 +247,24 @@ def _unify_down(table: ClassTable, target_class: str, source: ClassType) -> tupl
     if inst is None or inst.args is None:
         return None
     bindings: dict[str, TypeRef] = {}
-
-    def match(pattern: TypeRef, actual: TypeRef) -> bool:
-        if isinstance(pattern, ParamRef):
-            if pattern.name in bindings:
-                return bindings[pattern.name] == actual
-            bindings[pattern.name] = actual
-            return True
-        if isinstance(pattern, ClassType) and isinstance(actual, ClassType):
-            if pattern.name != actual.name or pattern.args is None or actual.args is None:
-                return pattern == actual
-            return all(match(p, a) for p, a in zip(pattern.args, actual.args))
-        return pattern == actual
-
     for p, a in zip(inst.args, source.args):
-        if not match(p, a):
+        if not _match(p, a, bindings):
             return None
     return tuple(bindings.get(p.name, ANY_NULLABLE) for p in entry.type_params)
+
+
+def _match(pattern: TypeRef, actual: TypeRef, bindings: dict[str, TypeRef]) -> bool:
+    """Match `actual` against `pattern`, binding the pattern's parameters."""
+    if isinstance(pattern, ParamRef):
+        if pattern.name in bindings:
+            return bindings[pattern.name] == actual
+        bindings[pattern.name] = actual
+        return True
+    if isinstance(pattern, ClassType) and isinstance(actual, ClassType):
+        if pattern.name != actual.name or pattern.args is None or actual.args is None:
+            return pattern == actual
+        return all(_match(p, a, bindings) for p, a in zip(pattern.args, actual.args))
+    return pattern == actual
 
 
 def complete_cast_target(
@@ -357,19 +344,8 @@ def infer_call_type_args(
     the least upper bound of every argument type constraining it. Returns an
     error string when some parameter is unconstrained."""
     constraints: dict[str, list[TypeRef]] = {p: [] for p in type_params}
-
-    def collect(declared: TypeRef, actual: TypeRef) -> None:
-        if isinstance(declared, ParamRef) and declared.name in constraints:
-            constraints[declared.name].append(actual)
-            return
-        if isinstance(declared, ClassType) and declared.args and isinstance(actual, ClassType) and actual.args is not None:
-            inst = supertype_instantiation(table, actual, declared.name)
-            if inst is not None and inst.args is not None:
-                for d, a in zip(declared.args, inst.args):
-                    collect(d, a)
-
     for declared, actual in zip(declared_params, arg_types):
-        collect(declared, actual)
+        _collect_constraints(table, constraints, declared, actual)
 
     bindings: dict[str, TypeRef] = {}
     for p in type_params:
@@ -381,6 +357,20 @@ def infer_call_type_args(
             acc = lub(table, acc, t)
         bindings[p] = acc
     return bindings
+
+
+def _collect_constraints(
+    table: ClassTable, constraints: dict[str, list[TypeRef]], declared: TypeRef, actual: TypeRef
+) -> None:
+    """Add the argument types `actual` gives each type parameter in `declared`."""
+    if isinstance(declared, ParamRef) and declared.name in constraints:
+        constraints[declared.name].append(actual)
+        return
+    if isinstance(declared, ClassType) and declared.args and isinstance(actual, ClassType) and actual.args is not None:
+        inst = supertype_instantiation(table, actual, declared.name)
+        if inst is not None and inst.args is not None:
+            for d, a in zip(declared.args, inst.args):
+                _collect_constraints(table, constraints, d, a)
 
 
 # ============================================================
@@ -437,9 +427,13 @@ class _Checker:
             self.e_type(e.loc, e.message)
             return None
 
-    def record_coercion(self, kind: str, node: Expr, from_t: TypeRef, to_t: TypeRef, loc: SourceLoc) -> None:
-        if from_t != to_t and subtype(self.table, from_t, to_t):
-            self.out.coercions.append(Coercion(kind, id(node), from_t, to_t, loc))
+    def coerce(self, node: Expr, from_t: TypeRef, to_t: TypeRef, loc: SourceLoc, what: str) -> None:
+        """Report `node` unless `from_t` is a subtype of `to_t` (its `what`);
+        record a real upcast for the provenance lint."""
+        if not subtype(self.table, from_t, to_t):
+            self.e_type(loc, f"{from_t.render()} is not a subtype of {what} {to_t.render()}")
+        elif from_t != to_t:
+            self.out.coercions[id(node)] = to_t
 
     # -- program ----------------------------------------------------------
 
@@ -448,52 +442,18 @@ class _Checker:
             self.out.diagnostics.extend(check_variance_positions(self.table, entry))
             self.out.diagnostics.extend(check_inheritance_variance(self.table, entry, self.strict))
 
-        for decl in self.out.program.decls:
-            if isinstance(decl, ClassDecl):
-                self.check_class_bodies(decl)
-            elif isinstance(decl, FunDecl):
-                self.check_fun(decl)
-
-        top = _Scope()
-        for decl in self.out.program.decls:
-            if isinstance(decl, StmtDecl):
-                self.check_stmt(decl.stmt, top)
+        for body in program_bodies(self.table, self.out.program):
+            self.check_body(body)
         return self.out
 
-    def check_class_bodies(self, decl: ClassDecl) -> None:
-        entry = self.table.classes.get(decl.name)
-        if entry is None or entry.decl is not decl:
-            return  # duplicate declaration; already reported
-        self.current_class = decl.name
-        self.type_param_scope = frozenset(p.name for p in decl.type_params)
-        for sig in entry.methods.values():
-            m = sig.decl
-            if m.body is None:
-                continue
-            scope = _Scope()
-            for pname, ptype in zip(sig.param_names, sig.param_types):
-                scope.vars[pname] = ptype
-            saved = self.return_type
-            self.return_type = sig.return_type
-            for s in m.body:
-                self.check_stmt(s, scope)
-            self.return_type = saved
-        self.current_class = None
-        self.type_param_scope = frozenset()
-
-    def check_fun(self, decl: FunDecl) -> None:
-        sig = self.table.functions.get(decl.name)
-        if sig is None or sig.is_builtin:
-            return
-        self.type_param_scope = frozenset(decl.type_params)
+    def check_body(self, body: Body) -> None:
+        self.current_class = body.owner
+        self.type_param_scope = body.type_params
+        self.return_type = body.return_type
         scope = _Scope()
-        for pname, ptype in zip(sig.param_names, sig.param_types):
-            scope.vars[pname] = ptype
-        self.return_type = sig.return_type
-        for s in decl.body:
+        scope.vars.update(body.params)
+        for s in body.stmts:
             self.check_stmt(s, scope)
-        self.return_type = None
-        self.type_param_scope = frozenset()
 
     # -- statements --------------------------------------------------------
 
@@ -506,10 +466,7 @@ class _Checker:
             if scope.declared(s.name):
                 self.e_type(s.loc, f"redeclaration of {s.name}")
             if declared is not None:
-                if not subtype(self.table, init_t, declared):
-                    self.e_type(s.loc, f"{init_t.render()} is not a subtype of declared type {declared.render()}")
-                else:
-                    self.record_coercion("decl", s.init, init_t, declared, s.loc)
+                self.coerce(s.init, init_t, declared, s.loc, "declared type")
                 bound = declared
             else:
                 bound = init_t
@@ -525,10 +482,7 @@ class _Checker:
                 self.check_expr(s.expr, scope)
                 return
             t = self.check_expr(s.expr, scope, expected=self.return_type)
-            if not subtype(self.table, t, self.return_type):
-                self.e_type(s.loc, f"{t.render()} is not a subtype of return type {self.return_type.render()}")
-            else:
-                self.record_coercion("return", s.expr, t, self.return_type, s.loc)
+            self.coerce(s.expr, t, self.return_type, s.loc, "return type")
             return
         if isinstance(s, If):
             cond_t = self.check_expr(s.cond, scope)
@@ -627,21 +581,15 @@ class _Checker:
         param_types = tuple(substitute(t, bindings) for t in sig.param_types)
         return_type = substitute(sig.return_type, bindings)
         for arg, arg_t, want in zip(e.args, arg_types, param_types):
-            if not subtype(self.table, arg_t, want):
-                self.e_type(arg.loc, f"{arg_t.render()} is not a subtype of parameter type {want.render()}")
-            else:
-                self.record_coercion("arg", arg, arg_t, want, arg.loc)
+            self.coerce(arg, arg_t, want, arg.loc, "parameter type")
         self.out.call_info[id(e)] = CallInfo(
             kind="builtin" if sig.is_builtin else "fun",
-            class_name=None,
-            declaring_class=None,
             member=e.name,
             type_args=tuple(bindings[p] for p in sig.type_params) if sig.type_params else (),
             type_param_names=sig.type_params,
             declared_params=sig.param_types,
             declared_return=sig.return_type,
             param_types=param_types,
-            return_type=return_type,
         )
         return return_type
 
@@ -674,56 +622,14 @@ class _Checker:
         result = ClassType(e.name, args)
         self.out.call_info[id(e)] = CallInfo(
             kind="ctor",
-            class_name=e.name,
-            declaring_class=e.name,
             member=None,
             type_args=args,
             type_param_names=tuple(p.name for p in entry.type_params),
             declared_params=(),
             declared_return=result,
             param_types=(),
-            return_type=result,
         )
         return result
-
-    def _find_method(self, cls: ClassType, name: str):
-        """Walk the hierarchy for a method; returns (declaring class, sig,
-        substituted params, substituted return) or None."""
-        entry = self.table.classes.get(cls.name)
-        if entry is None or cls.args is None:
-            return None
-        bindings = {p.name: a for p, a in zip(entry.type_params, cls.args)}
-        sig = entry.methods.get(name)
-        if sig is not None:
-            return (
-                entry.name,
-                sig,
-                tuple(substitute(t, bindings) for t in sig.param_types),
-                substitute(sig.return_type, bindings),
-            )
-        for ref in entry.supertypes:
-            sup = substitute(ref.type, bindings)
-            assert isinstance(sup, ClassType)
-            found = self._find_method(sup, name)
-            if found is not None:
-                return found
-        return None
-
-    def _find_property(self, cls: ClassType, name: str):
-        entry = self.table.classes.get(cls.name)
-        if entry is None or cls.args is None:
-            return None
-        bindings = {p.name: a for p, a in zip(entry.type_params, cls.args)}
-        sig = entry.properties.get(name)
-        if sig is not None:
-            return entry.name, sig, substitute(sig.type, bindings)
-        for ref in entry.supertypes:
-            sup = substitute(ref.type, bindings)
-            assert isinstance(sup, ClassType)
-            found = self._find_property(sup, name)
-            if found is not None:
-                return found
-        return None
 
     def check_member_call(self, e: Expr, receiver: Expr, name: str, args: tuple[Expr, ...], scope: _Scope, kind: str) -> TypeRef:
         recv_t = self.check_expr(receiver, scope)
@@ -731,30 +637,28 @@ class _Checker:
         if not isinstance(recv_t, ClassType) or recv_t.args is None:
             self.e_type(e.loc, f"{recv_t.render()} has no member {name}")
             return ANY_NULLABLE
-        found = self._find_method(recv_t, name)
-        if found is None:
+        for entry, bindings in ancestor_entries(self.table, recv_t):
+            if name in entry.methods:
+                break
+        else:
             self.e_type(e.loc, f"{recv_t.name} has no method {name}")
             return ANY_NULLABLE
-        declaring, sig, param_types, return_type = found
+        sig = entry.methods[name]
+        param_types = tuple(substitute(t, bindings) for t in sig.param_types)
+        return_type = substitute(sig.return_type, bindings)
         if len(arg_types) != len(param_types):
             self.e_type(e.loc, f"{recv_t.name}.{name} expects {len(param_types)} argument(s), got {len(arg_types)}")
             return return_type
         for arg, arg_t, want in zip(args, arg_types, param_types):
-            if not subtype(self.table, arg_t, want):
-                self.e_type(arg.loc, f"{arg_t.render()} is not a subtype of parameter type {want.render()}")
-            else:
-                self.record_coercion("arg", arg, arg_t, want, arg.loc)
+            self.coerce(arg, arg_t, want, arg.loc, "parameter type")
         self.out.call_info[id(e)] = CallInfo(
             kind=kind,
-            class_name=recv_t.name,
-            declaring_class=declaring,
             member=name,
             type_args=(),
             type_param_names=(),
             declared_params=sig.param_types,
             declared_return=sig.return_type,
             param_types=param_types,
-            return_type=return_type,
         )
         return return_type
 
@@ -763,22 +667,22 @@ class _Checker:
         if not isinstance(recv_t, ClassType) or recv_t.args is None:
             self.e_type(e.loc, f"{recv_t.render()} has no member {e.name}")
             return ANY_NULLABLE
-        found = self._find_property(recv_t, e.name)
-        if found is None:
+        for entry, bindings in ancestor_entries(self.table, recv_t):
+            if e.name in entry.properties:
+                break
+        else:
             self.e_type(e.loc, f"{recv_t.name} has no property {e.name}")
             return ANY_NULLABLE
-        declaring, sig, prop_type = found
+        sig = entry.properties[e.name]
+        prop_type = substitute(sig.type, bindings)
         self.out.call_info[id(e)] = CallInfo(
             kind="property-get",
-            class_name=recv_t.name,
-            declaring_class=declaring,
             member=e.name,
             type_args=(),
             type_param_names=(),
             declared_params=(),
             declared_return=sig.type,
             param_types=(),
-            return_type=prop_type,
         )
         return prop_type
 

@@ -35,35 +35,44 @@ def build(source: str, filename: str, strict: bool = False) -> tuple[CheckedProg
     return checked, table_diags + checked.diagnostics
 
 
-def _column_output(source: str, filename: str, column: str) -> str:
-    """The exact text a golden records for one driver column."""
+def run_command(
+    command: str,
+    source: str,
+    filename: str,
+    strict: bool = False,
+    mode: str | None = None,
+    eager_checkcast: bool = False,
+) -> tuple[str, int]:
+    """The stdout and exit code of `check`, `lint`, `run` or `sites` on one
+    source text."""
+    if command not in ("check", "lint", "run", "sites"):
+        raise ValueError(f"unknown command {command}")
     try:
-        if column == "check":
-            _, diags = build(source, filename, strict=False)
-            return render_diagnostics(diags)
-        if column == "check-strict":
-            _, diags = build(source, filename, strict=True)
-            return render_diagnostics(diags)
-        if column == "lint":
-            checked, diags = build(source, filename, strict=False)
-            if checked is not None:
-                diags = diags + lint_program(checked)
-            return render_diagnostics(diags)
-        if column in ("run-erased", "run-reified"):
-            checked, diags = build(source, filename, strict=False)
-            if checked is None or has_errors(diags):
-                return render_diagnostics(diags) + BLOCKED_MARKER + "\n"
-            mode = ERASED if column == "run-erased" else REIFIED
-            outcome = run_program(checked, mode)
-            return outcome.stdout + outcome.render() + "\n"
-        if column == "sites":
-            checked, diags = build(source, filename, strict=False)
-            if checked is None or has_errors(diags):
-                return render_diagnostics(diags) + BLOCKED_MARKER + "\n"
-            return "".join(s.render() + "\n" for s in checkcast_sites(checked))
+        checked, diags = build(source, filename, strict)
     except ParseError as e:
-        return f"parse error {e.loc}: {e.message}\n"
-    raise ValueError(f"unknown column {column}")
+        return f"parse error {e.loc}: {e.message}\n", 2
+    if command in ("check", "lint"):
+        if command == "lint" and checked is not None:
+            diags = diags + lint_program(checked)
+        return render_diagnostics(diags), 1 if has_errors(diags) else 0
+    if checked is None or has_errors(diags):
+        return render_diagnostics(diags), 1
+    if command == "run":
+        outcome = run_program(checked, mode, eager_checkcast)
+        return outcome.stdout + outcome.render() + "\n", 0
+    return "".join(s.render() + "\n" for s in checkcast_sites(checked)), 0
+
+
+def _column_output(source: str, filename: str, column: str) -> str:
+    """The exact text a golden records for one driver column: the command's
+    stdout, marked where errors blocked a run or a site listing."""
+    if column not in corpus_pkg.COLUMNS:
+        raise ValueError(f"unknown column {column}")
+    command, _, variant = column.partition("-")  # check-strict, run-erased, run-reified
+    out, code = run_command(command, source, filename, strict=variant == "strict", mode=variant)
+    if command in ("run", "sites") and code == 1:
+        out += BLOCKED_MARKER + "\n"
+    return out
 
 
 # ============================================================
@@ -153,64 +162,18 @@ def _first_diff(expected: list[str], actual: list[str]):
 # ============================================================
 
 
-def _read_source(path: str) -> tuple[str, str]:
-    p = Path(path)
-    return p.read_text(encoding="utf-8"), p.name
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    source, name = _read_source(args.file)
-    try:
-        _, diags = build(source, name, strict=args.strict)
-    except ParseError as e:
-        print(f"parse error {e.loc}: {e.message}")
-        return 2
-    sys.stdout.write(render_diagnostics(diags))
-    return 1 if has_errors(diags) else 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    source, name = _read_source(args.file)
-    try:
-        checked, diags = build(source, name, strict=False)
-    except ParseError as e:
-        print(f"parse error {e.loc}: {e.message}")
-        return 2
-    if checked is not None:
-        diags = diags + lint_program(checked)
-    sys.stdout.write(render_diagnostics(diags))
-    return 1 if has_errors(diags) else 0
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    source, name = _read_source(args.file)
-    try:
-        checked, diags = build(source, name, strict=False)
-    except ParseError as e:
-        print(f"parse error {e.loc}: {e.message}")
-        return 2
-    if checked is None or has_errors(diags):
-        sys.stdout.write(render_diagnostics(diags))
-        return 1
-    outcome = run_program(checked, args.mode, eager_checkcast=args.eager_checkcast)
-    sys.stdout.write(outcome.stdout)
-    print(outcome.render())
-    return 0
-
-
-def cmd_sites(args: argparse.Namespace) -> int:
-    source, name = _read_source(args.file)
-    try:
-        checked, diags = build(source, name, strict=False)
-    except ParseError as e:
-        print(f"parse error {e.loc}: {e.message}")
-        return 2
-    if checked is None or has_errors(diags):
-        sys.stdout.write(render_diagnostics(diags))
-        return 1
-    for site in checkcast_sites(checked):
-        print(site.render())
-    return 0
+def cmd_file(args: argparse.Namespace) -> int:
+    path = Path(args.file)
+    out, code = run_command(
+        args.command,
+        path.read_text(encoding="utf-8"),
+        path.name,
+        strict=getattr(args, "strict", False),
+        mode=getattr(args, "mode", None),
+        eager_checkcast=getattr(args, "eager_checkcast", False),
+    )
+    sys.stdout.write(out)
+    return code
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -224,11 +187,11 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("check", help="type-check a program and print diagnostics")
     p.add_argument("file")
     p.add_argument("--strict", action="store_true", help="enable the strict variance rules")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=cmd_file)
 
     p = sub.add_parser("lint", help="baseline diagnostics plus the provenance cast lint")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_lint)
+    p.set_defaults(fn=cmd_file)
 
     p = sub.add_parser("run", help="evaluate a program")
     p.add_argument("file")
@@ -238,11 +201,11 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="erased mode: also verify every acquisition at its own location",
     )
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn=cmd_file)
 
     p = sub.add_parser("sites", help="print the checkcast sites the erased runtime will verify")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_sites)
+    p.set_defaults(fn=cmd_file)
 
     p = sub.add_parser("corpus", help="diff every bundled program against its golden")
     p.add_argument("--filter", help="only entries whose id starts with this prefix")

@@ -27,7 +27,6 @@ from .ast import (
     TypeRef,
     ValDecl,
     VarRef,
-    Variance,
 )
 
 _INDENT = "    "
@@ -37,10 +36,6 @@ _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
 
 def _escape(s: str) -> str:
     return "".join(_STRING_ESCAPES.get(c, c) for c in s)
-
-
-def render_type(t: TypeRef) -> str:
-    return t.render()
 
 
 def render_expr(e: Expr) -> str:

@@ -18,29 +18,23 @@ from dataclasses import dataclass, field
 
 from .ast import (
     BOOLEAN,
-    CallExpr,
     CastExpr,
-    ClassDecl,
     ClassType,
     Expr,
     ExprStmt,
-    FunDecl,
     If,
-    Index,
     IsExpr,
-    MethodCall,
-    PropertyGet,
     Return,
     Stmt,
-    StmtDecl,
     TypeRef,
     ValDecl,
     VarRef,
-    walk_exprs,
-    walk_stmts,
+    call_parts,
+    walk_body_exprs,
 )
 from .checker import CastClassification, CheckedProgram, classify_cast_baseline
 from .diagnostics import Diagnostic, warning
+from .typesys import program_bodies
 
 
 @dataclass
@@ -68,9 +62,6 @@ class _Analysis:
         self.out = ProvenanceMap()
         self.values: dict[int, tuple[TypeRef, ...]] = {}
         self.next_value = 0
-        self.coercion_to: dict[int, TypeRef] = {
-            c.node_id: c.to_type for c in checked.coercions
-        }
 
     def fresh(self, t: TypeRef) -> int:
         vid = self.next_value
@@ -106,15 +97,14 @@ class _Analysis:
             vid = self.fresh(BOOLEAN)
             self.out.occurrence_sets[id(e)] = self.values[vid]
             return vid
-        if isinstance(e, (MethodCall, Index, CallExpr, PropertyGet)):
-            if isinstance(e, (MethodCall, Index, PropertyGet)):
-                self.visit_expr(e.receiver, env)
-            args = e.args if isinstance(e, (MethodCall, CallExpr)) else ()
-            if isinstance(e, Index):
-                args = (e.index,)
+        parts = call_parts(e)
+        if parts is not None:
+            receiver, args = parts
+            if receiver is not None:
+                self.visit_expr(receiver, env)
             for a in args:
                 avid = self.visit_expr(a, env)
-                coerced = self.coercion_to.get(id(a))
+                coerced = self.checked.coercions.get(id(a))
                 if coerced is not None:
                     self.values[avid] = _append(self.values[avid], coerced)
             # Call and container-read results start fresh: provenance does
@@ -142,7 +132,7 @@ class _Analysis:
             return
         if isinstance(s, Return):
             vid = self.visit_expr(s.expr, env)
-            coerced = self.coercion_to.get(id(s.expr))
+            coerced = self.checked.coercions.get(id(s.expr))
             if coerced is not None:
                 self.values[vid] = _append(self.values[vid], coerced)
             return
@@ -201,48 +191,37 @@ def lint_function(checked: CheckedProgram, body: tuple[Stmt, ...], prov: Provena
     operand's provenance set; casts the baseline already warns about are
     skipped. One diagnostic per offending cast."""
     diags: list[Diagnostic] = []
-    for s in walk_stmts(body):
-        exprs: list[Expr] = []
-        if isinstance(s, ValDecl):
-            exprs.append(s.init)
-        elif isinstance(s, (ExprStmt,)):
-            exprs.append(s.expr)
-        elif isinstance(s, Return):
-            exprs.append(s.expr)
-        elif isinstance(s, If):
-            exprs.append(s.cond)
-        for root in exprs:
-            for e in walk_exprs(root):
-                if not isinstance(e, CastExpr):
-                    continue
-                classification = checked.cast_class.get(id(e))
-                target = checked.cast_targets.get(id(e))
-                if classification is None or target is None:
-                    continue
-                generic_target = isinstance(target, ClassType) and bool(target.args)
-                eligible = classification is CastClassification.UNCHECKED_SILENT or (
-                    classification is CastClassification.FULLY_CHECKED and generic_target
-                )
-                if not eligible:
-                    continue
-                history = prov.cast_snapshots.get(id(e), ())
-                culprits = [
-                    origin
-                    for origin in history
-                    if classify_cast_baseline(checked.table, origin, target)
-                    is CastClassification.UNCHECKED_WARNED
-                ]
-                if not culprits:
-                    continue
-                diags.append(
-                    warning(
-                        "W-PROVENANCE-UNCHECKED-CAST",
-                        e.loc,
-                        f"cast to {target.render()} is unchecked for a value whose "
-                        f"implicit-cast history is {_render_set(history)} "
-                        f"(unchecked from {culprits[0].render()})",
-                    )
-                )
+    for e in walk_body_exprs(body):
+        if not isinstance(e, CastExpr):
+            continue
+        classification = checked.cast_class.get(id(e))
+        target = checked.cast_targets.get(id(e))
+        if classification is None or target is None:
+            continue
+        generic_target = isinstance(target, ClassType) and bool(target.args)
+        eligible = classification is CastClassification.UNCHECKED_SILENT or (
+            classification is CastClassification.FULLY_CHECKED and generic_target
+        )
+        if not eligible:
+            continue
+        history = prov.cast_snapshots.get(id(e), ())
+        culprits = [
+            origin
+            for origin in history
+            if classify_cast_baseline(checked.table, origin, target)
+            is CastClassification.UNCHECKED_WARNED
+        ]
+        if not culprits:
+            continue
+        diags.append(
+            warning(
+                "W-PROVENANCE-UNCHECKED-CAST",
+                e.loc,
+                f"cast to {target.render()} is unchecked for a value whose "
+                f"implicit-cast history is {_render_set(history)} "
+                f"(unchecked from {culprits[0].render()})",
+            )
+        )
     return diags
 
 
@@ -251,28 +230,7 @@ def lint_program(checked: CheckedProgram) -> list[Diagnostic]:
     if not checked.ok:
         return []
     diags: list[Diagnostic] = []
-    table = checked.table
-
-    for decl in checked.program.decls:
-        if isinstance(decl, FunDecl):
-            sig = table.functions.get(decl.name)
-            if sig is None:
-                continue
-            params = tuple(zip(sig.param_names, sig.param_types))
-            prov = compute_provenance(checked, decl.body, params)
-            diags.extend(lint_function(checked, decl.body, prov))
-        elif isinstance(decl, ClassDecl):
-            entry = table.classes.get(decl.name)
-            if entry is None or entry.decl is not decl:
-                continue
-            for msig in entry.methods.values():
-                if msig.decl.body is None:
-                    continue
-                params = tuple(zip(msig.param_names, msig.param_types))
-                prov = compute_provenance(checked, msig.decl.body, params)
-                diags.extend(lint_function(checked, msig.decl.body, prov))
-
-    top = tuple(d.stmt for d in checked.program.decls if isinstance(d, StmtDecl))
-    prov = compute_provenance(checked, top)
-    diags.extend(lint_function(checked, top, prov))
+    for body in program_bodies(checked.table, checked.program):
+        prov = compute_provenance(checked, body.stmts, body.params)
+        diags.extend(lint_function(checked, body.stmts, prov))
     return diags

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .ast import (
     CallExpr,
     CastExpr,
-    ClassDecl,
     ClassType,
     Expr,
     ExprStmt,
@@ -32,7 +31,6 @@ from .ast import (
     MethodCall,
     ParamRef,
     PrimitiveType,
-    Program,
     PropertyGet,
     Return,
     SourceLoc,
@@ -42,9 +40,10 @@ from .ast import (
     TypeRef,
     ValDecl,
     VarRef,
+    call_parts,
 )
 from .checker import CheckedProgram
-from .typesys import ClassTable, substitute, subtype
+from .typesys import ClassTable, program_bodies, substitute, subtype
 
 ERASED = "erased"
 REIFIED = "reified"
@@ -88,114 +87,69 @@ def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
     return info is not None and isinstance(info.declared_return, ParamRef)
 
 
-def _erased_param_class(t: TypeRef) -> str | None:
-    """The class an erased signature demands for an argument; type-parameter
-    slots erase to Any and demand nothing."""
-    return t.name if isinstance(t, ClassType) else None
-
-
-def _body_contexts(checked: CheckedProgram):
-    """Yield (body, return_type) for every function, method, and the
-    top-level statement sequence."""
-    table = checked.table
-    for decl in checked.program.decls:
-        if isinstance(decl, FunDecl):
-            sig = table.functions.get(decl.name)
-            if sig is not None and not sig.is_builtin:
-                yield decl.body, sig.return_type
-        elif isinstance(decl, ClassDecl):
-            entry = table.classes.get(decl.name)
-            if entry is None or entry.decl is not decl:
-                continue
-            for msig in entry.methods.values():
-                if msig.decl.body is not None:
-                    yield msig.decl.body, msig.return_type
-    top = tuple(d.stmt for d in checked.program.decls if isinstance(d, StmtDecl))
-    yield top, None
-
-
 def compute_site_index(checked: CheckedProgram) -> SiteIndex:
     index = SiteIndex()
+    for body in program_bodies(checked.table, checked.program):
+        for s in body.stmts:
+            _scan_stmt(checked, index, s, body.return_type)
+    index.sites.sort(key=lambda s: (s.loc.file, s.loc.line, s.loc.col))
+    return index
 
-    def add(site: CheckcastSite) -> None:
-        index.sites.append(site)
 
-    def scan_expr(e: Expr) -> None:
-        if isinstance(e, (MethodCall, Index, PropertyGet)):
-            scan_expr(e.receiver)
-            recv_t = checked.expr_types.get(id(e.receiver))
+# The two scanners are module functions rather than closures inside
+# compute_site_index: a recursive closure is a reference cycle, which would
+# keep the whole checked program alive until the next full collection.
+
+
+def _scan_expr(checked: CheckedProgram, index: SiteIndex, e: Expr) -> None:
+    parts = call_parts(e)
+    if parts is not None:
+        receiver, args = parts
+        if receiver is not None:
+            _scan_expr(checked, index, receiver)
+            recv_t = checked.expr_types.get(id(receiver))
             cls = _class_of(recv_t) if recv_t is not None else None
             if cls is not None:
                 site = CheckcastSite(e.loc, cls, "receiver")
-                add(site)
+                index.sites.append(site)
                 index.receiver_sites[id(e)] = site
-            args: tuple[Expr, ...] = ()
-            if isinstance(e, MethodCall):
-                args = e.args
-            elif isinstance(e, Index):
-                args = (e.index,)
-            info = checked.call_info.get(id(e))
-            declared = info.declared_params if info is not None else ()
-            for arg, want in zip(args, declared):
-                scan_expr(arg)
-                cls = _erased_param_class(want)
-                if cls is not None and not _is_deferred_read(checked, arg):
-                    site = CheckcastSite(arg.loc, cls, "call-arg")
-                    add(site)
-                    index.arg_sites[id(arg)] = site
-            return
-        if isinstance(e, CallExpr):
-            info = checked.call_info.get(id(e))
-            declared = info.declared_params if info is not None else ()
-            for arg, want in zip(e.args, declared):
-                scan_expr(arg)
-                cls = _erased_param_class(want)
-                if cls is not None and not _is_deferred_read(checked, arg):
-                    site = CheckcastSite(arg.loc, cls, "call-arg")
-                    add(site)
-                    index.arg_sites[id(arg)] = site
-            return
-        if isinstance(e, (CastExpr, IsExpr)):
-            scan_expr(e.expr)
-            return
-        # literals, VarRef: nothing to scan
+        info = checked.call_info.get(id(e))
+        declared = info.declared_params if info is not None else ()
+        for arg, want in zip(args, declared):
+            _scan_expr(checked, index, arg)
+            cls = _class_of(want)
+            if cls is not None and not _is_deferred_read(checked, arg):
+                site = CheckcastSite(arg.loc, cls, "call-arg")
+                index.sites.append(site)
+                index.arg_sites[id(arg)] = site
+    elif isinstance(e, (CastExpr, IsExpr)):
+        _scan_expr(checked, index, e.expr)
+    # literals, VarRef: nothing to scan
 
-    def scan_stmt(s: Stmt, return_type: TypeRef | None) -> None:
-        if isinstance(s, ValDecl):
-            scan_expr(s.init)
-            bound = checked.decl_types.get(id(s))
-            cls = _class_of(bound) if bound is not None else None
-            if cls is not None and not _is_deferred_read(checked, s.init):
-                reason = "explicit-decl" if s.declared_type is not None else "implicit-decl"
-                site = CheckcastSite(s.loc, cls, reason)
-                add(site)
-                index.decl_sites[id(s)] = site
-            return
-        if isinstance(s, ExprStmt):
-            scan_expr(s.expr)
-            return
-        if isinstance(s, Return):
-            scan_expr(s.expr)
-            cls = _class_of(return_type) if return_type is not None else None
-            if cls is not None and not _is_deferred_read(checked, s.expr):
-                site = CheckcastSite(s.loc, cls, "return-value")
-                add(site)
-                index.return_sites[id(s)] = site
-            return
-        if isinstance(s, If):
-            scan_expr(s.cond)
-            for inner in s.then_body:
-                scan_stmt(inner, return_type)
-            if s.else_body is not None:
-                for inner in s.else_body:
-                    scan_stmt(inner, return_type)
-            return
 
-    for body, return_type in _body_contexts(checked):
-        for s in body:
-            scan_stmt(s, return_type)
-    index.sites.sort(key=lambda s: (s.loc.file, s.loc.line, s.loc.col))
-    return index
+def _scan_stmt(checked: CheckedProgram, index: SiteIndex, s: Stmt, return_type: TypeRef | None) -> None:
+    if isinstance(s, ValDecl):
+        _scan_expr(checked, index, s.init)
+        bound = checked.decl_types.get(id(s))
+        cls = _class_of(bound) if bound is not None else None
+        if cls is not None and not _is_deferred_read(checked, s.init):
+            reason = "explicit-decl" if s.declared_type is not None else "implicit-decl"
+            site = CheckcastSite(s.loc, cls, reason)
+            index.sites.append(site)
+            index.decl_sites[id(s)] = site
+    elif isinstance(s, ExprStmt):
+        _scan_expr(checked, index, s.expr)
+    elif isinstance(s, Return):
+        _scan_expr(checked, index, s.expr)
+        cls = _class_of(return_type) if return_type is not None else None
+        if cls is not None and not _is_deferred_read(checked, s.expr):
+            site = CheckcastSite(s.loc, cls, "return-value")
+            index.sites.append(site)
+            index.return_sites[id(s)] = site
+    elif isinstance(s, If):
+        _scan_expr(checked, index, s.cond)
+        for inner in s.then_body + (s.else_body or ()):
+            _scan_stmt(checked, index, inner, return_type)
 
 
 def checkcast_sites(checked: CheckedProgram) -> list[CheckcastSite]:
@@ -351,13 +305,7 @@ def class_conforms(table: ClassTable, actual: str, expected: str) -> bool:
     if actual == expected:
         return True
     entry = table.classes.get(actual)
-    if entry is None:
-        return False
-    for ref in entry.supertypes:
-        assert isinstance(ref.type, ClassType)
-        if class_conforms(table, ref.type.name, expected):
-            return True
-    return False
+    return entry is not None and expected in entry.ancestor_of
 
 
 def rtti_typeref(v: Value) -> TypeRef:
@@ -432,7 +380,6 @@ class _Frame:
 
 class _Interp:
     def __init__(self, checked: CheckedProgram, mode: str, eager_checkcast: bool) -> None:
-        assert mode in (ERASED, REIFIED)
         self.checked = checked
         self.table = checked.table
         self.mode = mode
@@ -549,10 +496,8 @@ class _Interp:
             return frame.lookup(e.name)
         if isinstance(e, CallExpr):
             return self.eval_call(e, frame)
-        if isinstance(e, MethodCall):
-            return self.eval_member_call(e, e.receiver, e.args, frame)
-        if isinstance(e, Index):
-            return self.eval_member_call(e, e.receiver, (e.index,), frame)
+        if isinstance(e, (MethodCall, Index)):
+            return self.eval_member_call(e, *call_parts(e), frame)
         if isinstance(e, PropertyGet):
             return self.eval_property(e, frame)
         if isinstance(e, CastExpr):
@@ -669,14 +614,10 @@ class _Interp:
         entry = self.table.classes.get(class_name)
         if entry is None or member is None:
             return None
-        sig = entry.methods.get(member)
-        if sig is not None:
-            return sig.decl
-        for ref in entry.supertypes:
-            assert isinstance(ref.type, ClassType)
-            found = self._find_method_decl(ref.type.name, member)
-            if found is not None:
-                return found
+        for ancestor in entry.ancestor_of:
+            sig = self.table.classes[ancestor].methods.get(member)
+            if sig is not None:
+                return sig.decl
         return None
 
     def eval_property(self, e: PropertyGet, frame: _Frame) -> Value:
@@ -728,4 +669,6 @@ def run_program(checked: CheckedProgram, mode: str, eager_checkcast: bool = Fals
     """
     if not checked.ok:
         raise ValueError("cannot run a program with unresolved errors")
+    if mode not in (ERASED, REIFIED):
+        raise ValueError(f"unknown run mode {mode!r}")
     return _Interp(checked, mode, eager_checkcast).run()

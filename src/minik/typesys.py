@@ -1,12 +1,15 @@
 """Class table, variance-aware subtyping, supertype instantiation, and LUB.
 
 This module answers only "is S a subtype of T?"; whether a declaration or a
-cast is *legal* is the checker's business. The table is immutable once built
-and every query here is pure.
+cast is *legal* is the checker's business. It owns the walk up the class
+hierarchy (each entry's `ancestors`) and the list of a program's bodies
+against the table. The table is immutable once built and every query here
+is pure.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .ast import (
@@ -15,6 +18,7 @@ from .ast import (
     UNIT,
     ClassDecl,
     ClassType,
+    FunDecl,
     Method,
     NullableTopType,
     ParamRef,
@@ -22,6 +26,8 @@ from .ast import (
     Program,
     Property,
     SourceLoc,
+    Stmt,
+    StmtDecl,
     SupertypeRef,
     TopType,
     TypeParam,
@@ -48,8 +54,6 @@ interface MutableList<T> : List<T> {
 
 class ArrayList<T> : MutableList<T>
 """
-
-LIST_CLASSES = {"List", "MutableList", "ArrayList"}
 
 _prelude_cache: Program | None = None
 
@@ -102,10 +106,19 @@ class ClassEntry:
     properties: dict[str, PropertySig]
     decl: ClassDecl
     is_prelude: bool = False
+    # The class's ancestors, itself first, as instantiations over its own
+    # type parameters, in preorder over the declared supertypes with
+    # duplicates dropped. `ancestor_of` keeps the first one of each class,
+    # the one subtyping and member lookup see. Set by `_link_ancestors`.
+    ancestors: tuple[ClassType, ...] = ()
+    ancestor_of: dict[str, ClassType] = field(default_factory=dict)
 
     @property
     def is_variant(self) -> bool:
         return any(p.variance is not Variance.INV for p in self.type_params)
+
+    def bindings(self, args: tuple[TypeRef, ...]) -> dict[str, TypeRef]:
+        return {p.name: a for p, a in zip(self.type_params, args)}
 
 
 @dataclass
@@ -124,9 +137,6 @@ class ClassTable:
 
     def prelude_entries(self) -> list[ClassEntry]:
         return [e for e in self.classes.values() if e.is_prelude]
-
-    def user_entries(self) -> list[ClassEntry]:
-        return [e for e in self.classes.values() if not e.is_prelude]
 
 
 BUILTIN_FUNCTIONS = (
@@ -205,15 +215,15 @@ def build_class_table(program: Program) -> tuple[ClassTable, list[Diagnostic]]:
     _collect_classes(table, program, diags, is_prelude=False)
     _collect_functions(table, program, diags)
     _validate_hierarchy(table, diags)
+    for entry in table.classes.values():
+        _link_ancestors(table, entry)
     _resolve_members(table, diags)
     return table, diags
 
 
 def _collect_classes(table: ClassTable, program: Program, diags: list[Diagnostic], is_prelude: bool) -> None:
-    from .ast import ClassDecl as CD
-
     for d in program.decls:
-        if not isinstance(d, CD):
+        if not isinstance(d, ClassDecl):
             continue
         if d.name in table.classes:
             diags.append(error("E-TABLE", d.loc, f"duplicate declaration of type {d.name}"))
@@ -233,10 +243,8 @@ def _collect_classes(table: ClassTable, program: Program, diags: list[Diagnostic
 
 
 def _collect_functions(table: ClassTable, program: Program, diags: list[Diagnostic]) -> None:
-    from .ast import FunDecl as FD
-
     for d in program.decls:
-        if not isinstance(d, FD):
+        if not isinstance(d, FunDecl):
             continue
         if d.name in table.functions:
             diags.append(error("E-TABLE", d.loc, f"duplicate declaration of function {d.name}"))
@@ -286,27 +294,47 @@ def _validate_hierarchy(table: ClassTable, diags: list[Diagnostic]) -> None:
         entry.supertypes = tuple(resolved)
 
     # Supertype cycles make every other query unreliable; report and cut.
-    state: dict[str, int] = {}  # 0=visiting 1=done
-
-    def visit(name: str, origin: ClassEntry) -> bool:
-        if state.get(name) == 1:
-            return False
-        if state.get(name) == 0:
-            return True
-        state[name] = 0
-        cyclic = False
-        for ref in table.classes[name].supertypes:
-            assert isinstance(ref.type, ClassType)
-            if visit(ref.type.name, origin):
-                cyclic = True
-        state[name] = 1
-        return cyclic
-
     for entry in list(table.classes.values()):
-        state.clear()
-        if visit(entry.name, entry):
+        if _reaches_cycle(table, entry.name, {}):
             diags.append(error("E-TABLE", entry.decl.loc, f"inheritance cycle through {entry.name}"))
             entry.supertypes = ()
+
+
+def _reaches_cycle(table: ClassTable, name: str, state: dict[str, int]) -> bool:
+    """Depth-first search up the supertypes from `name`; `state` marks each
+    class visited so far as 0 (on the current path) or 1 (done)."""
+    if state.get(name) == 1:
+        return False
+    if state.get(name) == 0:
+        return True
+    state[name] = 0
+    cyclic = False
+    for ref in table.classes[name].supertypes:
+        assert isinstance(ref.type, ClassType)
+        if _reaches_cycle(table, ref.type.name, state):
+            cyclic = True
+    state[name] = 1
+    return cyclic
+
+
+def _link_ancestors(table: ClassTable, entry: ClassEntry) -> tuple[ClassType, ...]:
+    """Fill in `entry`'s ancestors, after those of its supertypes; the
+    hierarchy is acyclic by now. Apart from the cycle check, this is the one
+    place that follows `supertypes` transitively."""
+    if not entry.ancestors:
+        found = [ClassType(entry.name, tuple(ParamRef(p.name) for p in entry.type_params))]
+        for ref in entry.supertypes:
+            assert isinstance(ref.type, ClassType) and ref.type.args is not None
+            sup = table.classes[ref.type.name]
+            bindings = sup.bindings(ref.type.args)
+            for anc in _link_ancestors(table, sup):
+                inst = substitute(anc, bindings)
+                if inst not in found:
+                    found.append(inst)
+        entry.ancestors = tuple(found)
+        for anc in found:
+            entry.ancestor_of.setdefault(anc.name, anc)
+    return entry.ancestors
 
 
 def _resolve_members(table: ClassTable, diags: list[Diagnostic]) -> None:
@@ -338,6 +366,46 @@ def _resolve_members(table: ClassTable, diags: list[Diagnostic]) -> None:
 
 
 # ============================================================
+# BODIES
+# ============================================================
+
+
+@dataclass(frozen=True)
+class Body:
+    """One statement sequence: a function, a method with a body, or the
+    top level."""
+
+    owner: str | None  # the class declaring a method
+    type_params: frozenset[str]  # type parameters in scope
+    params: tuple[tuple[str, TypeRef], ...]  # (name, declared type)
+    return_type: TypeRef | None  # None at the top level
+    stmts: tuple[Stmt, ...]
+
+
+def program_bodies(table: ClassTable, program: Program) -> Iterator[Body]:
+    """Every function and method body in declaration order, then the
+    top-level statements. Builtins and classes the table rejected as
+    duplicates have no body here."""
+    for decl in program.decls:
+        if isinstance(decl, FunDecl):
+            sig = table.functions.get(decl.name)
+            if sig is not None and not sig.is_builtin:
+                params = tuple(zip(sig.param_names, sig.param_types))
+                yield Body(None, frozenset(decl.type_params), params, sig.return_type, decl.body)
+        elif isinstance(decl, ClassDecl):
+            entry = table.classes.get(decl.name)
+            if entry is None or entry.decl is not decl:
+                continue
+            scope = frozenset(p.name for p in decl.type_params)
+            for msig in entry.methods.values():
+                if msig.decl.body is not None:
+                    params = tuple(zip(msig.param_names, msig.param_types))
+                    yield Body(decl.name, scope, params, msig.return_type, msig.decl.body)
+    top = tuple(d.stmt for d in program.decls if isinstance(d, StmtDecl))
+    yield Body(None, frozenset(), (), None, top)
+
+
+# ============================================================
 # SUBSTITUTION AND SUPERTYPE INSTANTIATION
 # ============================================================
 
@@ -358,16 +426,27 @@ def supertype_instantiation(table: ClassTable, t: ClassType, ancestor: str) -> C
     if t.name == ancestor:
         return t
     entry = table.classes.get(t.name)
-    if entry is None:
+    inst = entry.ancestor_of.get(ancestor) if entry is not None else None
+    if inst is None:
         return None
-    bindings = {p.name: a for p, a in zip(entry.type_params, t.args)}
-    for ref in entry.supertypes:
-        sup = substitute(ref.type, bindings)
-        assert isinstance(sup, ClassType)
-        found = supertype_instantiation(table, sup, ancestor)
-        if found is not None:
-            return found
-    return None
+    return substitute(inst, entry.bindings(t.args)) if t.args else inst
+
+
+def ancestor_entries(table: ClassTable, t: ClassType):
+    """Yield (entry, bindings) for each ancestor class of `t` in preorder,
+    `t`'s own class first: the order in which member lookup searches them.
+    `bindings` maps that class's type parameters to their arguments as seen
+    from `t`."""
+    assert t.args is not None, "bare reference has no instantiation"
+    entry = table.classes.get(t.name)
+    if entry is None:
+        return
+    own = entry.bindings(t.args)
+    for anc in entry.ancestor_of.values():
+        inst = substitute(anc, own)
+        assert isinstance(inst, ClassType) and inst.args is not None
+        sup = table.classes[anc.name]
+        yield sup, sup.bindings(inst.args)
 
 
 def _args_conform(table: ClassTable, params: tuple[TypeParam, ...], s_args, t_args) -> bool:
@@ -421,35 +500,23 @@ def nominal_ancestors(table: ClassTable, t: TypeRef) -> list[TypeRef]:
     """All supertypes of `t` reachable nominally, `t` itself first,
     Any/Any? last. For class types this includes every instantiated
     ancestor up the declared hierarchy."""
-    out: list[TypeRef] = []
-
-    def add(x: TypeRef) -> None:
-        if x not in out:
-            out.append(x)
-
     if isinstance(t, ClassType) and t.args is not None:
-        add(t)
         entry = table.classes.get(t.name)
+        out: list[TypeRef] = [t]
         if entry is not None:
-            bindings = {p.name: a for p, a in zip(entry.type_params, t.args)}
-            for ref in entry.supertypes:
-                sup = substitute(ref.type, bindings)
-                for anc in nominal_ancestors(table, sup):
-                    add(anc)
-        add(ANY)
-        add(ANY_NULLABLE)
-        return out
-    if isinstance(t, (PrimitiveType, TopType)):
-        add(t)
-        add(ANY)
-        add(ANY_NULLABLE)
-        return out
+            bindings = entry.bindings(t.args)
+            for anc in entry.ancestors[1:]:
+                inst = substitute(anc, bindings)
+                if inst not in out:
+                    out.append(inst)
+        return out + [ANY, ANY_NULLABLE]
+    if isinstance(t, PrimitiveType):
+        return [t, ANY, ANY_NULLABLE]
+    if isinstance(t, TopType):
+        return [ANY, ANY_NULLABLE]
     if isinstance(t, ParamRef):
-        add(t)
-        add(ANY_NULLABLE)
-        return out
-    add(ANY_NULLABLE)
-    return out
+        return [t, ANY_NULLABLE]
+    return [ANY_NULLABLE]
 
 
 def lub(table: ClassTable, s: TypeRef, t: TypeRef) -> TypeRef:
@@ -472,13 +539,3 @@ def lub(table: ClassTable, s: TypeRef, t: TypeRef) -> TypeRef:
     if subtype(table, s, ANY) and subtype(table, t, ANY):
         return ANY
     return ANY_NULLABLE
-
-
-def erasure_class(t: TypeRef) -> str | None:
-    """The runtime-checkable class of a static type, or None when erasure
-    leaves nothing to check (tops, type parameters)."""
-    if isinstance(t, ClassType):
-        return t.name
-    if isinstance(t, PrimitiveType):
-        return t.kind
-    return None

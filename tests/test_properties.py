@@ -49,7 +49,14 @@ from minik.cli import build
 from minik.parser import parse
 from minik.printer import pretty_print
 from minik.provenance import compute_provenance
-from minik.typesys import build_class_table, lub, nominal_ancestors, subtype
+from minik.typesys import (
+    build_class_table,
+    lub,
+    nominal_ancestors,
+    substitute,
+    subtype,
+    supertype_instantiation,
+)
 
 PROPERTY_EXAMPLES = 1000
 SUITE_SETTINGS = settings(max_examples=PROPERTY_EXAMPLES, deadline=None, derandomize=True)
@@ -166,6 +173,51 @@ def test_subtype_reflexive_and_transitive(chain):
     for x, y in ((s, t), (t, u), (s, u)):
         if subtype(table, x, y) and subtype(table, y, x):
             assert x == y
+
+
+# The hierarchy walk as a plain recursion over the declared supertypes: the
+# reference the class table's precomputed ancestors are checked against.
+
+
+def reference_instantiation(table, t: ClassType, ancestor: str) -> ClassType | None:
+    if t.name == ancestor:
+        return t
+    entry = table.classes[t.name]
+    bindings = {p.name: a for p, a in zip(entry.type_params, t.args)}
+    for ref in entry.supertypes:
+        found = reference_instantiation(table, substitute(ref.type, bindings), ancestor)
+        if found is not None:
+            return found
+    return None
+
+
+def reference_ancestors(table, t: TypeRef) -> set[TypeRef]:
+    if not isinstance(t, ClassType):
+        return {t, ANY, ANY_NULLABLE}  # a primitive or Any
+    entry = table.classes[t.name]
+    bindings = {p.name: a for p, a in zip(entry.type_params, t.args)}
+    found = {t, ANY, ANY_NULLABLE}
+    for ref in entry.supertypes:
+        found |= reference_ancestors(table, substitute(ref.type, bindings))
+    return found
+
+
+@st.composite
+def table_queries(draw):
+    spec = draw(table_specs())
+    table = build_spec_table(spec)
+    return table, concrete_type(draw, spec, table, depth=2)
+
+
+@pytest.mark.properties
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table_queries())
+def test_ancestor_walk_agrees_with_recursive_reference(query):
+    table, t = query
+    assert set(nominal_ancestors(table, t)) == reference_ancestors(table, t)
+    if isinstance(t, ClassType):
+        for name in table.classes:
+            assert supertype_instantiation(table, t, name) == reference_instantiation(table, t, name)
 
 
 # ============================================================

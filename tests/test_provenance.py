@@ -229,7 +229,7 @@ def test_conservativeness_on_corpus():
         if checked is None or not checked.ok:
             continue
         allowed = set(checked.expr_types.values())
-        allowed.update(c.to_type for c in checked.coercions)
+        allowed.update(checked.coercions.values())
         allowed.update(checked.decl_types.values())
         allowed.update(checked.cast_targets.values())
         for d in checked.program.decls:

@@ -253,3 +253,10 @@ def test_run_refuses_programs_with_errors():
     assert checked is not None and not checked.ok
     with pytest.raises(ValueError):
         run_program(checked, ERASED)
+
+
+def test_run_rejects_an_unknown_mode():
+    entry = corpus.BY_ID["P1"]
+    checked = build_src(entry.source(), entry.filename)
+    with pytest.raises(ValueError, match="unknown run mode"):
+        run_program(checked, "bogus")

@@ -139,6 +139,11 @@ def test_lub_of_related_classes_is_the_wider_one(ab_table):
     assert lub(ab_table, t("A"), t("B")) == t("B")
 
 
+def test_nominal_ancestors_put_the_tops_last():
+    table = table_for("interface I\n\ninterface J\n\nopen class A : I\n\nclass C : A(), J\n")
+    assert nominal_ancestors(table, t("C")) == [t("C"), t("A"), t("I"), t("J"), ANY, ANY_NULLABLE]
+
+
 def test_lub_of_list_instantiations(ab_table):
     assert lub(ab_table, t("MutableList", t("A")), t("List", t("B"))) == t("List", t("B"))
 
