@@ -4,11 +4,16 @@ Statements are newline-terminated, so NEWLINE is a real token. A newline is
 suppressed when the previous token cannot end a statement (after `=`, `,`,
 `(`, `[`, `<`, `:`, `.`, `{` or a keyword like `as`), which lets declarations
 wrap across lines the way the source figures do.
+
+One compiled master regex matches each token together with the blanks and
+comment before it; text it cannot match goes to `_lex_error`, which names
+the fault and its location.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NoReturn
 
 from .ast import SourceLoc
 
@@ -32,10 +37,29 @@ KEYWORDS = {
 
 PUNCT = ("(", ")", "{", "}", "[", "]", "<", ">", ",", ":", ".", "=", "?")
 
-# A NEWLINE right after one of these continues the current construct.
+# A NEWLINE right after one of these (a string literal aside) continues the
+# current construct.
 _CONTINUATION_AFTER = {"=", ",", "(", "[", "<", ":", ".", "as", "is", "else"}
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+# Blanks, then a comment running to the end of the line.
+_BLANKS = r"[ \t\r]*(?://[^\n]*)?"
+# One group per token class, numbered as `tokenize` tests them. `\w` is
+# exactly `str.isalnum()` or `_`, and `\d` exactly `str.isdecimal()`; a name
+# must also start with a letter or `_`, which `tokenize` checks past ASCII.
+_NAME, _PUNCT, _NEWLINE, _INT, _STRING, _ANNOTATION = range(1, 7)
+_TOKEN = re.compile(_BLANKS + "(?:" + "|".join((
+    r"([^\W\d]\w*)",
+    "([" + re.escape("".join(PUNCT)) + "])",
+    r"(\n(?:" + _BLANKS + r"\n)*)",  # with the blank and comment lines after it
+    r"(\d+)",
+    r'("(?:[^"\\\n]|\\[' + re.escape("".join(_ESCAPES)) + '])*")',
+    "(@UnsafeVariance)",
+    r"(\Z)",
+)) + ")")
+_SKIP = re.compile(_BLANKS)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 class LexError(Exception):
@@ -45,113 +69,76 @@ class LexError(Exception):
         self.loc = loc
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "name" | "int" | "string" | "newline" | "eof" | "@UnsafeVariance" | one of PUNCT
-    text: str
-    loc: SourceLoc
+    """One token. Its `loc` is built when read: the parser reads few."""
+
+    __slots__ = ("kind", "text", "file", "line", "col")
+
+    def __init__(self, kind: str, text: str, file: str, line: int, col: int) -> None:
+        self.kind = kind  # "name" | "int" | "string" | "newline" | "eof" | "@UnsafeVariance" | one of PUNCT
+        self.text = text
+        self.file = file
+        self.line = line
+        self.col = col
+
+    @property
+    def loc(self) -> SourceLoc:
+        return SourceLoc(self.file, self.line, self.col)
 
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
+    push = tokens.append
+    match = _TOKEN.match
+    pos = line_start = 0
     line = 1
-    col = 1
-    i = 0
-    n = len(source)
+    while True:
+        m = match(source, pos)
+        if m is None:
+            _lex_error(source, _SKIP.match(source, pos).end(), file, line, line_start)
+        k = m.lastindex
+        text = m[k]
+        pos = m.end()
+        col = pos - len(text) - line_start + 1
+        if k == _NAME:
+            if text[0] > "z" and not text[0].isalpha():
+                raise LexError(f"unexpected character {text[0]!r}", SourceLoc(file, line, col))
+            push(Token("name", text, file, line, col))
+        elif k == _PUNCT or k == _ANNOTATION:
+            push(Token(text, text, file, line, col))
+        elif k == _NEWLINE:
+            last = tokens[-1] if tokens else None
+            if last is not None and last.kind != "newline" and (
+                last.kind == "string" or last.text not in _CONTINUATION_AFTER
+            ):
+                push(Token("newline", "\n", file, line, col))
+            line += text.count("\n")
+            line_start = pos
+        elif k == _INT:
+            push(Token("int", text, file, line, col))
+        elif k == _STRING:
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
+            push(Token("string", body, file, line, col))
+        else:
+            push(Token("eof", "", file, line, col))
+            return tokens
 
-    def loc() -> SourceLoc:
-        return SourceLoc(file, line, col)
 
-    def push(kind: str, text: str, at: SourceLoc) -> None:
-        tokens.append(Token(kind, text, at))
-
-    def last_meaningful() -> Token | None:
-        for t in reversed(tokens):
-            if t.kind != "newline":
-                return t
-        return None
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            prev = last_meaningful()
-            suppress = (
-                prev is None
-                or prev.kind == "newline"
-                or prev.text in _CONTINUATION_AFTER
-                or (tokens and tokens[-1].kind == "newline")
-            )
-            if not suppress:
-                push("newline", "\n", loc())
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if c == "@":
-            at = loc()
-            word = "@UnsafeVariance"
-            if source.startswith(word, i):
-                push(word, word, at)
-                i += len(word)
-                col += len(word)
-                continue
-            raise LexError("unknown annotation (only @UnsafeVariance exists)", at)
-        if c.isdigit():
-            at = loc()
-            j = i
-            while j < n and source[j].isdigit():
+def _lex_error(source: str, i: int, file: str, line: int, line_start: int) -> NoReturn:
+    """Raise the LexError for the text at `i`, which no token matches."""
+    at = SourceLoc(file, line, i - line_start + 1)
+    if source[i] == "@":
+        raise LexError("unknown annotation (only @UnsafeVariance exists)", at)
+    if source[i] == '"':
+        # The master regex takes every terminated string with known escapes.
+        j = i + 1
+        while j < len(source) and source[j] != "\n":
+            if source[j] == "\\":
+                if source[j + 1:j + 2] not in _ESCAPES:
+                    raise LexError("unknown string escape", SourceLoc(file, line, at.col + j - i))
                 j += 1
-            push("int", source[i:j], at)
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            at = loc()
-            j = i + 1
-            buf: list[str] = []
-            while True:
-                if j >= n or source[j] == "\n":
-                    raise LexError("unterminated string literal", at)
-                ch = source[j]
-                if ch == '"':
-                    j += 1
-                    break
-                if ch == "\\":
-                    if j + 1 >= n or source[j + 1] not in _ESCAPES:
-                        raise LexError("unknown string escape", SourceLoc(file, line, col + (j - i)))
-                    buf.append(_ESCAPES[source[j + 1]])
-                    j += 2
-                    continue
-                buf.append(ch)
-                j += 1
-            push("string", "".join(buf), at)
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            at = loc()
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            push("name", source[i:j], at)
-            col += j - i
-            i = j
-            continue
-        if c in PUNCT:
-            push(c, c, loc())
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"unexpected character {c!r}", loc())
-
-    push("eof", "", loc())
-    return tokens
+            j += 1
+        raise LexError("unterminated string literal", at)
+    raise LexError(f"unexpected character {source[i]!r}", at)

@@ -384,7 +384,7 @@ class _Interp:
         self.table = checked.table
         self.mode = mode
         self.eager = eager_checkcast
-        self.sites = compute_site_index(checked)
+        self.sites = compute_site_index(checked) if mode == ERASED else None  # read only when erased
         self.stdout: list[str] = []
         self.next_oid = 1
         self.fun_decls: dict[str, FunDecl] = {

@@ -125,6 +125,8 @@ class ClassEntry:
 class ClassTable:
     classes: dict[str, ClassEntry] = field(default_factory=dict)
     functions: dict[str, FunSig] = field(default_factory=dict)
+    # `lub` results by (s, t): valid as long as the table, which never changes once built.
+    lubs: dict[tuple[TypeRef, TypeRef], TypeRef] = field(default_factory=dict, repr=False, compare=False)
 
     def entry(self, name: str) -> ClassEntry:
         return self.classes[name]
@@ -216,7 +218,7 @@ def build_class_table(program: Program) -> tuple[ClassTable, list[Diagnostic]]:
     _collect_functions(table, program, diags)
     _validate_hierarchy(table, diags)
     for entry in table.classes.values():
-        _link_ancestors(table, entry)
+        _link_ancestors(table, entry, diags)
     _resolve_members(table, diags)
     return table, diags
 
@@ -317,18 +319,25 @@ def _reaches_cycle(table: ClassTable, name: str, state: dict[str, int]) -> bool:
     return cyclic
 
 
-def _link_ancestors(table: ClassTable, entry: ClassEntry) -> tuple[ClassType, ...]:
+def _link_ancestors(table: ClassTable, entry: ClassEntry, diags: list[Diagnostic]) -> tuple[ClassType, ...]:
     """Fill in `entry`'s ancestors, after those of its supertypes; the
     hierarchy is acyclic by now. Apart from the cycle check, this is the one
-    place that follows `supertypes` transitively."""
+    place that follows `supertypes` transitively. A class that reaches one
+    generic class through two supertypes with different arguments is an
+    error, as in Kotlin: subtyping sees only the first instantiation."""
     if not entry.ancestors:
         found = [ClassType(entry.name, tuple(ParamRef(p.name) for p in entry.type_params))]
         for ref in entry.supertypes:
             assert isinstance(ref.type, ClassType) and ref.type.args is not None
             sup = table.classes[ref.type.name]
             bindings = sup.bindings(ref.type.args)
-            for anc in _link_ancestors(table, sup):
+            earlier = {anc.name: anc for anc in found}
+            for anc in _link_ancestors(table, sup, diags):
                 inst = substitute(anc, bindings)
+                other = earlier.get(inst.name, inst)
+                if other != inst:
+                    diags.append(error("E-TABLE", entry.decl.loc, f"inconsistent type arguments for {inst.name}: "
+                                       f"{other.render()} and {inst.render()}"))
                 if inst not in found:
                     found.append(inst)
         entry.ancestors = tuple(found)
@@ -524,8 +533,11 @@ def lub(table: ClassTable, s: TypeRef, t: TypeRef) -> TypeRef:
 
     Candidates come from both sides' ancestor sets; of the common ones we
     keep the minimal elements and, if that is not a single type, fall back
-    to Any (or Any? when one side is nullable).
+    to Any (or Any? when one side is nullable). Memoized on the table.
     """
+    found = table.lubs.get((s, t))
+    if found is not None:
+        return found
     candidates = nominal_ancestors(table, s) + nominal_ancestors(table, t)
     common = [c for c in candidates if subtype(table, s, c) and subtype(table, t, c)]
     minimal: list[TypeRef] = []
@@ -535,7 +547,10 @@ def lub(table: ClassTable, s: TypeRef, t: TypeRef) -> TypeRef:
         if c not in minimal:
             minimal.append(c)
     if len(minimal) == 1:
-        return minimal[0]
-    if subtype(table, s, ANY) and subtype(table, t, ANY):
-        return ANY
-    return ANY_NULLABLE
+        found = minimal[0]
+    elif subtype(table, s, ANY) and subtype(table, t, ANY):
+        found = ANY
+    else:
+        found = ANY_NULLABLE
+    table.lubs[(s, t)] = found
+    return found

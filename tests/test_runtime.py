@@ -260,3 +260,12 @@ def test_run_rejects_an_unknown_mode():
     checked = build_src(entry.source(), entry.filename)
     with pytest.raises(ValueError, match="unknown run mode"):
         run_program(checked, "bogus")
+
+
+def test_reified_run_builds_no_site_index(monkeypatch):
+    def no_index(checked):
+        raise AssertionError("reified runs read no checkcast sites")
+
+    outcome = run_entry("P5", REIFIED)
+    monkeypatch.setattr("minik.runtime.compute_site_index", no_index)
+    assert run_entry("P5", REIFIED) == outcome

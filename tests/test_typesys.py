@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from minik.ast import ANY, ANY_NULLABLE, INT, STRING, ClassType, ParamRef
+from minik.cli import run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
 from minik.typesys import (
@@ -74,6 +75,25 @@ def test_supertype_arity_mismatch_is_rejected():
 def test_class_supertype_requires_ctor_call():
     _, diags = build_class_table(parse("open class B\n\nclass C : B\n"))
     assert any(d.code == "E-TABLE" and "initialized" in d.message for d in diags)
+
+
+def test_inconsistent_supertype_arguments_are_rejected():
+    # Accepted, C would be below J and J below I<Animal>, but C not below
+    # I<Animal>: subtyping sees only C's first instantiation of I.
+    source = (
+        "open class Animal\nclass Dog : Animal()\ninterface I<T>\ninterface J : I<Animal>\n"
+        "class C : I<Dog>, J\n\nval c = C()\nval viaJ: J = c\nval q: I<Animal> = viaJ\nval r: I<Animal> = c\n"
+    )
+    assert run_command("check", source, "t.mk") == (
+        "error E-TABLE t.mk:5:1: inconsistent type arguments for I: I<Dog> and I<Animal>\n",
+        1,
+    )
+
+
+def test_lub_is_memoized_per_table(ab_table):
+    query = (t("MutableList", t("A")), t("List", t("B")))
+    assert lub(ab_table, *query) is lub(ab_table, *query)
+    assert ab_table.lubs[query] == t("List", t("B"))
 
 
 def test_supertype_instantiation_through_one_level(ab_table):
