@@ -80,29 +80,20 @@ class CallInfo:
     param_types: tuple[TypeRef, ...]  # substituted at this call
 
 
-@dataclass(frozen=True)
-class Narrowing:
-    var: str
-    declared: TypeRef
-    narrowed: TypeRef
-    loc: SourceLoc
-
-
 @dataclass
 class CheckedProgram:
     program: Program
     table: ClassTable
-    strict: bool
     diagnostics: list[Diagnostic]
+    # id() of each expression -> its static type; a cast's is its completed
+    # target, and a narrowed variable use's is the narrowed type
     expr_types: dict[int, TypeRef] = field(default_factory=dict)
     call_info: dict[int, CallInfo] = field(default_factory=dict)
-    cast_targets: dict[int, TypeRef] = field(default_factory=dict)
     cast_class: dict[int, CastClassification] = field(default_factory=dict)
     is_targets: dict[int, TypeRef] = field(default_factory=dict)
     decl_types: dict[int, TypeRef] = field(default_factory=dict)
     # id() of each implicitly upcast expression -> the type it is upcast to
     coercions: dict[int, TypeRef] = field(default_factory=dict)
-    narrowings: list[Narrowing] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -406,7 +397,7 @@ class _Scope:
 class _Checker:
     def __init__(self, table: ClassTable, program: Program, strict: bool) -> None:
         self.table = table
-        self.out = CheckedProgram(program, table, strict, diagnostics=[])
+        self.out = CheckedProgram(program, table, diagnostics=[])
         self.strict = strict
         self.type_param_scope: frozenset[str] = frozenset()
         self.return_type: TypeRef | None = None
@@ -510,7 +501,6 @@ class _Checker:
             return
         if subtype(self.table, target, current) and target != current:
             branch.narrowed[cond.expr.name] = target
-            self.out.narrowings.append(Narrowing(cond.expr.name, current, target, cond.loc))
 
     # -- expressions --------------------------------------------------------
 
@@ -692,7 +682,6 @@ class _Checker:
         if target is None:
             return ANY_NULLABLE
         completed = complete_cast_target(self.table, source, target, expected)
-        self.out.cast_targets[id(e)] = completed
         classification = classify_cast_baseline(self.table, source, completed)
         self.out.cast_class[id(e)] = classification
         if classification is CastClassification.UNCHECKED_WARNED:

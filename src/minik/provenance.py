@@ -87,9 +87,7 @@ class _Analysis:
             vid = self.visit_expr(e.expr, env)
             # The lint wants the history as it stood when the cast ran.
             self.out.cast_snapshots[id(e)] = self.values[vid]
-            target = self.checked.cast_targets.get(id(e))
-            if target is not None:
-                self.values[vid] = _append(self.values[vid], target)
+            self.values[vid] = _append(self.values[vid], self.static_type(e))  # the completed target
             self.out.occurrence_sets[id(e)] = self.values[vid]
             return vid
         if isinstance(e, IsExpr):
@@ -195,9 +193,9 @@ def lint_function(checked: CheckedProgram, body: tuple[Stmt, ...], prov: Provena
         if not isinstance(e, CastExpr):
             continue
         classification = checked.cast_class.get(id(e))
-        target = checked.cast_targets.get(id(e))
-        if classification is None or target is None:
+        if classification is None:
             continue
+        target = checked.expr_types[id(e)]  # the completed cast target
         generic_target = isinstance(target, ClassType) and bool(target.args)
         eligible = classification is CastClassification.UNCHECKED_SILENT or (
             classification is CastClassification.FULLY_CHECKED and generic_target

@@ -67,10 +67,14 @@ class CheckcastSite:
 @dataclass
 class SiteIndex:
     sites: list[CheckcastSite] = field(default_factory=list)
-    decl_sites: dict[int, CheckcastSite] = field(default_factory=dict)
-    return_sites: dict[int, CheckcastSite] = field(default_factory=dict)
-    receiver_sites: dict[int, CheckcastSite] = field(default_factory=dict)
-    arg_sites: dict[int, CheckcastSite] = field(default_factory=dict)
+    # id() of the expression whose value a site checks (a val initializer,
+    # a returned expression, a call argument or a receiver) -> that site. An
+    # expression has one parent, so it has at most one site.
+    at: dict[int, CheckcastSite] = field(default_factory=dict)
+
+    def add(self, checked_expr: Expr, site: CheckcastSite) -> None:
+        self.sites.append(site)
+        self.at[id(checked_expr)] = site
 
 
 def _class_of(t: TypeRef) -> str | None:
@@ -110,18 +114,14 @@ def _scan_expr(checked: CheckedProgram, index: SiteIndex, e: Expr) -> None:
             recv_t = checked.expr_types.get(id(receiver))
             cls = _class_of(recv_t) if recv_t is not None else None
             if cls is not None:
-                site = CheckcastSite(e.loc, cls, "receiver")
-                index.sites.append(site)
-                index.receiver_sites[id(e)] = site
+                index.add(receiver, CheckcastSite(e.loc, cls, "receiver"))
         info = checked.call_info.get(id(e))
         declared = info.declared_params if info is not None else ()
         for arg, want in zip(args, declared):
             _scan_expr(checked, index, arg)
             cls = _class_of(want)
             if cls is not None and not _is_deferred_read(checked, arg):
-                site = CheckcastSite(arg.loc, cls, "call-arg")
-                index.sites.append(site)
-                index.arg_sites[id(arg)] = site
+                index.add(arg, CheckcastSite(arg.loc, cls, "call-arg"))
     elif isinstance(e, (CastExpr, IsExpr)):
         _scan_expr(checked, index, e.expr)
     # literals, VarRef: nothing to scan
@@ -134,18 +134,14 @@ def _scan_stmt(checked: CheckedProgram, index: SiteIndex, s: Stmt, return_type: 
         cls = _class_of(bound) if bound is not None else None
         if cls is not None and not _is_deferred_read(checked, s.init):
             reason = "explicit-decl" if s.declared_type is not None else "implicit-decl"
-            site = CheckcastSite(s.loc, cls, reason)
-            index.sites.append(site)
-            index.decl_sites[id(s)] = site
+            index.add(s.init, CheckcastSite(s.loc, cls, reason))
     elif isinstance(s, ExprStmt):
         _scan_expr(checked, index, s.expr)
     elif isinstance(s, Return):
         _scan_expr(checked, index, s.expr)
         cls = _class_of(return_type) if return_type is not None else None
         if cls is not None and not _is_deferred_read(checked, s.expr):
-            site = CheckcastSite(s.loc, cls, "return-value")
-            index.sites.append(site)
-            index.return_sites[id(s)] = site
+            index.add(s.expr, CheckcastSite(s.loc, cls, "return-value"))
     elif isinstance(s, If):
         _scan_expr(checked, index, s.cond)
         for inner in s.then_body + (s.else_body or ()):
@@ -384,7 +380,7 @@ class _Interp:
         self.table = checked.table
         self.mode = mode
         self.eager = eager_checkcast
-        self.sites = compute_site_index(checked) if mode == ERASED else None  # read only when erased
+        self.sites = compute_site_index(checked).at if mode == ERASED else None  # read only when erased
         self.stdout: list[str] = []
         self.next_oid = 1
         self.fun_decls: dict[str, FunDecl] = {
@@ -414,10 +410,9 @@ class _Interp:
 
     def coercion_check(self, v: Value, expected: TypeRef, frame: _Frame, loc: SourceLoc) -> None:
         """Reified mode verifies every coercion in full the moment it
-        happens; erased mode verifies nothing here (its checks live at the
-        precomputed sites)."""
-        if self.mode == REIFIED:
-            self.check_full(v, self.subst(expected, frame), loc)
+        happens; erased mode never calls this (its checks live at the
+        precomputed sites, read in `eval_expr`)."""
+        self.check_full(v, self.subst(expected, frame), loc)
 
     def static_type(self, e: Expr) -> TypeRef | None:
         return self.checked.expr_types.get(id(e))
@@ -443,25 +438,15 @@ class _Interp:
     def exec_stmt(self, s: Stmt, frame: _Frame) -> None:
         if isinstance(s, ValDecl):
             v = self.eval_expr(s.init, frame)
-            bound = self.checked.decl_types.get(id(s))
-            if self.mode == ERASED:
-                site = self.sites.decl_sites.get(id(s))
-                if site is not None:
-                    self.check_class(v, site.expected_class, site.loc)
-            elif bound is not None:
-                self.coercion_check(v, bound, frame, s.loc)
+            if self.mode == REIFIED:
+                self.coercion_check(v, self.checked.decl_types[id(s)], frame, s.loc)
             frame.bind(s.name, v)
             return
         if isinstance(s, ExprStmt):
             self.eval_expr(s.expr, frame)
             return
         if isinstance(s, Return):
-            v = self.eval_expr(s.expr, frame)
-            if self.mode == ERASED:
-                site = self.sites.return_sites.get(id(s))
-                if site is not None:
-                    self.check_class(v, site.expected_class, site.loc)
-            raise _ReturnSignal(v)
+            raise _ReturnSignal(self.eval_expr(s.expr, frame))
         if isinstance(s, If):
             cond = self.eval_expr(s.cond, frame)
             assert isinstance(cond, BoolValue), "checker guarantees Boolean conditions"
@@ -478,13 +463,19 @@ class _Interp:
     # -- expressions ----------------------------------------------------------
 
     def eval_expr(self, e: Expr, frame: _Frame) -> Value:
+        """Evaluate `e`; erased mode then runs the checkcast site, if any,
+        that checks `e`'s value. Every erased implicit check happens here."""
         v = self._eval(e, frame)
-        if self.eager and self.mode == ERASED and isinstance(e, (CallExpr, MethodCall, Index, PropertyGet)):
-            # Eager mode: verify every acquisition against its static class
-            # immediately instead of waiting for a downstream site.
-            t = self.static_type(e)
-            if isinstance(t, ClassType):
-                self.check_class(v, t.name, e.loc)
+        if self.mode == ERASED:
+            if self.eager and isinstance(e, (CallExpr, MethodCall, Index, PropertyGet)):
+                # Eager mode: verify every acquisition against its static
+                # class immediately instead of waiting for a downstream site.
+                t = self.static_type(e)
+                if isinstance(t, ClassType):
+                    self.check_class(v, t.name, e.loc)
+            site = self.sites.get(id(e))
+            if site is not None:
+                self.check_class(v, site.expected_class, site.loc)
         return v
 
     def _eval(self, e: Expr, frame: _Frame) -> Value:
@@ -510,11 +501,7 @@ class _Interp:
         values = []
         for i, a in enumerate(args):
             v = self.eval_expr(a, frame)
-            if self.mode == ERASED:
-                site = self.sites.arg_sites.get(id(a))
-                if site is not None:
-                    self.check_class(v, site.expected_class, site.loc)
-            elif i < len(param_types):
+            if self.mode == REIFIED and i < len(param_types):
                 self.coercion_check(v, param_types[i], frame, a.loc)
             values.append(v)
         return values
@@ -562,11 +549,7 @@ class _Interp:
     def eval_member_call(self, e: Expr, receiver: Expr, args: tuple[Expr, ...], frame: _Frame) -> Value:
         info = self.checked.call_info[id(e)]
         recv = self.eval_expr(receiver, frame)
-        if self.mode == ERASED:
-            site = self.sites.receiver_sites.get(id(e))
-            if site is not None:
-                self.check_class(recv, site.expected_class, site.loc)
-        else:
+        if self.mode == REIFIED:
             recv_static = self.static_type(receiver)
             if isinstance(recv_static, ClassType):
                 self.coercion_check(recv, recv_static, frame, e.loc)
@@ -622,11 +605,7 @@ class _Interp:
 
     def eval_property(self, e: PropertyGet, frame: _Frame) -> Value:
         recv = self.eval_expr(e.receiver, frame)
-        if self.mode == ERASED:
-            site = self.sites.receiver_sites.get(id(e))
-            if site is not None:
-                self.check_class(recv, site.expected_class, site.loc)
-        else:
+        if self.mode == REIFIED:
             recv_static = self.static_type(e.receiver)
             if isinstance(recv_static, ClassType):
                 self.coercion_check(recv, recv_static, frame, e.loc)
@@ -640,7 +619,7 @@ class _Interp:
 
     def eval_cast(self, e: CastExpr, frame: _Frame) -> Value:
         v = self.eval_expr(e.expr, frame)
-        target = self.checked.cast_targets[id(e)]
+        target = self.checked.expr_types[id(e)]  # the completed cast target
         if self.mode == ERASED:
             # An explicit cast always verifies the class portion, even in
             # value-discarding positions; the type arguments are gone.

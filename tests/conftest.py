@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from minik.ast import If, IsExpr, VarRef, walk_body_exprs, walk_stmts
 from minik.cli import build
+from minik.typesys import program_bodies
 
 
 @pytest.fixture
@@ -19,6 +21,19 @@ def check_source():
 
 def codes(diags) -> list[str]:
     return [d.code for d in diags]
+
+
+def narrowed_uses(checked):
+    """(type before the check, type at the use) for every use of `x` inside
+    the then-branch of an `if (x is T)`, read from the uses' `expr_types`."""
+    for body in program_bodies(checked.table, checked.program):
+        for s in walk_stmts(body.stmts):
+            if isinstance(s, If) and isinstance(s.cond, IsExpr) and isinstance(s.cond.expr, VarRef):
+                name = s.cond.expr.name
+                before = checked.expr_types[id(s.cond.expr)]
+                for e in walk_body_exprs(s.then_body):
+                    if isinstance(e, VarRef) and e.name == name:
+                        yield before, checked.expr_types[id(e)]
 
 
 def pytest_configure(config):

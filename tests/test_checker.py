@@ -17,7 +17,7 @@ from minik.diagnostics import has_errors
 from minik.parser import parse
 from minik.typesys import build_class_table, subtype
 
-from conftest import codes
+from conftest import codes, narrowed_uses
 
 AB = "open class B\n\nclass A private constructor() : B()\n"
 
@@ -256,10 +256,7 @@ def test_parameter_generic_instance_check_narrows_in_baseline(check_source):
 
     checked, diags = check_source(GENERIC_IS)
     assert diags == []
-    assert len(checked.narrowings) == 1
-    n = checked.narrowings[0]
-    assert n.var == "list"
-    assert n.narrowed == t("MutableList", ParamRef("E"))
+    assert list(narrowed_uses(checked)) == [(t("List", ParamRef("E")), t("MutableList", ParamRef("E")))]
 
 
 def test_parameter_generic_instance_check_rejected_in_strict(check_source):
@@ -279,8 +276,8 @@ def test_narrowing_never_widens_on_corpus():
         checked, _ = build(entry.source(), entry.filename)
         if checked is None:
             continue
-        for n in checked.narrowings:
-            assert subtype(checked.table, n.narrowed, n.declared), (entry.id, n)
+        for before, narrowed in narrowed_uses(checked):
+            assert subtype(checked.table, narrowed, before), (entry.id, before, narrowed)
 
 
 # ============================================================

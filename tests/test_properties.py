@@ -45,6 +45,7 @@ from minik.ast import (
     VarRef,
     Variance,
 )
+from conftest import narrowed_uses
 from minik.cli import build
 from minik.parser import parse
 from minik.printer import pretty_print
@@ -575,5 +576,5 @@ def narrowing_programs(draw):
 def test_smart_cast_narrowing_never_widens(source):
     checked, diags = build(source, "narrow.mk")
     assert checked is not None
-    for n in checked.narrowings:
-        assert subtype(checked.table, n.narrowed, n.declared)
+    for before, narrowed in narrowed_uses(checked):
+        assert subtype(checked.table, narrowed, before)

@@ -231,7 +231,6 @@ def test_conservativeness_on_corpus():
         allowed = set(checked.expr_types.values())
         allowed.update(checked.coercions.values())
         allowed.update(checked.decl_types.values())
-        allowed.update(checked.cast_targets.values())
         for d in checked.program.decls:
             if isinstance(d, FunDecl):
                 prov = prov_for_fun(checked, d.name)
