@@ -38,6 +38,7 @@ from .ast import (
     Stmt,
     StringLit,
     TypeRef,
+    UNIT,
     ValDecl,
     VarRef,
     Variance,
@@ -300,11 +301,16 @@ def classify_cast_baseline(table: ClassTable, source: TypeRef, target: TypeRef) 
 
     A cast is fully checked when the target carries no type arguments (the
     runtime class tag decides it completely) or when it is statically safe.
-    Otherwise it is unchecked; it is *warned* only when the source's type
-    arguments, viewed at the target's class, differ from the target's.
-    A silent outcome means the runtime cannot verify the arguments and the
-    compiler saw nothing to complain about.
+    A cast to a bare type parameter has no class to check, so it is warned
+    unless it is safe. Otherwise it is unchecked; it is *warned* only when
+    the source's type arguments, viewed at the target's class, differ from
+    the target's. A silent outcome means the runtime cannot verify the
+    arguments and the compiler saw nothing to complain about.
     """
+    if isinstance(target, ParamRef):
+        if subtype(table, source, target):
+            return CastClassification.FULLY_CHECKED
+        return CastClassification.UNCHECKED_WARNED
     if not isinstance(target, ClassType):
         return CastClassification.FULLY_CHECKED
     assert target.args is not None, "classify requires a completed target"
@@ -367,6 +373,17 @@ def _collect_constraints(
 # ============================================================
 # THE CHECKER
 # ============================================================
+
+
+def _always_returns(stmts: tuple[Stmt, ...]) -> bool:
+    """A statement list returns if one of its statements is a return, or an
+    if with an else whose branches both return."""
+    return any(
+        isinstance(s, Return)
+        or isinstance(s, If) and s.else_body is not None
+        and _always_returns(s.then_body) and _always_returns(s.else_body)
+        for s in stmts
+    )
 
 
 class _Scope:
@@ -445,6 +462,8 @@ class _Checker:
         scope.vars.update(body.params)
         for s in body.stmts:
             self.check_stmt(s, scope)
+        if body.decl is not None and body.return_type != UNIT and not _always_returns(body.stmts):
+            self.e_type(body.decl.loc, f"missing return: {body.decl.name} must return {body.return_type.render()}")
 
     # -- statements --------------------------------------------------------
 
@@ -702,36 +721,38 @@ class _Checker:
         completed = complete_cast_target(self.table, source, target, None)
         self.out.is_targets[id(e)] = completed
         erased_error = False
-        if isinstance(target, ClassType) and target.args is not None and target.args:
-            if any(not isinstance(a, ParamRef) for a in target.args):
-                # Concrete type arguments can never be confirmed by the
-                # erased runtime, so this check is rejected outright.
+        generic = isinstance(target, ClassType) and bool(target.args)
+        erased_param = isinstance(target, ParamRef) and not subtype(self.table, source, target)
+        if erased_param or generic and any(not isinstance(a, ParamRef) for a in target.args):
+            # Neither a type parameter (short of an upcast to it) nor
+            # concrete type arguments can ever be confirmed by the erased
+            # runtime, so this check is rejected outright.
+            self.diag(
+                error(
+                    "E-GENERIC-IS",
+                    e.loc,
+                    f"cannot check for instance of erased type {target.render()}",
+                )
+            )
+            erased_error = True
+        elif generic and self.strict and isinstance(source, ClassType):
+            src_entry = self.table.classes.get(source.name)
+            tgt_entry = self.table.classes.get(target.name)
+            if (
+                src_entry is not None
+                and tgt_entry is not None
+                and src_entry.is_variant
+                and not tgt_entry.is_variant
+            ):
                 self.diag(
                     error(
                         "E-GENERIC-IS",
                         e.loc,
-                        f"cannot check for instance of erased type {target.render()}",
+                        f"generic smart cast from variant class {source.name} "
+                        f"to non-variant class {target.name} is not allowed in strict mode",
                     )
                 )
                 erased_error = True
-            elif self.strict and isinstance(source, ClassType):
-                src_entry = self.table.classes.get(source.name)
-                tgt_entry = self.table.classes.get(target.name)
-                if (
-                    src_entry is not None
-                    and tgt_entry is not None
-                    and src_entry.is_variant
-                    and not tgt_entry.is_variant
-                ):
-                    self.diag(
-                        error(
-                            "E-GENERIC-IS",
-                            e.loc,
-                            f"generic smart cast from variant class {source.name} "
-                            f"to non-variant class {target.name} is not allowed in strict mode",
-                        )
-                    )
-                    erased_error = True
         if not erased_error and subtype(self.table, source, completed):
             self.diag(warning("W-REDUNDANT-IS", e.loc, "check for instance is always 'true'"))
         return BOOLEAN

@@ -43,7 +43,7 @@ from .ast import (
     call_parts,
 )
 from .checker import CheckedProgram
-from .typesys import ClassTable, program_bodies, substitute, subtype
+from .typesys import ClassTable, program_bodies, substitute, subtype, supertype_instantiation
 
 ERASED = "erased"
 REIFIED = "reified"
@@ -580,10 +580,17 @@ class _Interp:
         raise _Fault(e.loc, f"list has no method {member}")
 
     def dispatch_method(self, e: Expr, recv: ObjectValue, member: str | None, args: list[Value], frame: _Frame) -> Value:
-        decl = self._find_method_decl(recv.rtti.class_name, member)
+        owner, decl = self._find_method_decl(recv.rtti.class_name, member)
         if decl is None or decl.body is None:
             raise _Fault(e.loc, f"{recv.rtti.class_name} has no callable method {member}")
-        callee = _Frame()
+        bindings = None
+        entry = self.table.classes[owner]
+        if self.mode == REIFIED and entry.type_params:
+            # The body sees the declaring class's parameters as the
+            # receiver's RTTI instantiates them at that class.
+            inst = supertype_instantiation(self.table, rtti_typeref(recv), owner)
+            bindings = entry.bindings(inst.args)
+        callee = _Frame(bindings)
         for p, v in zip(decl.params, args):
             callee.bind(p.name, v)
         try:
@@ -594,14 +601,16 @@ class _Interp:
         return UNIT_VALUE
 
     def _find_method_decl(self, class_name: str, member: str | None):
+        """(declaring class, method declaration) of `member` as seen from
+        `class_name`, or (None, None)."""
         entry = self.table.classes.get(class_name)
         if entry is None or member is None:
-            return None
+            return None, None
         for ancestor in entry.ancestor_of:
             sig = self.table.classes[ancestor].methods.get(member)
             if sig is not None:
-                return sig.decl
-        return None
+                return ancestor, sig.decl
+        return None, None
 
     def eval_property(self, e: PropertyGet, frame: _Frame) -> Value:
         recv = self.eval_expr(e.receiver, frame)

@@ -384,6 +384,7 @@ class Body:
     """One statement sequence: a function, a method with a body, or the
     top level."""
 
+    decl: FunDecl | Method | None  # None at the top level
     owner: str | None  # the class declaring a method
     type_params: frozenset[str]  # type parameters in scope
     params: tuple[tuple[str, TypeRef], ...]  # (name, declared type)
@@ -400,7 +401,7 @@ def program_bodies(table: ClassTable, program: Program) -> Iterator[Body]:
             sig = table.functions.get(decl.name)
             if sig is not None and not sig.is_builtin:
                 params = tuple(zip(sig.param_names, sig.param_types))
-                yield Body(None, frozenset(decl.type_params), params, sig.return_type, decl.body)
+                yield Body(decl, None, frozenset(decl.type_params), params, sig.return_type, decl.body)
         elif isinstance(decl, ClassDecl):
             entry = table.classes.get(decl.name)
             if entry is None or entry.decl is not decl:
@@ -409,9 +410,9 @@ def program_bodies(table: ClassTable, program: Program) -> Iterator[Body]:
             for msig in entry.methods.values():
                 if msig.decl.body is not None:
                     params = tuple(zip(msig.param_names, msig.param_types))
-                    yield Body(decl.name, scope, params, msig.return_type, msig.decl.body)
+                    yield Body(msig.decl, decl.name, scope, params, msig.return_type, msig.decl.body)
     top = tuple(d.stmt for d in program.decls if isinstance(d, StmtDecl))
-    yield Body(None, frozenset(), (), None, top)
+    yield Body(None, None, frozenset(), (), None, top)
 
 
 # ============================================================

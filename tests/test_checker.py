@@ -177,6 +177,23 @@ def test_cast_without_type_arguments_is_fully_checked():
     assert classify_cast_baseline(table, t("B"), t("A")) is CastClassification.FULLY_CHECKED
 
 
+CAST_TO_PARAM = (
+    "fun f<T>(x: Any?, y: T): T {\n"
+    "    return x as T\n"
+    "}\n"
+    "fun g<T>(x: T, y: T): T {\n"
+    "    return x as T\n"
+    "}\n"
+    "val s: String = f(1, \"s\")\n"
+)
+
+
+def test_cast_to_a_type_parameter_is_warned_unless_it_is_an_upcast(check_source):
+    _, diags = check_source(CAST_TO_PARAM)
+    assert [(d.code, d.loc.line) for d in diags] == [("W-UNCHECKED-CAST", 2)]
+    assert diags[0].message == "unchecked cast: Any? to T"
+
+
 def test_bare_target_completes_from_expected_type():
     table = ab_table()
     completed = complete_cast_target(
@@ -264,6 +281,13 @@ def test_parameter_generic_instance_check_rejected_in_strict(check_source):
     assert "E-GENERIC-IS" in codes(diags)
 
 
+def test_instance_check_against_a_type_parameter_is_an_error(check_source):
+    src = "fun f<T>(x: Any?, y: T) {\n    println(x is T)\n}\nfun g<T>(x: T) {\n    println(x is T)\n}\n"
+    _, diags = check_source(src)
+    assert [(d.code, d.loc.line) for d in diags] == [("E-GENERIC-IS", 2), ("W-REDUNDANT-IS", 5)]
+    assert diags[0].message == "cannot check for instance of erased type T"
+
+
 def test_redundant_instance_check_message(check_source):
     src = AB + "fun f(x: A) {\n    println(x is A)\n}\n"
     _, diags = check_source(src)
@@ -334,3 +358,49 @@ def test_inferred_call_in_program(check_source):
     assert diags == []
     decl = checked.program.decls[-1].stmt
     assert checked.decl_types[id(decl)] == t("Animal")
+
+
+# ============================================================
+# RETURNS
+# ============================================================
+
+
+def test_a_body_that_can_end_without_a_return_is_an_error(check_source):
+    src = (
+        "fun f(): Int {\n"
+        "}\n"
+        "fun g(x: Any?): Int {\n"
+        "    if (x is Int) {\n"
+        "        return 1\n"
+        "    }\n"
+        "}\n"
+        "class C {\n"
+        "    fun m(): String {\n"
+        "        println(1)\n"
+        "    }\n"
+        "}\n"
+        "val x: Int = f()\n"
+    )
+    _, diags = check_source(src)
+    assert [(d.code, d.loc.line, d.loc.col) for d in diags] == [("E-TYPE", 1, 1), ("E-TYPE", 3, 1), ("E-TYPE", 9, 5)]
+    assert diags[0].message == "missing return: f must return Int"
+
+
+def test_returns_in_both_branches_or_a_unit_body_need_no_final_return(check_source):
+    src = (
+        "fun f(x: Any?): Int {\n"
+        "    if (x is Int) {\n"
+        "        return 1\n"
+        "    } else {\n"
+        "        return 2\n"
+        "    }\n"
+        "}\n"
+        "fun g() {\n"
+        "}\n"
+        "fun h(): Int {\n"
+        "    return 1\n"
+        "    println(2)\n"
+        "}\n"
+    )
+    _, diags = check_source(src)
+    assert diags == []

@@ -12,6 +12,7 @@ from minik.ast import (
     Program,
     SourceLoc,
     StmtDecl,
+    TypeRef,
     ValDecl,
     VarRef,
     walk_exprs,
@@ -85,6 +86,29 @@ def test_prelude_round_trips():
     assert parse(pretty_print(p), "<prelude>") == p
     names = [d.name for d in p.decls if isinstance(d, ClassDecl)]
     assert names == ["List", "MutableList", "ArrayList"]
+
+
+def _nodes(obj):
+    """Every syntax node object reachable from `obj`, with repeats; type
+    references and locations are values and may be shared."""
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _nodes(item)
+    elif hasattr(obj, "__dataclass_fields__") and not isinstance(obj, (SourceLoc, TypeRef)):
+        yield obj
+        for name in obj.__dataclass_fields__:
+            yield from _nodes(getattr(obj, name))
+
+
+def test_no_node_object_appears_twice_in_a_parsed_program():
+    """The checker's and the runtime's per-node tables are keyed by id(),
+    which is sound only if each node sits in exactly one place."""
+    from minik.typesys import PRELUDE_SOURCE
+
+    sources = [(e.source(), e.filename) for e in corpus.ENTRIES] + [(PRELUDE_SOURCE, "<prelude>")]
+    for source, filename in sources:
+        nodes = list(_nodes(parse(source, filename)))
+        assert len({id(n) for n in nodes}) == len(nodes), filename
 
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.id)

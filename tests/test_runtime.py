@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from minik import corpus
-from minik.ast import ClassType, PrimitiveType
+from minik.ast import CastExpr, ClassType, PrimitiveType, walk_body_exprs
 from minik.cli import build
 from minik.runtime import (
     ERASED,
@@ -15,12 +15,13 @@ from minik.runtime import (
     Rtti,
     RuntimeFault,
     StringValue,
+    UNIT_VALUE,
     checkcast_sites,
     class_conforms,
     erased_instance_check,
     run_program,
 )
-from minik.typesys import build_class_table
+from minik.typesys import build_class_table, program_bodies
 from minik.parser import parse
 
 
@@ -269,3 +270,44 @@ def test_reified_run_builds_no_site_index(monkeypatch):
     outcome = run_entry("P5", REIFIED)
     monkeypatch.setattr("minik.runtime.compute_site_index", no_index)
     assert run_entry("P5", REIFIED) == outcome
+
+
+GENERIC_METHOD = (
+    "open class Box<T> {\n"
+    "    fun id(x: T): T {\n"
+    "        val y: T = x\n"
+    "        return y\n"
+    "    }\n"
+    "    fun put(x: Any?): T {\n"
+    "        return x as T\n"
+    "    }\n"
+    "}\n"
+    "class IntBox : Box<Int>()\n"
+    "println(Box<Int>().id(1))\n"
+    "println(IntBox().id(2))\n"
+    "val s: String = Box<String>().put(3)\n"
+)
+
+
+def test_reified_method_bodies_see_the_receivers_type_arguments():
+    checked = build_src(GENERIC_METHOD)
+    reified = run_program(checked, REIFIED)
+    assert reified.stdout == "1\n2\n"
+    assert isinstance(reified, ClassCastException)
+    assert (reified.actual, reified.expected, reified.loc.line) == ("Int", "String", 7)
+    # Erased, the cast to T checks nothing and reading T needs no site.
+    assert run_program(checked, ERASED) == Completed("1\n2\n", UNIT_VALUE)
+
+
+def test_erased_crashes_sit_at_a_cast_or_at_a_site_of_the_same_class():
+    for entry in corpus.ENTRIES:
+        checked, _ = build(entry.source(), entry.filename)
+        if checked is None or not checked.ok:
+            continue
+        outcome = run_program(checked, ERASED)
+        if not isinstance(outcome, ClassCastException):
+            continue
+        casts = {e.loc for body in program_bodies(checked.table, checked.program)
+                 for e in walk_body_exprs(body.stmts) if isinstance(e, CastExpr)}
+        sites = {(s.loc, s.expected_class) for s in checkcast_sites(checked)}
+        assert outcome.loc in casts or (outcome.loc, outcome.expected) in sites, entry.id
