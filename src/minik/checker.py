@@ -382,7 +382,7 @@ def _always_returns(stmts: tuple[Stmt, ...]) -> bool:
         isinstance(s, Return)
         or isinstance(s, If) and s.else_body is not None
         and _always_returns(s.then_body) and _always_returns(s.else_body)
-        for s in stmts
+        for s in reversed(stmts)  # a return is usually last
     )
 
 
