@@ -3,13 +3,14 @@
 Commands: `check` (diagnostics), `lint` (baseline plus provenance
 diagnostics), `run` (evaluate under a runtime mode), `sites` (checkcast
 placement), and `corpus` (diff every bundled program against its golden).
-Exit codes: 2 on parse errors, 1 on error diagnostics or golden mismatches,
-0 otherwise; warnings never affect the exit code.
+Exit codes: 2 on parse errors and unreadable files, 1 on error diagnostics
+or golden mismatches, 0 otherwise; warnings never affect the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -35,6 +36,17 @@ def build(source: str, filename: str, strict: bool = False) -> tuple[CheckedProg
     return checked, table_diags + checked.diagnostics
 
 
+Built = tuple[CheckedProgram | None, list[Diagnostic]] | ParseError
+
+
+def build_or_error(source: str, filename: str, strict: bool) -> Built:
+    """`build`, with a parse error returned instead of raised."""
+    try:
+        return build(source, filename, strict)
+    except ParseError as e:
+        return e
+
+
 def run_command(
     command: str,
     source: str,
@@ -42,15 +54,18 @@ def run_command(
     strict: bool = False,
     mode: str | None = None,
     eager_checkcast: bool = False,
+    built: Built | None = None,
 ) -> tuple[str, int]:
     """The stdout and exit code of `check`, `lint`, `run` or `sites` on one
-    source text."""
+    source text. `built`, when given, is `build_or_error` of that text at
+    the same strictness; no command mutates it, so callers may share it."""
     if command not in ("check", "lint", "run", "sites"):
         raise ValueError(f"unknown command {command}")
-    try:
-        checked, diags = build(source, filename, strict)
-    except ParseError as e:
-        return f"parse error {e.loc}: {e.message}\n", 2
+    if built is None:
+        built = build_or_error(source, filename, strict)
+    if isinstance(built, ParseError):
+        return f"parse error {built.loc}: {built.message}\n", 2
+    checked, diags = built
     if command in ("check", "lint"):
         if command == "lint" and checked is not None:
             diags = diags + lint_program(checked)
@@ -63,13 +78,20 @@ def run_command(
     return "".join(s.render() + "\n" for s in checkcast_sites(checked)), 0
 
 
-def _column_output(source: str, filename: str, column: str) -> str:
+def _entry_builds(source: str, filename: str) -> dict[bool, Built]:
+    """One build per strictness: every golden column renders from one of
+    these, `check-strict` from the strict one."""
+    return {strict: build_or_error(source, filename, strict) for strict in (False, True)}
+
+
+def _column_output(source: str, filename: str, column: str, builds: dict[bool, Built]) -> str:
     """The exact text a golden records for one driver column: the command's
     stdout, marked where errors blocked a run or a site listing."""
     if column not in corpus_pkg.COLUMNS:
         raise ValueError(f"unknown column {column}")
     command, _, variant = column.partition("-")  # check-strict, run-erased, run-reified
-    out, code = run_command(command, source, filename, strict=variant == "strict", mode=variant)
+    strict = variant == "strict"
+    out, code = run_command(command, source, filename, strict=strict, mode=variant, built=builds[strict])
     if command in ("run", "sites") and code == 1:
         out += BLOCKED_MARKER + "\n"
     return out
@@ -83,9 +105,10 @@ def _column_output(source: str, filename: str, column: str) -> str:
 def _golden_render(entry: corpus_pkg.CorpusEntry) -> str:
     lines = [f"# {entry.id}: {entry.title}"]
     source = entry.source()
+    builds = _entry_builds(source, entry.filename)
     for column in corpus_pkg.COLUMNS:
         lines.append(f"== {column} ==")
-        out = _column_output(source, entry.filename, column)
+        out = _column_output(source, entry.filename, column, builds)
         lines.extend(out.splitlines())
     return "\n".join(lines) + "\n"
 
@@ -128,9 +151,10 @@ def run_corpus(filter_prefix: str | None, bless: bool, out=None) -> int:
             else {}
         )
         source = entry.source()
+        builds = _entry_builds(source, entry.filename)
         for column in corpus_pkg.COLUMNS:
             total += 1
-            actual = _significant(_column_output(source, entry.filename, column))
+            actual = _significant(_column_output(source, entry.filename, column, builds))
             expected = golden.get(column)
             if expected is None:
                 failed += 1
@@ -164,9 +188,15 @@ def _first_diff(expected: list[str], actual: list[str]):
 
 def cmd_file(args: argparse.Namespace) -> int:
     path = Path(args.file)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) else f"not valid UTF-8 (byte {e.start})"
+        print(f"minik: cannot read {args.file}: {reason}", file=sys.stderr)
+        return 2
     out, code = run_command(
         args.command,
-        path.read_text(encoding="utf-8"),
+        source,
         path.name,
         strict=getattr(args, "strict", False),
         mode=getattr(args, "mode", None),
@@ -180,7 +210,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return run_corpus(args.filter, args.bless)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call and reused by every later one:
+    `parse_args` keeps no state between calls."""
     parser = argparse.ArgumentParser(prog="minik", description="miniK language driver")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,8 +244,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--filter", help="only entries whose id starts with this prefix")
     p.add_argument("--bless", action="store_true", help="regenerate the golden files")
     p.set_defaults(fn=cmd_corpus)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _argument_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -58,60 +58,59 @@ class ParseError(Exception):
 
 
 class _Parser:
+    # The current token, its kind, and its text when it is a name (else
+    # None) are fields that only `seek` sets: the parser reads them several
+    # times per token.
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
-        self.pos = 0
+        self.seek(0)
 
     # -- token plumbing ------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def seek(self, pos: int) -> None:
+        self.pos = pos
+        tok = self.tok = self.tokens[pos]
+        self.kind = tok.kind
+        self.word = tok.text if tok.kind == "name" else None
 
     def error(self, expected: str) -> ParseError:
-        got = self.cur.kind if self.cur.kind != "name" else f"'{self.cur.text}'"
+        got = self.kind if self.word is None else f"'{self.word}'"
         if got == "newline":
             got = "end of line"
-        return ParseError(f"expected {expected}, got {got}", self.cur.loc)
+        return ParseError(f"expected {expected}, got {got}", self.tok.loc)
 
     def advance(self) -> Token:
-        t = self.cur
+        t = self.tok
         if t.kind != "eof":
-            self.pos += 1
+            self.seek(self.pos + 1)
         return t
 
-    def at(self, kind: str) -> bool:
-        return self.cur.kind == kind
-
-    def at_word(self, word: str) -> bool:
-        return self.cur.kind == "name" and self.cur.text == word
-
     def eat(self, kind: str, expected: str | None = None) -> Token:
-        if not self.at(kind):
+        if self.kind != kind:
             raise self.error(expected or f"'{kind}'")
         return self.advance()
 
     def eat_word(self, word: str) -> Token:
-        if not self.at_word(word):
+        if self.word != word:
             raise self.error(f"'{word}'")
         return self.advance()
 
     def eat_ident(self) -> Token:
-        if self.cur.kind != "name":
+        if self.word is None:
             raise self.error("an identifier")
-        if self.cur.text in KEYWORDS:
-            raise ParseError(f"'{self.cur.text}' is a keyword", self.cur.loc)
+        if self.word in KEYWORDS:
+            raise ParseError(f"'{self.word}' is a keyword", self.tok.loc)
         return self.advance()
 
     def skip_newlines(self) -> None:
-        while self.at("newline"):
+        while self.kind == "newline":
             self.advance()
 
     def end_of_stmt(self) -> None:
-        if self.at("newline"):
+        if self.kind == "newline":
             self.advance()
             return
-        if self.at("}") or self.at("eof"):
+        if self.kind == "}" or self.kind == "eof":
             return
         raise self.error("end of statement")
 
@@ -123,16 +122,16 @@ class _Parser:
         if name in KEYWORDS:
             raise ParseError(f"'{name}' is a keyword, not a type", tok.loc)
         if name == "Any":
-            if self.at("?"):
+            if self.kind == "?":
                 self.advance()
                 return ANY_NULLABLE
             return ANY
         if name in _BUILTIN_TYPES:
             return _BUILTIN_TYPES[name]
-        if self.at("<"):
+        if self.kind == "<":
             self.advance()
             args = [self.parse_type()]
-            while self.at(","):
+            while self.kind == ",":
                 self.advance()
                 args.append(self.parse_type())
             self.eat(">", "'>' to close type arguments")
@@ -144,25 +143,25 @@ class _Parser:
     def parse_program(self) -> Program:
         decls: list[Decl] = []
         self.skip_newlines()
-        while not self.at("eof"):
+        while self.kind != "eof":
             decls.append(self.parse_decl())
             self.skip_newlines()
         return Program(tuple(decls))
 
     def parse_decl(self) -> Decl:
-        if self.at_word("open") or self.at_word("class"):
+        if self.word == "open" or self.word == "class":
             return self.parse_class(is_interface=False)
-        if self.at_word("interface"):
+        if self.word == "interface":
             return self.parse_class(is_interface=True)
-        if self.at_word("fun"):
+        if self.word == "fun":
             return self.parse_fun()
         stmt = self.parse_stmt()
         return StmtDecl(stmt, loc=stmt.loc)
 
     def parse_class(self, is_interface: bool) -> ClassDecl:
-        start = self.cur.loc
+        start = self.tok.loc
         is_open = False
-        if self.at_word("open"):
+        if self.word == "open":
             self.advance()
             is_open = True
         if is_interface:
@@ -171,20 +170,20 @@ class _Parser:
         else:
             self.eat_word("class")
         name = self.eat_ident().text
-        type_params = self.parse_type_params() if self.at("<") else ()
+        type_params = self.parse_type_params() if self.kind == "<" else ()
         ctor_private = False
-        if self.at_word("private"):
+        if self.word == "private":
             self.advance()
             self.eat_word("constructor")
             self.eat("(")
             self.eat(")")
             ctor_private = True
         supertypes: tuple[SupertypeRef, ...] = ()
-        if self.at(":"):
+        if self.kind == ":":
             self.advance()
             supertypes = self.parse_supertypes()
         members: tuple[Member, ...] = ()
-        if self.at("{"):
+        if self.kind == "{":
             members = self.parse_members()
         return ClassDecl(
             name=name,
@@ -200,19 +199,19 @@ class _Parser:
     def parse_type_params(self) -> tuple[TypeParam, ...]:
         self.eat("<")
         params = [self.parse_type_param()]
-        while self.at(","):
+        while self.kind == ",":
             self.advance()
             params.append(self.parse_type_param())
         self.eat(">", "'>' to close type parameters")
         return tuple(params)
 
     def parse_type_param(self) -> TypeParam:
-        loc = self.cur.loc
+        loc = self.tok.loc
         variance = Variance.INV
-        if self.at_word("out"):
+        if self.word == "out":
             self.advance()
             variance = Variance.OUT
-        elif self.at_word("in"):
+        elif self.word == "in":
             self.advance()
             variance = Variance.IN
         name = self.eat_ident().text
@@ -220,20 +219,20 @@ class _Parser:
 
     def parse_supertypes(self) -> tuple[SupertypeRef, ...]:
         refs = [self.parse_supertype()]
-        while self.at(","):
+        while self.kind == ",":
             self.advance()
             refs.append(self.parse_supertype())
         return tuple(refs)
 
     def parse_supertype(self) -> SupertypeRef:
-        loc = self.cur.loc
+        loc = self.tok.loc
         unsafe = False
-        if self.at("@UnsafeVariance"):
+        if self.kind == "@UnsafeVariance":
             self.advance()
             unsafe = True
         t = self.parse_type()
         has_ctor_call = False
-        if self.at("("):
+        if self.kind == "(":
             self.advance()
             self.eat(")", "')' (supertype constructor calls take no arguments)")
             has_ctor_call = True
@@ -243,10 +242,10 @@ class _Parser:
         self.eat("{")
         self.skip_newlines()
         members: list[Member] = []
-        while not self.at("}"):
-            if self.at_word("fun"):
+        while self.kind != "}":
+            if self.word == "fun":
                 members.append(self.parse_method())
-            elif self.at_word("val") or self.at_word("var"):
+            elif self.word == "val" or self.word == "var":
                 members.append(self.parse_property())
             else:
                 raise self.error("a member ('fun', 'val' or 'var') or '}'")
@@ -257,15 +256,15 @@ class _Parser:
     def parse_method(self) -> Method:
         loc = self.eat_word("fun").loc
         name = self.eat_ident().text
-        if self.at("<"):
-            raise ParseError("methods cannot declare type parameters", self.cur.loc)
+        if self.kind == "<":
+            raise ParseError("methods cannot declare type parameters", self.tok.loc)
         params = self.parse_params()
         return_type: TypeRef = UNIT
-        if self.at(":"):
+        if self.kind == ":":
             self.advance()
             return_type = self.parse_type()
         body: tuple[Stmt, ...] | None = None
-        if self.at("{"):
+        if self.kind == "{":
             body = self.parse_block()
         return Method(name, params, return_type, body, loc)
 
@@ -275,7 +274,7 @@ class _Parser:
         name = self.eat_ident().text
         self.eat(":", "':' before the property type")
         unsafe = False
-        if self.at("@UnsafeVariance"):
+        if self.kind == "@UnsafeVariance":
             self.advance()
             unsafe = True
         t = self.parse_type()
@@ -285,24 +284,24 @@ class _Parser:
         loc = self.eat_word("fun").loc
         name = self.eat_ident().text
         type_params: tuple[str, ...] = ()
-        if self.at("<"):
+        if self.kind == "<":
             self.advance()
             names = []
             while True:
-                if self.at_word("out") or self.at_word("in"):
+                if self.word == "out" or self.word == "in":
                     raise ParseError(
                         "variance marks are only allowed on class type parameters",
-                        self.cur.loc,
+                        self.tok.loc,
                     )
                 names.append(self.eat_ident().text)
-                if not self.at(","):
+                if self.kind != ",":
                     break
                 self.advance()
             self.eat(">", "'>' to close type parameters")
             type_params = tuple(names)
         params = self.parse_params()
         return_type: TypeRef = UNIT
-        if self.at(":"):
+        if self.kind == ":":
             self.advance()
             return_type = self.parse_type()
         body = self.parse_block()
@@ -311,7 +310,7 @@ class _Parser:
     def parse_params(self) -> tuple[Param, ...]:
         self.eat("(")
         params: list[Param] = []
-        while not self.at(")"):
+        while self.kind != ")":
             if params:
                 self.eat(",", "',' between parameters")
             tok = self.eat_ident()
@@ -327,32 +326,32 @@ class _Parser:
         self.eat("{")
         self.skip_newlines()
         stmts: list[Stmt] = []
-        while not self.at("}"):
+        while self.kind != "}":
             stmts.append(self.parse_stmt())
             self.skip_newlines()
         self.eat("}")
         return tuple(stmts)
 
     def parse_stmt(self) -> Stmt:
-        if self.at_word("val"):
+        if self.word == "val":
             loc = self.advance().loc
             name = self.eat_ident().text
             declared: TypeRef | None = None
-            if self.at(":"):
+            if self.kind == ":":
                 self.advance()
                 declared = self.parse_type()
             self.eat("=", "'=' (vals must be initialized)")
             init = self.parse_expr()
             self.end_of_stmt()
             return ValDecl(name, declared, init, loc)
-        if self.at_word("var"):
-            raise ParseError("mutable locals are not supported; use 'val'", self.cur.loc)
-        if self.at_word("return"):
+        if self.word == "var":
+            raise ParseError("mutable locals are not supported; use 'val'", self.tok.loc)
+        if self.word == "return":
             loc = self.advance().loc
             expr = self.parse_expr()
             self.end_of_stmt()
             return Return(expr, loc)
-        if self.at_word("if"):
+        if self.word == "if":
             return self.parse_if()
         expr = self.parse_expr()
         self.end_of_stmt()
@@ -367,11 +366,11 @@ class _Parser:
         else_body: tuple[Stmt, ...] | None = None
         save = self.pos
         self.skip_newlines()
-        if self.at_word("else"):
+        if self.word == "else":
             self.advance()
             else_body = self.parse_block()
         else:
-            self.pos = save
+            self.seek(save)
         stmt = If(cond, then_body, else_body, loc)
         self.end_of_stmt()
         return stmt
@@ -380,7 +379,7 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         e = self.parse_postfix()
-        while self.at_word("as") or self.at_word("is"):
+        while self.word == "as" or self.word == "is":
             tok = self.advance()
             target = self.parse_type()
             if tok.text == "as":
@@ -392,15 +391,15 @@ class _Parser:
     def parse_postfix(self) -> Expr:
         e = self.parse_primary()
         while True:
-            if self.at("."):
+            if self.kind == ".":
                 self.advance()
                 name = self.eat_ident()
-                if self.at("("):
+                if self.kind == "(":
                     args = self.parse_args()
                     e = MethodCall(e, name.text, args, loc=expr_loc(e))
                 else:
                     e = PropertyGet(e, name.text, loc=expr_loc(e))
-            elif self.at("["):
+            elif self.kind == "[":
                 self.advance()
                 idx = self.parse_expr()
                 self.eat("]", "']' to close indexing")
@@ -409,28 +408,28 @@ class _Parser:
                 return e
 
     def parse_primary(self) -> Expr:
-        if self.at("int"):
+        if self.kind == "int":
             tok = self.advance()
             return IntLit(int(tok.text), tok.loc)
-        if self.at("string"):
+        if self.kind == "string":
             tok = self.advance()
             return StringLit(tok.text, tok.loc)
-        if self.cur.kind == "name":
-            if self.cur.text in KEYWORDS:
+        if self.word is not None:
+            if self.word in KEYWORDS:
                 raise self.error("an expression")
             tok = self.advance()
             type_args: tuple[TypeRef, ...] | None = None
-            if self.at("<"):
+            if self.kind == "<":
                 self.advance()
                 args = [self.parse_type()]
-                while self.at(","):
+                while self.kind == ",":
                     self.advance()
                     args.append(self.parse_type())
                 self.eat(">", "'>' to close type arguments")
                 type_args = tuple(args)
                 call_args = self.parse_args()
                 return CallExpr(tok.text, type_args, call_args, tok.loc)
-            if self.at("("):
+            if self.kind == "(":
                 call_args = self.parse_args()
                 return CallExpr(tok.text, None, call_args, tok.loc)
             return VarRef(tok.text, tok.loc)
@@ -439,7 +438,7 @@ class _Parser:
     def parse_args(self) -> tuple[Expr, ...]:
         self.eat("(")
         args: list[Expr] = []
-        while not self.at(")"):
+        while self.kind != ")":
             if args:
                 self.eat(",", "',' between arguments")
             args.append(self.parse_expr())

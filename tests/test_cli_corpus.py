@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import io
 import shutil
 
 import pytest
 
+import minik.cli as cli
 import minik.corpus as corpus_pkg
 from minik.cli import main, run_corpus
 
@@ -91,6 +93,111 @@ def test_parse_error_exits_two(tmp_path, capsys):
     bad.write_text("val x =\n", encoding="utf-8")
     assert main(["check", str(bad)]) == 2
     assert "parse error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda d: d / "missing.mk", "No such file or directory"),
+        (lambda d: d, "Is a directory"),
+        (lambda d: (d / "latin1.mk", (d / "latin1.mk").write_bytes(b"val s = \"caf\xe9\"\n"))[0], "not valid UTF-8"),
+    ],
+    ids=["missing", "directory", "not-utf8"],
+)
+def test_unreadable_input_is_a_message(tmp_path, capsys, make, reason):
+    path = str(make(tmp_path))
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"minik: cannot read {path}: {reason}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.fixture
+def fresh_argument_parser():
+    cli._argument_parser.cache_clear()
+    yield
+    cli._argument_parser.cache_clear()
+
+
+def test_options_do_not_carry_into_the_next_call(capsys, corpus_file):
+    assert main(["check", corpus_file("P1"), "--strict"]) == 0
+    assert "W-VARIANT-INHERITANCE" in capsys.readouterr().out
+    assert main(["check", corpus_file("P1")]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["run", corpus_file("P4.1"), "--mode", "erased", "--eager-checkcast"]) == 0
+    assert capsys.readouterr().out.startswith("ClassCastException")
+    assert main(["run", corpus_file("P4.1"), "--mode", "erased"]) == 0
+    assert capsys.readouterr().out == "completed\n"
+
+
+def test_a_bad_argument_exits_two_and_the_next_call_works(capsys, corpus_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", corpus_file("P5"), "--mode", "lazy"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["run", corpus_file("P5"), "--mode", "erased"]) == 0
+    assert capsys.readouterr().out == "string\ncompleted\n"
+
+
+def test_the_argument_parser_is_built_once(monkeypatch, capsys, corpus_file, fresh_argument_parser):
+    constructed = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["check", corpus_file("P1")]) == 0
+    per_build = len(constructed)
+    assert per_build > 0
+    for argv in (["lint", corpus_file("P1")], ["sites", corpus_file("P1")], ["check", corpus_file("P2")]):
+        main(argv)
+    assert len(constructed) == per_build
+    capsys.readouterr()
+
+
+# Each golden column of these renders from one shared build per strictness:
+# every corpus entry, P3a among them (errors block its run and sites
+# columns), a parse error and a class-table failure.
+SHARED_BUILD_SOURCES = [(e.source(), e.filename) for e in corpus_pkg.ENTRIES] + [
+    ("class A {\n", "unclosed.mk"),
+    ("open class A : A()\n", "cycle.mk"),
+]
+
+
+@pytest.mark.parametrize("source, filename", SHARED_BUILD_SOURCES, ids=[f for _, f in SHARED_BUILD_SOURCES])
+def test_a_shared_build_gives_the_output_of_a_fresh_one(source, filename):
+    for columns in (corpus_pkg.COLUMNS, tuple(reversed(corpus_pkg.COLUMNS))):
+        shared = cli._entry_builds(source, filename)
+        for column in columns:
+            fresh = cli._entry_builds(source, filename)
+            assert cli._column_output(source, filename, column, shared) == cli._column_output(
+                source, filename, column, fresh
+            ), column
+
+
+def test_shared_build_sources_cover_parse_and_table_failures():
+    results = [cli.build_or_error(source, filename, False) for source, filename in SHARED_BUILD_SOURCES]
+    assert any(isinstance(r, cli.ParseError) for r in results)
+    assert any(not isinstance(r, cli.ParseError) and r[0] is None for r in results)
+    p3a = results[[e.id for e in corpus_pkg.ENTRIES].index("P3a")]
+    assert p3a[0] is not None and cli.has_errors(p3a[1])
+
+
+def test_a_golden_run_builds_each_entry_once_per_strictness(monkeypatch):
+    calls = []
+    real = cli.build
+
+    def counting(source, filename, strict=False):
+        calls.append((filename, strict))
+        return real(source, filename, strict)
+
+    monkeypatch.setattr(cli, "build", counting)
+    assert run_corpus(None, False, out=io.StringIO()) == 0
+    assert len(calls) == 2 * len(corpus_pkg.ENTRIES)
+    assert sorted(calls) == sorted((e.filename, s) for e in corpus_pkg.ENTRIES for s in (False, True))
 
 
 def test_full_corpus_passes(capsys):
