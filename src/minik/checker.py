@@ -74,11 +74,11 @@ class CallInfo:
 
     kind: str  # "ctor" | "fun" | "builtin" | "method" | "index-get" | "property-get"
     member: str | None
-    type_args: tuple[TypeRef, ...]  # resolved function/ctor type arguments
-    type_param_names: tuple[str, ...]
-    declared_params: tuple[TypeRef, ...]  # as written at the declaration
     declared_return: TypeRef
-    param_types: tuple[TypeRef, ...]  # substituted at this call
+    type_args: tuple[TypeRef, ...] = ()  # resolved function/ctor type arguments
+    type_param_names: tuple[str, ...] = ()
+    declared_params: tuple[TypeRef, ...] = ()  # as written at the declaration
+    param_types: tuple[TypeRef, ...] = ()  # substituted at this call
 
 
 @dataclass
@@ -132,14 +132,6 @@ def _param_occurrences(t: TypeRef, table: ClassTable, position: str, out: list[t
             _param_occurrences(arg, table, child, out)
 
 
-def _conflicts(declared: Variance, position: str) -> bool:
-    if declared is Variance.OUT:
-        return position != _OUT_POS
-    if declared is Variance.IN:
-        return position != _IN_POS
-    return False
-
-
 def check_variance_positions(table: ClassTable, entry: ClassEntry) -> list[Diagnostic]:
     """Flag uses of a variant type parameter in a contradicting position:
     'out' parameters in parameter or mutable-property positions, 'in'
@@ -150,14 +142,12 @@ def check_variance_positions(table: ClassTable, entry: ClassEntry) -> list[Diagn
     if not variant:
         return diags
 
-    def scan(t: TypeRef, position: str, loc: SourceLoc, what: str, suppressed: bool) -> None:
+    def scan(t: TypeRef, position: str, loc: SourceLoc, what: str) -> None:
         occs: list[tuple[str, str]] = []
         _param_occurrences(t, table, position, occs)
         for name, pos in occs:
             declared = variant.get(name)
-            if declared is None or not _conflicts(declared, pos):
-                continue
-            if suppressed:
+            if declared is None or declared.value == pos:
                 continue
             diags.append(
                 error(
@@ -171,19 +161,16 @@ def check_variance_positions(table: ClassTable, entry: ClassEntry) -> list[Diagn
     for sig in entry.methods.values():
         m = sig.decl
         for ptype, pname in zip(sig.param_types, sig.param_names):
-            scan(ptype, _IN_POS, m.loc, f"the type of parameter {pname} of {entry.name}.{m.name}", False)
-        scan(sig.return_type, _OUT_POS, m.loc, f"the return type of {entry.name}.{m.name}", False)
+            scan(ptype, _IN_POS, m.loc, f"the type of parameter {pname} of {entry.name}.{m.name}")
+        scan(sig.return_type, _OUT_POS, m.loc, f"the return type of {entry.name}.{m.name}")
     for prop in entry.properties.values():
-        decl_loc = next(
-            (m.loc for m in entry.decl.members if getattr(m, "name", None) == prop.name),
-            entry.decl.loc,
-        )
-        if prop.mutable:
-            # A var is readable and writable, so its type sits in both
-            # positions at once, regardless of setter visibility.
-            scan(prop.type, _INV_POS, decl_loc, f"the type of var property {entry.name}.{prop.name}", prop.unsafe_variance)
-        else:
-            scan(prop.type, _OUT_POS, decl_loc, f"the type of val property {entry.name}.{prop.name}", prop.unsafe_variance)
+        p = prop.decl
+        if p.unsafe_variance:
+            continue
+        # A var is readable and writable, so its type sits in both
+        # positions at once, regardless of setter visibility.
+        keyword, position = ("var", _INV_POS) if p.mutable else ("val", _OUT_POS)
+        scan(prop.type, position, p.loc, f"the type of {keyword} property {entry.name}.{prop.name}")
     return diags
 
 
@@ -276,13 +263,9 @@ def complete_cast_target(
     name = target.name
     if isinstance(expected, ClassType) and expected.name == name and expected.args is not None:
         return expected
-    if isinstance(source, ClassType) and source.args is not None:
-        up = supertype_instantiation(table, source, name)
-        if up is not None:
-            return up
-        down = _unify_down(table, name, source)
-        if down is not None:
-            return ClassType(name, down)
+    projected = _projected_args(table, source, name)
+    if projected is not None:
+        return ClassType(name, projected)
     arity = table.arity(name)
     return ClassType(name, tuple(ANY_NULLABLE for _ in range(arity)))
 
@@ -313,7 +296,8 @@ def classify_cast_baseline(table: ClassTable, source: TypeRef, target: TypeRef) 
         return CastClassification.UNCHECKED_WARNED
     if not isinstance(target, ClassType):
         return CastClassification.FULLY_CHECKED
-    assert target.args is not None, "classify requires a completed target"
+    if target.args is None:
+        raise ValueError(f"classify requires a completed target, got bare {target.render()}")
     if not target.args:
         return CastClassification.FULLY_CHECKED
     if subtype(table, source, target):
@@ -570,13 +554,10 @@ class _Checker:
         bindings: dict[str, TypeRef] = {}
         if sig.type_params:
             if e.type_args is not None:
-                if len(e.type_args) != len(sig.type_params):
-                    self.e_type(e.loc, f"{e.name} expects {len(sig.type_params)} type argument(s)")
+                written = self.written_type_args(e, sig.type_params)
+                if written is None:
                     return ANY_NULLABLE
-                resolved = [self.resolve(t, e.loc) for t in e.type_args]
-                if any(t is None for t in resolved):
-                    return ANY_NULLABLE
-                bindings = dict(zip(sig.type_params, resolved))  # type: ignore[arg-type]
+                bindings = dict(zip(sig.type_params, written))
             else:
                 inferred = infer_call_type_args(self.table, sig.type_params, sig.param_types, arg_types)
                 if isinstance(inferred, str):
@@ -594,13 +575,22 @@ class _Checker:
         self.out.call_info[id(e)] = CallInfo(
             kind="builtin" if sig.is_builtin else "fun",
             member=e.name,
-            type_args=tuple(bindings[p] for p in sig.type_params) if sig.type_params else (),
+            declared_return=sig.return_type,
+            type_args=tuple(bindings[p] for p in sig.type_params),
             type_param_names=sig.type_params,
             declared_params=sig.param_types,
-            declared_return=sig.return_type,
             param_types=param_types,
         )
         return return_type
+
+    def written_type_args(self, e: CallExpr, type_params: tuple[str, ...]) -> tuple[TypeRef, ...] | None:
+        """`e`'s written type arguments for `type_params`, resolved; None
+        once a wrong count or an unresolvable argument is reported."""
+        if len(e.type_args) != len(type_params):
+            self.e_type(e.loc, f"{e.name} expects {len(type_params)} type argument(s)")
+            return None
+        resolved = tuple(self.resolve(t, e.loc) for t in e.type_args)
+        return None if any(t is None for t in resolved) else resolved  # type: ignore[return-value]
 
     def check_ctor(self, e: CallExpr, scope: _Scope) -> TypeRef:
         entry = self.table.classes[e.name]
@@ -614,45 +604,44 @@ class _Checker:
             return ANY_NULLABLE
         if e.args:
             self.e_type(e.loc, f"constructor of {e.name} takes no arguments")
-        args: tuple[TypeRef, ...] = ()
-        if entry.type_params:
+        names = tuple(p.name for p in entry.type_params)
+        args: tuple[TypeRef, ...] | None = ()
+        if names:
             if e.type_args is None:
                 self.e_type(e.loc, f"constructor of {e.name} needs explicit type arguments")
                 return ANY_NULLABLE
-            if len(e.type_args) != len(entry.type_params):
-                self.e_type(e.loc, f"{e.name} expects {len(entry.type_params)} type argument(s)")
+            args = self.written_type_args(e, names)
+            if args is None:
                 return ANY_NULLABLE
-            resolved = [self.resolve(t, e.loc) for t in e.type_args]
-            if any(t is None for t in resolved):
-                return ANY_NULLABLE
-            args = tuple(resolved)  # type: ignore[arg-type]
         elif e.type_args is not None:
             self.e_type(e.loc, f"{e.name} is not generic")
         result = ClassType(e.name, args)
         self.out.call_info[id(e)] = CallInfo(
-            kind="ctor",
-            member=None,
-            type_args=args,
-            type_param_names=tuple(p.name for p in entry.type_params),
-            declared_params=(),
-            declared_return=result,
-            param_types=(),
+            kind="ctor", member=None, declared_return=result, type_args=args, type_param_names=names
         )
         return result
+
+    def lookup_member(self, e: Expr, recv_t: TypeRef, name: str, kind: str):
+        """The first (signature, bindings) for the method or property
+        (`kind`) `name` up `recv_t`'s ancestors; None once its absence is
+        reported."""
+        if not isinstance(recv_t, ClassType) or recv_t.args is None:
+            self.e_type(e.loc, f"{recv_t.render()} has no member {name}")
+            return None
+        for entry, bindings in ancestor_entries(self.table, recv_t):
+            sig = (entry.methods if kind == "method" else entry.properties).get(name)
+            if sig is not None:
+                return sig, bindings
+        self.e_type(e.loc, f"{recv_t.name} has no {kind} {name}")
+        return None
 
     def check_member_call(self, e: Expr, receiver: Expr, name: str, args: tuple[Expr, ...], scope: _Scope, kind: str) -> TypeRef:
         recv_t = self.check_expr(receiver, scope)
         arg_types = tuple(self.check_expr(a, scope) for a in args)
-        if not isinstance(recv_t, ClassType) or recv_t.args is None:
-            self.e_type(e.loc, f"{recv_t.render()} has no member {name}")
+        found = self.lookup_member(e, recv_t, name, "method")
+        if found is None:
             return ANY_NULLABLE
-        for entry, bindings in ancestor_entries(self.table, recv_t):
-            if name in entry.methods:
-                break
-        else:
-            self.e_type(e.loc, f"{recv_t.name} has no method {name}")
-            return ANY_NULLABLE
-        sig = entry.methods[name]
+        sig, bindings = found
         param_types = tuple(substitute(t, bindings) for t in sig.param_types)
         return_type = substitute(sig.return_type, bindings)
         if len(arg_types) != len(param_types):
@@ -663,37 +652,20 @@ class _Checker:
         self.out.call_info[id(e)] = CallInfo(
             kind=kind,
             member=name,
-            type_args=(),
-            type_param_names=(),
-            declared_params=sig.param_types,
             declared_return=sig.return_type,
+            declared_params=sig.param_types,
             param_types=param_types,
         )
         return return_type
 
     def check_property_get(self, e: PropertyGet, scope: _Scope) -> TypeRef:
         recv_t = self.check_expr(e.receiver, scope)
-        if not isinstance(recv_t, ClassType) or recv_t.args is None:
-            self.e_type(e.loc, f"{recv_t.render()} has no member {e.name}")
+        found = self.lookup_member(e, recv_t, e.name, "property")
+        if found is None:
             return ANY_NULLABLE
-        for entry, bindings in ancestor_entries(self.table, recv_t):
-            if e.name in entry.properties:
-                break
-        else:
-            self.e_type(e.loc, f"{recv_t.name} has no property {e.name}")
-            return ANY_NULLABLE
-        sig = entry.properties[e.name]
-        prop_type = substitute(sig.type, bindings)
-        self.out.call_info[id(e)] = CallInfo(
-            kind="property-get",
-            member=e.name,
-            type_args=(),
-            type_param_names=(),
-            declared_params=(),
-            declared_return=sig.type,
-            param_types=(),
-        )
-        return prop_type
+        sig, bindings = found
+        self.out.call_info[id(e)] = CallInfo(kind="property-get", member=e.name, declared_return=sig.type)
+        return substitute(sig.type, bindings)
 
     def check_cast(self, e: CastExpr, scope: _Scope, expected: TypeRef | None) -> TypeRef:
         source = self.check_expr(e.expr, scope)

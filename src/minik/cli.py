@@ -166,19 +166,13 @@ def run_corpus(filter_prefix: str | None, bless: bool, out=None) -> int:
             else:
                 failed += 1
                 print(f"{entry.id} {column} FAIL", file=out)
-                for i, (a, b) in enumerate(_first_diff(expected, actual)):
-                    print(f"  expected: {a}", file=out)
-                    print(f"  actual:   {b}", file=out)
-                    break
+                for a, b in zip(expected + ["<end>"] * len(actual), actual + ["<end>"] * len(expected)):
+                    if a != b:
+                        print(f"  expected: {a}", file=out)
+                        print(f"  actual:   {b}", file=out)
+                        break
     print(f"total={total} failed={failed}", file=out)
     return 1 if failed else 0
-
-
-def _first_diff(expected: list[str], actual: list[str]):
-    for a, b in zip(expected + ["<end>"] * len(actual), actual + ["<end>"] * len(expected)):
-        if a != b:
-            yield a, b
-            return
 
 
 # ============================================================

@@ -8,6 +8,8 @@ calls share one syntactic form; the checker tells them apart.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .ast import (
     ANY,
     ANY_NULLABLE,
@@ -128,15 +130,42 @@ class _Parser:
             return ANY
         if name in _BUILTIN_TYPES:
             return _BUILTIN_TYPES[name]
-        if self.kind == "<":
+        return ClassType(name, self.parse_type_args() if self.kind == "<" else None)
+
+    def commas(self) -> Iterator[None]:
+        """Yield before each item of a comma-separated list, which the caller
+        then parses: unlike a loop that takes an item parser, this puts no
+        frame between nested `parse_type` calls."""
+        yield
+        while self.kind == ",":
             self.advance()
-            args = [self.parse_type()]
-            while self.kind == ",":
-                self.advance()
-                args.append(self.parse_type())
-            self.eat(">", "'>' to close type arguments")
-            return ClassType(name, tuple(args))
-        return ClassType(name, None)
+            yield
+
+    def parse_type_args(self) -> tuple[TypeRef, ...]:
+        self.advance()  # the '<' both callers test for
+        args = []
+        for _ in self.commas():
+            args.append(self.parse_type())
+        self.eat(">", "'>' to close type arguments")
+        return tuple(args)
+
+    def parse_type_params(self, parse_param) -> tuple:
+        self.eat("<")
+        params = tuple(parse_param() for _ in self.commas())
+        self.eat(">", "'>' to close type parameters")
+        return params
+
+    def parse_unsafe_variance(self) -> bool:
+        if self.kind == "@UnsafeVariance":
+            self.advance()
+            return True
+        return False
+
+    def parse_return_type(self) -> TypeRef:
+        if self.kind == ":":
+            self.advance()
+            return self.parse_type()
+        return UNIT
 
     # -- declarations ----------------------------------------------------
 
@@ -170,7 +199,7 @@ class _Parser:
         else:
             self.eat_word("class")
         name = self.eat_ident().text
-        type_params = self.parse_type_params() if self.kind == "<" else ()
+        type_params = self.parse_type_params(self.parse_type_param) if self.kind == "<" else ()
         ctor_private = False
         if self.word == "private":
             self.advance()
@@ -181,7 +210,7 @@ class _Parser:
         supertypes: tuple[SupertypeRef, ...] = ()
         if self.kind == ":":
             self.advance()
-            supertypes = self.parse_supertypes()
+            supertypes = tuple(self.parse_supertype() for _ in self.commas())
         members: tuple[Member, ...] = ()
         if self.kind == "{":
             members = self.parse_members()
@@ -196,15 +225,6 @@ class _Parser:
             loc=start,
         )
 
-    def parse_type_params(self) -> tuple[TypeParam, ...]:
-        self.eat("<")
-        params = [self.parse_type_param()]
-        while self.kind == ",":
-            self.advance()
-            params.append(self.parse_type_param())
-        self.eat(">", "'>' to close type parameters")
-        return tuple(params)
-
     def parse_type_param(self) -> TypeParam:
         loc = self.tok.loc
         variance = Variance.INV
@@ -217,19 +237,14 @@ class _Parser:
         name = self.eat_ident().text
         return TypeParam(name, variance, loc)
 
-    def parse_supertypes(self) -> tuple[SupertypeRef, ...]:
-        refs = [self.parse_supertype()]
-        while self.kind == ",":
-            self.advance()
-            refs.append(self.parse_supertype())
-        return tuple(refs)
+    def parse_fun_type_param(self) -> str:
+        if self.word == "out" or self.word == "in":
+            raise ParseError("variance marks are only allowed on class type parameters", self.tok.loc)
+        return self.eat_ident().text
 
     def parse_supertype(self) -> SupertypeRef:
         loc = self.tok.loc
-        unsafe = False
-        if self.kind == "@UnsafeVariance":
-            self.advance()
-            unsafe = True
+        unsafe = self.parse_unsafe_variance()
         t = self.parse_type()
         has_ctor_call = False
         if self.kind == "(":
@@ -259,10 +274,7 @@ class _Parser:
         if self.kind == "<":
             raise ParseError("methods cannot declare type parameters", self.tok.loc)
         params = self.parse_params()
-        return_type: TypeRef = UNIT
-        if self.kind == ":":
-            self.advance()
-            return_type = self.parse_type()
+        return_type = self.parse_return_type()
         body: tuple[Stmt, ...] | None = None
         if self.kind == "{":
             body = self.parse_block()
@@ -273,39 +285,16 @@ class _Parser:
         mutable = tok.text == "var"
         name = self.eat_ident().text
         self.eat(":", "':' before the property type")
-        unsafe = False
-        if self.kind == "@UnsafeVariance":
-            self.advance()
-            unsafe = True
-        t = self.parse_type()
-        return Property(name, t, mutable, unsafe, tok.loc)
+        unsafe = self.parse_unsafe_variance()
+        return Property(name, self.parse_type(), mutable, unsafe, tok.loc)
 
     def parse_fun(self) -> FunDecl:
         loc = self.eat_word("fun").loc
         name = self.eat_ident().text
-        type_params: tuple[str, ...] = ()
-        if self.kind == "<":
-            self.advance()
-            names = []
-            while True:
-                if self.word == "out" or self.word == "in":
-                    raise ParseError(
-                        "variance marks are only allowed on class type parameters",
-                        self.tok.loc,
-                    )
-                names.append(self.eat_ident().text)
-                if self.kind != ",":
-                    break
-                self.advance()
-            self.eat(">", "'>' to close type parameters")
-            type_params = tuple(names)
+        type_params = self.parse_type_params(self.parse_fun_type_param) if self.kind == "<" else ()
         params = self.parse_params()
-        return_type: TypeRef = UNIT
-        if self.kind == ":":
-            self.advance()
-            return_type = self.parse_type()
-        body = self.parse_block()
-        return FunDecl(name, type_params, params, return_type, body, loc)
+        return_type = self.parse_return_type()
+        return FunDecl(name, type_params, params, return_type, self.parse_block(), loc)
 
     def parse_params(self) -> tuple[Param, ...]:
         self.eat("(")
@@ -418,20 +407,9 @@ class _Parser:
             if self.word in KEYWORDS:
                 raise self.error("an expression")
             tok = self.advance()
-            type_args: tuple[TypeRef, ...] | None = None
-            if self.kind == "<":
-                self.advance()
-                args = [self.parse_type()]
-                while self.kind == ",":
-                    self.advance()
-                    args.append(self.parse_type())
-                self.eat(">", "'>' to close type arguments")
-                type_args = tuple(args)
-                call_args = self.parse_args()
-                return CallExpr(tok.text, type_args, call_args, tok.loc)
-            if self.kind == "(":
-                call_args = self.parse_args()
-                return CallExpr(tok.text, None, call_args, tok.loc)
+            type_args = self.parse_type_args() if self.kind == "<" else None
+            if type_args is not None or self.kind == "(":
+                return CallExpr(tok.text, type_args, self.parse_args(), tok.loc)
             return VarRef(tok.text, tok.loc)
         raise self.error("an expression")
 

@@ -92,17 +92,20 @@ def _signature(name: str, params, return_type: TypeRef, type_params: tuple[str, 
     return f"fun {name}{targs}({plist}){ret}"
 
 
+def _block_lines(head: str, body: tuple[Stmt, ...], depth: int) -> list[str]:
+    pad = _INDENT * depth
+    lines = [pad + head + " {"]
+    for s in body:
+        lines.extend(_stmt_lines(s, depth + 1))
+    lines.append(pad + "}")
+    return lines
+
+
 def _member_lines(m, depth: int) -> list[str]:
     pad = _INDENT * depth
     if isinstance(m, Method):
-        head = pad + _signature(m.name, m.params, m.return_type)
-        if m.body is None:
-            return [head]
-        lines = [head + " {"]
-        for s in m.body:
-            lines.extend(_stmt_lines(s, depth + 1))
-        lines.append(pad + "}")
-        return lines
+        head = _signature(m.name, m.params, m.return_type)
+        return [pad + head] if m.body is None else _block_lines(head, m.body, depth)
     if isinstance(m, Property):
         kw = "var" if m.mutable else "val"
         ann = "@UnsafeVariance " if m.unsafe_variance else ""
@@ -149,11 +152,7 @@ def _decl_lines(d: Decl) -> list[str]:
     if isinstance(d, ClassDecl):
         return _class_lines(d)
     if isinstance(d, FunDecl):
-        lines = [_signature(d.name, d.params, d.return_type, d.type_params) + " {"]
-        for s in d.body:
-            lines.extend(_stmt_lines(s, 1))
-        lines.append("}")
-        return lines
+        return _block_lines(_signature(d.name, d.params, d.return_type, d.type_params), d.body, 0)
     if isinstance(d, StmtDecl):
         return _stmt_lines(d.stmt, 0)
     raise TypeError(f"unknown declaration node {d!r}")

@@ -101,19 +101,20 @@ class _Analysis:
             if receiver is not None:
                 self.visit_expr(receiver, env)
             for a in args:
-                avid = self.visit_expr(a, env)
-                coerced = self.checked.coercions.get(id(a))
-                if coerced is not None:
-                    self.values[avid] = _append(self.values[avid], coerced)
-            # Call and container-read results start fresh: provenance does
-            # not flow through element reads or out of callees.
-            vid = self.fresh(self.static_type(e))
-            self.out.occurrence_sets[id(e)] = self.values[vid]
-            return vid
-        # Literals
+                self.visit_coerced(a, env)
+        # Call and container-read results start fresh, as literals do:
+        # provenance does not flow through element reads or out of callees.
         vid = self.fresh(self.static_type(e))
         self.out.occurrence_sets[id(e)] = self.values[vid]
         return vid
+
+    def visit_coerced(self, e: Expr, env: dict[str, int]) -> None:
+        """Visit `e`, then add the type it is implicitly upcast to, if any,
+        to its value's history."""
+        vid = self.visit_expr(e, env)
+        coerced = self.checked.coercions.get(id(e))
+        if coerced is not None:
+            self.values[vid] = _append(self.values[vid], coerced)
 
     # -- statements --------------------------------------------------------
 
@@ -129,10 +130,7 @@ class _Analysis:
             self.visit_expr(s.expr, env)
             return
         if isinstance(s, Return):
-            vid = self.visit_expr(s.expr, env)
-            coerced = self.checked.coercions.get(id(s.expr))
-            if coerced is not None:
-                self.values[vid] = _append(self.values[vid], coerced)
+            self.visit_coerced(s.expr, env)
             return
         if isinstance(s, If):
             self.visit_expr(s.cond, env)

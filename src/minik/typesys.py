@@ -9,6 +9,7 @@ is pure.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -55,16 +56,12 @@ interface MutableList<T> : List<T> {
 class ArrayList<T> : MutableList<T>
 """
 
-_prelude_cache: Program | None = None
 
-
+@functools.cache
 def _prelude_program() -> Program:
     # Parsed once; table entries are rebuilt fresh per build, the AST is
     # only ever read.
-    global _prelude_cache
-    if _prelude_cache is None:
-        _prelude_cache = parse(PRELUDE_SOURCE, PRELUDE_FILE)
-    return _prelude_cache
+    return parse(PRELUDE_SOURCE, PRELUDE_FILE)
 
 
 @dataclass(frozen=True)
@@ -80,8 +77,7 @@ class MethodSig:
 class PropertySig:
     name: str
     type: TypeRef
-    mutable: bool
-    unsafe_variance: bool
+    decl: Property
 
 
 @dataclass(frozen=True)
@@ -350,28 +346,18 @@ def _resolve_members(table: ClassTable, diags: list[Diagnostic]) -> None:
     for entry in table.classes.values():
         scope = frozenset(p.name for p in entry.type_params)
         for m in entry.decl.members:
-            if isinstance(m, Method):
-                if m.name in entry.methods or m.name in entry.properties:
-                    diags.append(error("E-TABLE", m.loc, f"duplicate member {entry.name}.{m.name}"))
-                    continue
-                try:
+            if m.name in entry.methods or m.name in entry.properties:
+                diags.append(error("E-TABLE", m.loc, f"duplicate member {entry.name}.{m.name}"))
+                continue
+            try:
+                if isinstance(m, Method):
                     params = tuple(resolve_type(table, p.type, scope, p.loc) for p in m.params)
                     ret = resolve_type(table, m.return_type, scope, m.loc)
-                except TypeResolutionError as e:
-                    diags.append(error("E-TABLE", e.loc, e.message))
-                    continue
-                entry.methods[m.name] = MethodSig(m.name, params, tuple(p.name for p in m.params), ret, m)
-            else:
-                assert isinstance(m, Property)
-                if m.name in entry.methods or m.name in entry.properties:
-                    diags.append(error("E-TABLE", m.loc, f"duplicate member {entry.name}.{m.name}"))
-                    continue
-                try:
-                    t = resolve_type(table, m.type, scope, m.loc)
-                except TypeResolutionError as e:
-                    diags.append(error("E-TABLE", e.loc, e.message))
-                    continue
-                entry.properties[m.name] = PropertySig(m.name, t, m.mutable, m.unsafe_variance)
+                    entry.methods[m.name] = MethodSig(m.name, params, tuple(p.name for p in m.params), ret, m)
+                else:
+                    entry.properties[m.name] = PropertySig(m.name, resolve_type(table, m.type, scope, m.loc), m)
+            except TypeResolutionError as e:
+                diags.append(error("E-TABLE", e.loc, e.message))
 
 
 # ============================================================

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import pytest
+
 import minik
 
 
@@ -43,3 +48,64 @@ def test_public_api_is_pinned():
     ]
     for name in minik.__all__:
         assert hasattr(minik, name), name
+
+
+SOURCES = sorted(Path(minik.__file__).parent.glob("*.py"))
+
+
+def _module_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The names a module's imports bind and the names it loads, counting
+    the strings of its `__all__` as loads."""
+    imported: set[str] = set()
+    loaded: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            loaded.update(elt.value for elt in node.value.elts)
+    return imported, loaded
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    imported, loaded = _module_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(imported - loaded) == []
+
+
+def _references(node: ast.AST, skip: ast.AST | None = None):
+    """Each name `node` reads, by bare name, attribute or import, outside
+    the subtree `skip`."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (a.name for a in node.names)
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip)
+
+
+def test_every_private_module_level_name_is_read_elsewhere():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    unread = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for private in (d for d in defined if d.startswith("_") and not d.startswith("__")):
+                if not any(
+                    ref == private for other in trees.values() for ref in _references(other, stmt)
+                ):
+                    unread.append(f"{name}:{private}")
+    assert unread == []

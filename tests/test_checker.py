@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from minik import corpus
 from minik.ast import ANY, ClassType
 from minik.checker import (
@@ -175,6 +177,12 @@ def test_different_argument_downcast_is_warned():
 def test_cast_without_type_arguments_is_fully_checked():
     table = ab_table()
     assert classify_cast_baseline(table, t("B"), t("A")) is CastClassification.FULLY_CHECKED
+
+
+def test_classifying_a_bare_target_is_a_value_error():
+    table = ab_table()
+    with pytest.raises(ValueError, match="MutableList"):
+        classify_cast_baseline(table, t("List", t("B")), ClassType("MutableList", None))
 
 
 CAST_TO_PARAM = (
@@ -404,3 +412,32 @@ def test_returns_in_both_branches_or_a_unit_body_need_no_final_return(check_sour
     )
     _, diags = check_source(src)
     assert diags == []
+
+
+# ============================================================
+# MEMBER LOOKUP AND WRITTEN TYPE ARGUMENTS
+# ============================================================
+
+ID_FUN = "fun id<T>(x: T): T {\n    return x\n}\n"
+
+
+@pytest.mark.parametrize(
+    "source, line, message",
+    [
+        ("val x = 1\nval y = x.foo()\n", 2, "Int has no member foo"),
+        ("val x = 1\nval y = x.size\n", 2, "Int has no member size"),
+        ("val x = mutableListOf<Int>()\nval y = x.foo()\n", 2, "MutableList has no method foo"),
+        ("val x = mutableListOf<Int>()\nval y = x.size()\n", 2, "MutableList has no method size"),
+        ("val x = mutableListOf<Int>()\nval y = x.foo\n", 2, "MutableList has no property foo"),
+        ("val x = mutableListOf<Int>()\nval y = x.get\n", 2, "MutableList has no property get"),
+        ("val x = mutableListOf<Int, String>()\n", 1, "mutableListOf expects 1 type argument(s)"),
+        (ID_FUN + "val y = id<Int, Int>(1)\n", 4, "id expects 1 type argument(s)"),
+        ("val x = ArrayList<Int, Int>()\n", 1, "ArrayList expects 1 type argument(s)"),
+        ("val x = mutableListOf<Nope>()\n", 1, "unknown type Nope"),
+        (ID_FUN + "val y = id<Nope>(1)\n", 4, "unknown type Nope"),
+        ("val x = ArrayList<Nope>()\n", 1, "unknown type Nope"),
+    ],
+)
+def test_member_and_type_argument_errors(check_source, source, line, message):
+    _, diags = check_source(source)
+    assert [(d.code, d.loc.line, d.loc.col, d.message) for d in diags] == [("E-TYPE", line, 9, message)]

@@ -166,6 +166,23 @@ def test_malformed_input_raises_with_location(source):
     assert exc.value.loc.line >= 1
 
 
+@pytest.mark.parametrize(
+    "source, line, col, message",
+    [
+        ("val x: List<Int = 1\n", 1, 17, "expected '>' to close type arguments, got ="),
+        ("val x = mutableListOf<Int(1)\n", 1, 26, "expected '>' to close type arguments, got ("),
+        ("class C<T {\n}\n", 1, 11, "expected '>' to close type parameters, got {"),
+        ("fun f<T(x: T) {\n}\n", 1, 8, "expected '>' to close type parameters, got ("),
+        ("fun f<T, in U>(x: T) {\n}\n", 1, 10, "variance marks are only allowed on class type parameters"),
+        ("interface I\nclass C : I, {\n}\n", 2, 14, "expected a type name, got {"),
+    ],
+)
+def test_list_error_messages(source, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse(source, "bad.mk")
+    assert (exc.value.loc.line, exc.value.loc.col, exc.value.message) == (line, col, message)
+
+
 def test_method_call_chain_and_index():
     p = parse("getA().secretMethod()\nxs[0]\n")
     first, second = (d.stmt.expr for d in p.decls)

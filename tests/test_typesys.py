@@ -90,6 +90,21 @@ def test_inconsistent_supertype_arguments_are_rejected():
     )
 
 
+@pytest.mark.parametrize(
+    "source, line, col, message",
+    [
+        ("class C {\n    fun x() {\n    }\n    val x: Int\n}\n", 4, 5, "duplicate member C.x"),
+        ("class C {\n    val x: Int\n    fun x() {\n    }\n}\n", 3, 5, "duplicate member C.x"),
+        ("class C {\n    fun m(): Nope {\n    }\n}\n", 2, 5, "unknown type Nope"),
+        ("class C {\n    fun m(x: List) {\n    }\n}\n", 2, 11, "List expects 1 type argument(s)"),
+        ("class C {\n    val p: Nope\n}\n", 2, 5, "unknown type Nope"),
+    ],
+)
+def test_member_table_errors(source, line, col, message):
+    _, diags = build_class_table(parse(source))
+    assert [(d.code, d.loc.line, d.loc.col, d.message) for d in diags] == [("E-TABLE", line, col, message)]
+
+
 def test_lub_is_memoized_per_table(ab_table):
     query = (t("MutableList", t("A")), t("List", t("B")))
     assert lub(ab_table, *query) is lub(ab_table, *query)
