@@ -417,8 +417,10 @@ def substitute(t: TypeRef, bindings: dict[str, TypeRef]) -> TypeRef:
 def supertype_instantiation(table: ClassTable, t: ClassType, ancestor: str) -> ClassType | None:
     """The instantiation of `ancestor` reached from `t` by substituting type
     arguments up the declared supertypes, or None if `ancestor` is not above
-    `t`'s class. E.g. MutableList<A> at List is List<A>."""
-    assert t.args is not None, "bare reference has no instantiation"
+    `t`'s class. E.g. MutableList<A> at List is List<A>. A bare reference
+    has no instantiation: ValueError."""
+    if t.args is None:
+        raise ValueError(f"bare reference {t.name} has no instantiation")
     if t.name == ancestor:
         return t
     entry = table.classes.get(t.name)
@@ -432,8 +434,9 @@ def ancestor_entries(table: ClassTable, t: ClassType):
     """Yield (entry, bindings) for each ancestor class of `t` in preorder,
     `t`'s own class first: the order in which member lookup searches them.
     `bindings` maps that class's type parameters to their arguments as seen
-    from `t`."""
-    assert t.args is not None, "bare reference has no instantiation"
+    from `t`. A bare reference has no instantiation: ValueError."""
+    if t.args is None:
+        raise ValueError(f"bare reference {t.name} has no instantiation")
     entry = table.classes.get(t.name)
     if entry is None:
         return

@@ -32,6 +32,8 @@ COUNTERS = (
     "typesys.subtype_calls",
     "provenance.bodies",
     "runtime.sites",
+    "runtime.class_checks",
+    "runtime.coercion_checks",
 )
 
 

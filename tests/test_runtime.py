@@ -7,6 +7,7 @@ from minik.ast import CastExpr, ClassType, PrimitiveType, walk_body_exprs
 from minik.cli import build
 from minik.runtime import (
     ERASED,
+    MAX_CALL_DEPTH,
     REIFIED,
     ClassCastException,
     Completed,
@@ -311,3 +312,108 @@ def test_erased_crashes_sit_at_a_cast_or_at_a_site_of_the_same_class():
                  for e in walk_body_exprs(body.stmts) if isinstance(e, CastExpr)}
         sites = {(s.loc, s.expected_class) for s in checkcast_sites(checked)}
         assert outcome.loc in casts or (outcome.loc, outcome.expected) in sites, entry.id
+
+
+# ============================================================
+# WHERE THE HOLE ENDS, AND THE EVALUATOR'S LIMITS
+# ============================================================
+
+# The laundered list holds a String where its static type promises a
+# Boolean (or an Int); the value reaches an `if` condition (or a list
+# index) through an erased read that no checkcast site verifies.
+HOLE = (
+    "fun mk<T>(x: T): MutableList<T> {\n"
+    "    val l = mutableListOf<T>()\n"
+    "    l.add(x)\n"
+    "    return l\n"
+    "}\n"
+    "class A\n"
+    "val bl = mk(A() is A)\n"
+    "val al: List<Any> = bl\n"
+    "val ml = al as MutableList\n"
+    'ml.add("str")\n'
+    "if (bl.get(1)) {\n"
+    '    println("then")\n'
+    "}\n"
+)
+HOLE_AT_INDEX = HOLE.replace("mk(A() is A)", "mk(0)").replace(
+    'if (bl.get(1)) {\n    println("then")\n}\n', "println(bl.get(bl.get(1)))\n"
+)
+
+
+@pytest.mark.parametrize("source, expected, loc", [
+    (HOLE, "Boolean", (11, 5)),  # the condition
+    (HOLE_AT_INDEX, "Int", (11, 16)),  # the index argument
+], ids=["condition", "index"])
+def test_unboxing_a_laundered_string_is_a_class_cast(source, expected, loc):
+    checked = build_src(source)
+    erased = run_program(checked, ERASED)
+    assert isinstance(erased, ClassCastException) and erased.stdout == ""
+    assert (erased.actual, erased.expected, (erased.loc.line, erased.loc.col)) == ("String", expected, loc)
+    reified = run_program(checked, REIFIED)
+    assert isinstance(reified, ClassCastException) and reified.stdout == ""
+    assert (reified.expected, reified.loc.line) == ("MutableList<Any>", 9)  # the downcast
+
+
+def test_sites_refuse_programs_with_errors():
+    checked, _ = build(corpus.BY_ID["P3a"].source(), "P3a.mk")
+    assert checked is not None and not checked.ok
+    with pytest.raises(ValueError):
+        checkcast_sites(checked)
+
+
+def test_object_properties_are_never_initialized():
+    outcome = run_program(build_src("class C {\n    val p: Int\n}\nprintln(C().p)\n"), ERASED)
+    assert isinstance(outcome, RuntimeFault)
+    assert outcome.message == "property p was never initialized"
+    assert (outcome.loc.line, outcome.loc.col) == (4, 9)
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+@pytest.mark.parametrize("source, loc", [
+    ("fun f(x: Int): Int {\n    return f(x)\n}\nf(1)\n", (2, 12)),
+    ("fun f(x: Int): Int {\n    return g(x)\n}\nfun g(x: Int): Int {\n    return f(x)\n}\nf(1)\n", (5, 12)),
+], ids=["self", "mutual"])
+def test_unbounded_recursion_faults_at_the_recursive_call(source, loc, mode):
+    outcome = run_program(build_src(source), mode)
+    assert isinstance(outcome, RuntimeFault)
+    assert outcome.message == f"call depth exceeds {MAX_CALL_DEPTH}"
+    assert (outcome.loc.line, outcome.loc.col) == loc
+
+
+def chain(length: int) -> str:
+    funs = "".join(f"fun f{i}(x: Int): Int {{\n    return f{i + 1}(x)\n}}\n" for i in range(length - 1))
+    return funs + f"fun f{length - 1}(x: Int): Int {{\n    return x\n}}\nprintln(f0(7))\n"
+
+
+def run_deep(frames: int, checked, mode: str):
+    """`run_program` called from `frames` extra Python frames."""
+    return run_deep(frames - 1, checked, mode) if frames else run_program(checked, mode)
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+@pytest.mark.parametrize("frames", [0, 800])
+def test_a_call_chain_of_600_functions_completes(frames, mode):
+    assert run_deep(frames, build_src(chain(600)), mode) == Completed("7\n", UNIT_VALUE)
+
+
+def test_a_val_name_reused_across_branches_and_after_them():
+    src = (
+        "class A\n"
+        "fun f(x: Any): Int {\n"
+        "    if (x is A) {\n"
+        "        val y = 1\n"
+        "        println(y)\n"
+        "    } else {\n"
+        '        val y = "two"\n'
+        "        println(y)\n"
+        "    }\n"
+        "    val y = 3\n"
+        "    println(y)\n"
+        "    return y\n"
+        "}\n"
+        "f(A())\n"
+        'f("s")\n'
+    )
+    for mode in (ERASED, REIFIED):
+        assert run_program(build_src(src), mode).stdout == "1\n3\ntwo\n3\n"

@@ -7,6 +7,7 @@ from minik.cli import run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
 from minik.typesys import (
+    ancestor_entries,
     build_class_table,
     lub,
     nominal_ancestors,
@@ -122,6 +123,16 @@ def test_supertype_instantiation_through_two_levels(ab_table):
 
 def test_supertype_instantiation_only_goes_up(ab_table):
     assert supertype_instantiation(ab_table, t("List", t("A")), "MutableList") is None
+
+
+def test_supertype_instantiation_rejects_a_bare_reference(ab_table):
+    with pytest.raises(ValueError, match="bare reference"):
+        supertype_instantiation(ab_table, ClassType("MutableList"), "List")
+
+
+def test_ancestor_entries_rejects_a_bare_reference(ab_table):
+    with pytest.raises(ValueError, match="bare reference"):
+        list(ancestor_entries(ab_table, ClassType("MutableList")))
 
 
 def test_covariant_list_argument_subtyping(ab_table):
