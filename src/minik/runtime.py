@@ -11,8 +11,8 @@ slot of an erased generic (e.g. `list[0]`) have nothing to verify against at
 the read, and their coercion sites are skipped; their class is finally
 inspected when they are used as a receiver or explicitly cast. The optional
 eager mode additionally re-checks every acquisition at its own location.
-Each site an erased compile places is recorded as a `CheckcastSite`, so
-`checkcast_sites` lists exactly the checks the erased runtime runs.
+`checkcast_sites` records each site an erased compile places as a
+`CheckcastSite`, so it lists exactly the checks the erased runtime runs.
 
 Reified mode keeps full type arguments in RTTI and checks every coercion
 into a val, a parameter or a receiver, and every explicit cast, immediately
@@ -23,6 +23,7 @@ and variance-aware. In both modes a value of the wrong class fails at an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .ast import (
     CastExpr,
@@ -77,7 +78,7 @@ class CheckcastSite:
 def compute_site_index(checked: CheckedProgram) -> list[CheckcastSite]:
     """The checkcast sites an erased compile of every body places, sorted
     by location."""
-    compiler = _Compiler(checked, ERASED, eager=False)
+    compiler = _Compiler(checked, ERASED, eager=False, sites=[])
     for body in program_bodies(checked.table, checked.program):
         compiler.body(body.stmts, body.return_type)
     return sorted(compiler.sites, key=lambda s: (s.loc.file, s.loc.line, s.loc.col))
@@ -279,11 +280,12 @@ def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
 
 
 class _Compiler:
-    def __init__(self, checked: CheckedProgram, mode: str, eager: bool) -> None:
+    def __init__(self, checked: CheckedProgram, mode: str, eager: bool,
+                 sites: list[CheckcastSite] | None = None) -> None:
         self.checked = checked
         self.erased = mode == ERASED
         self.eager = eager
-        self.sites: list[CheckcastSite] = []
+        self.sites = sites  # when given, each erased site placed is appended
         self.fun_decls = {d.name: d for d in checked.program.decls if isinstance(d, FunDecl)}
 
     def body(self, stmts: tuple[Stmt, ...], return_type: TypeRef | None) -> list[tuple]:
@@ -293,11 +295,13 @@ class _Compiler:
         code += (("const", UNIT_VALUE), ("return",))
         return code
 
-    def site(self, code: list[tuple], e: Expr, t: TypeRef | None, loc: SourceLoc, reason: str) -> None:
-        """Erased: the checkcast site verifying that the value of `e` is of
-        `t`'s class, unless `t` names no class or `e` is a deferred read."""
-        if isinstance(t, ClassType) and not _is_deferred_read(self.checked, e):
-            self.sites.append(CheckcastSite(loc, t.name, reason))
+    def site(self, code: list[tuple], e: Expr | None, t: TypeRef | None, loc: SourceLoc, reason: str) -> None:
+        """Erased: the checkcast site verifying that the value of `e` (or of a
+        receiver, when `e` is None) is of `t`'s class, unless `t` names no
+        class or `e` is a deferred read."""
+        if isinstance(t, ClassType) and (e is None or not _is_deferred_read(self.checked, e)):
+            if self.sites is not None:
+                self.sites.append(CheckcastSite(loc, t.name, reason))
             code.append(("check", t.name, loc))
 
     def stmt(self, code: list[tuple], s: Stmt, return_type: TypeRef | None) -> None:
@@ -368,7 +372,7 @@ class _Compiler:
             self.expr(code, receiver)
             recv_t = checked.expr_types[id(receiver)]
             if erased:
-                self.site(code, receiver, recv_t, e.loc, "receiver")
+                self.site(code, None, recv_t, e.loc, "receiver")
             elif isinstance(recv_t, ClassType):
                 code.append(("full", recv_t, e.loc))
         if kind == "ctor" or kind == "builtin" and e.name == "mutableListOf":
@@ -415,7 +419,7 @@ class _Machine:
         self.compiler = _Compiler(checked, mode, eager_checkcast)
         self.codes: dict[int, list[tuple]] = {}  # id() of a function or method declaration -> its code
         self.stdout: list[str] = []
-        self.next_oid = 1
+        self.oids = count(1)
 
     def run(self, program: Program) -> RunOutcome:
         # The top level is compiled one statement at a time, so a run that
@@ -429,13 +433,10 @@ class _Machine:
                 code: list[tuple] = []
                 if isinstance(d.stmt, ExprStmt):
                     self.compiler.expr(code, d.stmt.expr)
+                    last = self.execute(code + [("return",)], top_env)
                 else:
                     self.compiler.stmt(code, d.stmt, None)
-                    code.append(("const", UNIT_VALUE))
-                code.append(("return",))
-                v = self.execute(code, top_env)
-                if isinstance(d.stmt, ExprStmt):
-                    last = v
+                    self.execute(code + [("const", UNIT_VALUE), ("return",)], top_env)
         except _Stop as stop:
             outcome, *fields = stop.args
             return outcome("".join(self.stdout), *fields)
@@ -526,10 +527,8 @@ class _Machine:
                 _, name, type_args = op
                 if type_args is not None and bindings:
                     type_args = tuple(substitute(t, bindings) for t in type_args)
-                oid = self.next_oid
-                self.next_oid += 1
                 value_type = ListValue if class_conforms(table, name, "List") else ObjectValue
-                push(value_type(Rtti(name, type_args), oid))
+                push(value_type(Rtti(name, type_args), next(self.oids)))
             elif kind == "print":
                 self.stdout.append(render_value(pop()) + "\n")
                 push(UNIT_VALUE)

@@ -355,6 +355,28 @@ def test_unboxing_a_laundered_string_is_a_class_cast(source, expected, loc):
     assert (reified.expected, reified.loc.line) == ("MutableList<Any>", 9)  # the downcast
 
 
+# P1 with the laundered element used directly as a receiver: `list[0]` and
+# `list.get(0)` are deferred reads, so no val, return or argument site checks
+# them, but the receiver site does. `same-name` gives B its own
+# `secretMethod`, which an unchecked call would silently dispatch to.
+RECEIVER_OF_A_READ = corpus.BY_ID["P1"].source().replace("fun getA(): A {", "fun getA() {").replace(
+    "    return list[0]\n", "    list[0].secretMethod()\n").replace("getA().secretMethod()", "getA()")
+
+
+@pytest.mark.parametrize("source", [
+    RECEIVER_OF_A_READ,
+    RECEIVER_OF_A_READ.replace("list[0].secretMethod()", "list.get(0).secretMethod()"),
+    RECEIVER_OF_A_READ.replace("open class B\n", 'open class B {\n    fun secretMethod() {\n        println("B")\n    }\n}\n'),
+], ids=["index", "get", "same-name"])
+def test_a_deferred_read_used_as_a_receiver_is_checked_there(source):
+    checked = build_src(source)
+    call = next(s.loc for s in checkcast_sites(checked) if s.reason == "receiver" and s.expected_class == "A")
+    assert source.splitlines()[call.line - 1].strip().endswith(".secretMethod()")
+    outcome = run_program(checked, ERASED)
+    assert isinstance(outcome, ClassCastException) and outcome.stdout == ""
+    assert (outcome.actual, outcome.expected, outcome.loc) == ("B", "A", call)
+
+
 def test_sites_refuse_programs_with_errors():
     checked, _ = build(corpus.BY_ID["P3a"].source(), "P3a.mk")
     assert checked is not None and not checked.ok
