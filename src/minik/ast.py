@@ -85,10 +85,10 @@ class NullableTopType(TypeRef):
 
 @dataclass(frozen=True)
 class PrimitiveType(TypeRef):
-    kind: str  # "Int" | "String" | "Unit" | "Boolean"
+    name: str  # "Int" | "String" | "Unit" | "Boolean"
 
     def render(self) -> str:
-        return self.kind
+        return self.name
 
 
 ANY = TopType()

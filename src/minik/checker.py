@@ -49,7 +49,7 @@ from .typesys import (
     ClassEntry,
     ClassTable,
     TypeResolutionError,
-    ancestor_entries,
+    find_member,
     lub,
     program_bodies,
     resolve_type,
@@ -72,11 +72,10 @@ class CastClassification(Enum):
 class CallInfo:
     """Resolution of one call-like expression, kept for the runtime."""
 
-    kind: str  # "ctor" | "fun" | "builtin" | "method" | "index-get" | "property-get"
+    kind: str  # "ctor" | "fun" | "builtin" | "method" | "property-get"
     member: str | None
     declared_return: TypeRef
     type_args: tuple[TypeRef, ...] = ()  # resolved function/ctor type arguments
-    type_param_names: tuple[str, ...] = ()
     declared_params: tuple[TypeRef, ...] = ()  # as written at the declaration
     param_types: tuple[TypeRef, ...] = ()  # substituted at this call
 
@@ -526,9 +525,9 @@ class _Checker:
         if isinstance(e, CallExpr):
             return self.check_call(e, scope)
         if isinstance(e, MethodCall):
-            return self.check_member_call(e, e.receiver, e.name, e.args, scope, kind="method")
+            return self.check_member_call(e, e.receiver, e.name, e.args, scope)
         if isinstance(e, Index):
-            return self.check_member_call(e, e.receiver, "get", (e.index,), scope, kind="index-get")
+            return self.check_member_call(e, e.receiver, "get", (e.index,), scope)
         if isinstance(e, PropertyGet):
             return self.check_property_get(e, scope)
         if isinstance(e, CastExpr):
@@ -573,11 +572,10 @@ class _Checker:
         for arg, arg_t, want in zip(e.args, arg_types, param_types):
             self.coerce(arg, arg_t, want, arg.loc, "parameter type")
         self.out.call_info[id(e)] = CallInfo(
-            kind="builtin" if sig.is_builtin else "fun",
+            kind="builtin" if sig.decl is None else "fun",
             member=e.name,
             declared_return=sig.return_type,
             type_args=tuple(bindings[p] for p in sig.type_params),
-            type_param_names=sig.type_params,
             declared_params=sig.param_types,
             param_types=param_types,
         )
@@ -616,9 +614,7 @@ class _Checker:
         elif e.type_args is not None:
             self.e_type(e.loc, f"{e.name} is not generic")
         result = ClassType(e.name, args)
-        self.out.call_info[id(e)] = CallInfo(
-            kind="ctor", member=None, declared_return=result, type_args=args, type_param_names=names
-        )
+        self.out.call_info[id(e)] = CallInfo(kind="ctor", member=None, declared_return=result, type_args=args)
         return result
 
     def lookup_member(self, e: Expr, recv_t: TypeRef, name: str, kind: str):
@@ -628,14 +624,14 @@ class _Checker:
         if not isinstance(recv_t, ClassType) or recv_t.args is None:
             self.e_type(e.loc, f"{recv_t.render()} has no member {name}")
             return None
-        for entry, bindings in ancestor_entries(self.table, recv_t):
-            sig = (entry.methods if kind == "method" else entry.properties).get(name)
-            if sig is not None:
-                return sig, bindings
-        self.e_type(e.loc, f"{recv_t.name} has no {kind} {name}")
-        return None
+        found = find_member(self.table, recv_t.name, name, kind)
+        if found is None:
+            self.e_type(e.loc, f"{recv_t.name} has no {kind} {name}")
+            return None
+        entry, sig = found
+        return sig, entry.bindings(supertype_instantiation(self.table, recv_t, entry.name).args)
 
-    def check_member_call(self, e: Expr, receiver: Expr, name: str, args: tuple[Expr, ...], scope: _Scope, kind: str) -> TypeRef:
+    def check_member_call(self, e: Expr, receiver: Expr, name: str, args: tuple[Expr, ...], scope: _Scope) -> TypeRef:
         recv_t = self.check_expr(receiver, scope)
         arg_types = tuple(self.check_expr(a, scope) for a in args)
         found = self.lookup_member(e, recv_t, name, "method")
@@ -650,7 +646,7 @@ class _Checker:
         for arg, arg_t, want in zip(args, arg_types, param_types):
             self.coerce(arg, arg_t, want, arg.loc, "parameter type")
         self.out.call_info[id(e)] = CallInfo(
-            kind=kind,
+            kind="method",
             member=name,
             declared_return=sig.return_type,
             declared_params=sig.param_types,

@@ -344,7 +344,7 @@ class _Parser:
             return self.parse_if()
         expr = self.parse_expr()
         self.end_of_stmt()
-        return ExprStmt(expr, loc=expr_loc(expr))
+        return ExprStmt(expr, loc=expr.loc)
 
     def parse_if(self) -> If:
         loc = self.eat_word("if").loc
@@ -385,14 +385,14 @@ class _Parser:
                 name = self.eat_ident()
                 if self.kind == "(":
                     args = self.parse_args()
-                    e = MethodCall(e, name.text, args, loc=expr_loc(e))
+                    e = MethodCall(e, name.text, args, loc=e.loc)
                 else:
-                    e = PropertyGet(e, name.text, loc=expr_loc(e))
+                    e = PropertyGet(e, name.text, loc=e.loc)
             elif self.kind == "[":
                 self.advance()
                 idx = self.parse_expr()
                 self.eat("]", "']' to close indexing")
-                e = Index(e, idx, loc=expr_loc(e))
+                e = Index(e, idx, loc=e.loc)
             else:
                 return e
 
@@ -422,10 +422,6 @@ class _Parser:
             args.append(self.parse_expr())
         self.eat(")")
         return tuple(args)
-
-
-def expr_loc(e: Expr) -> SourceLoc:
-    return e.loc  # every Expr dataclass carries loc
 
 
 def parse(source: str, file: str = "<input>") -> Program:

@@ -2,11 +2,13 @@
 into a flat list of operations in evaluation order, and one loop runs those
 lists over an explicit stack of activation records, one per active call.
 
-The compiler decides every implicit check, for the mode it compiles in.
-Erased mode models a JVM-style runtime: values carry only their class in
-RTTI, and coercions are verified lazily at a fixed set of checkcast sites
-(typed and inferred val declarations, class-typed call arguments, member
-access receivers, class-typed returns). Values read out of a type-parameter
+Every value carries its runtime type as a `TypeRef`, the checker's own type
+model. The compiler decides every implicit check, for the mode it compiles
+in. Erased mode models a JVM-style runtime: an object's type is its class
+without type arguments (a bare `ClassType`), and coercions are verified
+lazily at a fixed set of checkcast sites (typed and inferred val
+declarations, class-typed call arguments, member access receivers,
+class-typed returns). Values read out of a type-parameter
 slot of an erased generic (e.g. `list[0]`) have nothing to verify against at
 the read, and their coercion sites are skipped; their class is finally
 inspected when they are used as a receiver or explicitly cast. The optional
@@ -14,10 +16,11 @@ eager mode additionally re-checks every acquisition at its own location.
 `checkcast_sites` records each site an erased compile places as a
 `CheckcastSite`, so it lists exactly the checks the erased runtime runs.
 
-Reified mode keeps full type arguments in RTTI and checks every coercion
-into a val, a parameter or a receiver, and every explicit cast, immediately
-and variance-aware. In both modes a value of the wrong class fails at an
-`if` condition or a list index, where the JVM unboxes it.
+Reified mode keeps each object's fully instantiated type and checks every
+coercion into a val, a parameter or a receiver, and every explicit cast,
+immediately and variance-aware, by `subtype` on the value's own type. In
+both modes a value of the wrong class fails at an `if` condition or a list
+index, where the JVM unboxes it.
 """
 
 from __future__ import annotations
@@ -26,11 +29,14 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .ast import (
+    BOOLEAN,
+    INT,
+    STRING,
+    UNIT,
     CastExpr,
     ClassType,
     Expr,
     ExprStmt,
-    FunDecl,
     If,
     Index,
     IntLit,
@@ -51,7 +57,15 @@ from .ast import (
     call_parts,
 )
 from .checker import CheckedProgram
-from .typesys import ClassTable, program_bodies, substitute, subtype, supertype_instantiation
+from .typesys import (
+    ClassTable,
+    class_conforms,
+    find_member,
+    program_bodies,
+    substitute,
+    subtype,
+    supertype_instantiation,
+)
 
 ERASED = "erased"
 REIFIED = "reified"
@@ -97,40 +111,32 @@ def checkcast_sites(checked: CheckedProgram) -> list[CheckcastSite]:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Rtti:
-    class_name: str
-    args: tuple[TypeRef, ...] | None  # None in erased mode: parameters are not kept
-
-    def render(self) -> str:
-        if self.args is None or not self.args:
-            return self.class_name
-        return f"{self.class_name}<{', '.join(a.render() for a in self.args)}>"
-
-
 @dataclass
 class Value:
-    pass
+    """A runtime value; its `type` is the type the runtime keeps for it."""
 
 
 @dataclass
 class IntValue(Value):
     value: int
+    type = INT
 
 
 @dataclass
 class StringValue(Value):
     value: str
+    type = STRING
 
 
 @dataclass
 class BoolValue(Value):
     value: bool
+    type = BOOLEAN
 
 
 @dataclass
 class UnitValue(Value):
-    pass
+    type = UNIT
 
 
 UNIT_VALUE = UnitValue()
@@ -138,7 +144,7 @@ UNIT_VALUE = UnitValue()
 
 @dataclass
 class ObjectValue(Value):
-    rtti: Rtti
+    type: ClassType  # bare when erased; fully instantiated when reified
     oid: int
 
 
@@ -147,7 +153,7 @@ class ListValue(Value):
     """Growable list; elements are shared references, so aliases observe
     each other's mutations."""
 
-    rtti: Rtti
+    type: ClassType
     oid: int
     elements: list[Value] = field(default_factory=list)
 
@@ -204,41 +210,18 @@ class _Stop(Exception):
 # ============================================================
 
 
-_PRIMITIVE_CLASSES = {IntValue: "Int", StringValue: "String", BoolValue: "Boolean", UnitValue: "Unit"}
-
-
-def value_class(v: Value) -> str:
-    return _PRIMITIVE_CLASSES.get(type(v)) or v.rtti.class_name
-
-
-def class_conforms(table: ClassTable, actual: str, expected: str) -> bool:
-    if actual == expected:
-        return True
-    entry = table.classes.get(actual)
-    return entry is not None and expected in entry.ancestor_of
-
-
-def rtti_typeref(v: Value) -> TypeRef:
-    kind = _PRIMITIVE_CLASSES.get(type(v))
-    if kind is not None:
-        return PrimitiveType(kind)
-    return ClassType(v.rtti.class_name, v.rtti.args or ())
-
-
 def erased_instance_check(table: ClassTable, v: Value, target: TypeRef) -> bool:
     """Class-only instance check: type arguments are ignored, so any List
     instance passes a `is List<Int>` test regardless of its elements."""
     if isinstance(target, ClassType):
-        if not isinstance(v, (ObjectValue, ListValue)):
-            return False
-        return class_conforms(table, v.rtti.class_name, target.name)
+        return isinstance(v.type, ClassType) and class_conforms(table, v.type.name, target.name)
     if isinstance(target, PrimitiveType):
-        return value_class(v) == target.kind
+        return v.type.name == target.name
     return True  # Any / Any?
 
 
 def reified_instance_check(table: ClassTable, v: Value, target: TypeRef) -> bool:
-    return subtype(table, rtti_typeref(v), target)
+    return subtype(table, v.type, target)
 
 
 def render_value(v: Value) -> str:
@@ -250,7 +233,7 @@ def render_value(v: Value) -> str:
         return "true" if v.value else "false"
     if isinstance(v, UnitValue):
         return "Unit"
-    return f"<{v.rtti.class_name}@{v.oid}>"
+    return f"<{v.type.name}@{v.oid}>"
 
 
 # ============================================================
@@ -262,8 +245,8 @@ def render_value(v: Value) -> str:
 #
 #   load name | store name | const value | pop | print | return
 #   check class loc | full type loc | is instance_check target
-#   new class type_args (None when erased) | prop name loc
-#   call nargs decl sig loc type_param_names type_args
+#   new value_class type | prop name loc
+#   call nargs sig loc type_args (empty when erased)
 #   method nargs member loc index_loc
 #   branch target loc | jump target
 # ============================================================
@@ -286,7 +269,6 @@ class _Compiler:
         self.erased = mode == ERASED
         self.eager = eager
         self.sites = sites  # when given, each erased site placed is appended
-        self.fun_decls = {d.name: d for d in checked.program.decls if isinstance(d, FunDecl)}
 
     def body(self, stmts: tuple[Stmt, ...], return_type: TypeRef | None) -> list[tuple]:
         code: list[tuple] = []
@@ -351,11 +333,8 @@ class _Compiler:
                 code.append(("full", target, e.loc))
             # An explicit cast always verifies the class portion, even in
             # value-discarding positions; the type arguments are gone.
-            elif isinstance(target, ClassType):
+            elif isinstance(target, (ClassType, PrimitiveType)):
                 code.append(("check", target.name, e.loc))
-            elif isinstance(target, PrimitiveType):
-                # No class is below a primitive: its class check is a kind check.
-                code.append(("check", target.kind, e.loc))
         elif isinstance(e, IsExpr):
             self.expr(code, e.expr)
             check = erased_instance_check if self.erased else reified_instance_check
@@ -378,7 +357,8 @@ class _Compiler:
         if kind == "ctor" or kind == "builtin" and e.name == "mutableListOf":
             # The checker admits no value arguments here.
             name = e.name if kind == "ctor" else "MutableList"
-            code.append(("new", name, None if erased else info.type_args))
+            value_class = ListValue if class_conforms(checked.table, name, "List") else ObjectValue
+            code.append(("new", value_class, ClassType(name, None if erased else info.type_args)))
         else:
             expected = info.declared_params if erased else info.param_types
             for i, a in enumerate(args):
@@ -389,16 +369,15 @@ class _Compiler:
                     else:
                         code.append(("full", expected[i], a.loc))
             if kind == "fun":
-                names = () if erased else info.type_param_names
                 sig = checked.table.functions[e.name]
-                code.append(("call", len(args), self.fun_decls[e.name], sig, e.loc, names, info.type_args))
+                code.append(("call", len(args), sig, e.loc, () if erased else info.type_args))
             elif kind == "builtin":
                 if e.name != "println":
                     raise TypeError(f"unknown builtin {e.name}")
                 code.append(("print",))
             elif kind == "property-get":
                 code.append(("prop", info.member, e.loc))
-            else:  # method, index-get
+            else:  # method
                 code.append(("method", len(args), info.member, e.loc, args[0].loc if args else e.loc))
         if erased and self.eager:
             # Eager mode: verify every acquisition against its static class
@@ -417,7 +396,7 @@ class _Machine:
     def __init__(self, checked: CheckedProgram, mode: str, eager_checkcast: bool) -> None:
         self.table = checked.table
         self.compiler = _Compiler(checked, mode, eager_checkcast)
-        self.codes: dict[int, list[tuple]] = {}  # id() of a function or method declaration -> its code
+        self.codes: dict[int, list[tuple]] = {}  # id() of a function's or method's Signature -> its code
         self.stdout: list[str] = []
         self.oids = count(1)
 
@@ -457,7 +436,7 @@ class _Machine:
             if kind == "load":
                 push(env[op[1]])
             elif kind == "check":
-                actual = value_class(stack[-1])
+                actual = stack[-1].type.name
                 if not class_conforms(table, actual, op[1]):
                     raise _Stop(ClassCastException, op[2], op[1], actual)
             elif kind == "store":
@@ -473,14 +452,14 @@ class _Machine:
             elif kind == "branch":
                 cond = pop()
                 if not isinstance(cond, BoolValue):
-                    raise _Stop(ClassCastException, op[2], "Boolean", value_class(cond))
+                    raise _Stop(ClassCastException, op[2], "Boolean", cond.type.name)
                 if not cond.value:
                     pc = op[1]
             elif kind == "jump":
                 pc = op[1]
             elif kind == "full":
                 t = substitute(op[1], bindings) if bindings else op[1]
-                actual_t = rtti_typeref(stack[-1])
+                actual_t = stack[-1].type
                 if not subtype(table, actual_t, t):
                     raise _Stop(ClassCastException, op[2], t.render(), actual_t.render())
             elif kind == "is":
@@ -490,8 +469,8 @@ class _Machine:
                 base = len(stack) - op[1]
                 args = stack[base:]
                 if kind == "call":
-                    _, _, decl, sig, loc, names, type_args = op
-                    callee_bindings = {name: substitute(t, bindings) for name, t in zip(names, type_args)}
+                    _, _, sig, loc, type_args = op
+                    callee_bindings = {name: substitute(t, bindings) for name, t in zip(sig.type_params, type_args)}
                     del stack[base:]
                 else:
                     _, _, member, loc, index_loc = op
@@ -500,35 +479,31 @@ class _Machine:
                     if isinstance(recv, ListValue):
                         push(_list_method(recv, member, args, loc, index_loc))
                         continue
+                    recv_t = recv.type
                     if not isinstance(recv, ObjectValue):
-                        raise _Stop(RuntimeFault, loc, f"{value_class(recv)} has no methods")
-                    owner, sig = _find_method(table, recv.rtti.class_name, member)
-                    if sig is None or sig.decl.body is None:
-                        raise _Stop(RuntimeFault, loc, f"{recv.rtti.class_name} has no callable method {member}")
-                    decl = sig.decl
+                        raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no methods")
+                    found = find_member(table, recv_t.name, member, "method")
+                    if found is None or found[1].decl.body is None:
+                        raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no callable method {member}")
+                    entry, sig = found
                     callee_bindings = {}
-                    entry = table.classes[owner]
-                    if recv.rtti.args is not None and entry.type_params:
+                    if recv_t.args is not None and entry.type_params:
                         # Reified: the body sees the declaring class's
-                        # parameters as the receiver's RTTI instantiates
+                        # parameters as the receiver's type instantiates
                         # them at that class.
-                        inst = supertype_instantiation(table, rtti_typeref(recv), owner)
-                        callee_bindings = entry.bindings(inst.args)
+                        callee_bindings = entry.bindings(supertype_instantiation(table, recv_t, entry.name).args)
                 if len(calls) >= MAX_CALL_DEPTH:
                     raise _Stop(RuntimeFault, loc, f"call depth exceeds {MAX_CALL_DEPTH}")
                 calls.append((code, pc, env, bindings))
-                code = self.codes.get(id(decl))
+                code = self.codes.get(id(sig))
                 if code is None:
-                    code = self.codes[id(decl)] = self.compiler.body(decl.body, sig.return_type)
+                    code = self.codes[id(sig)] = self.compiler.body(sig.decl.body, sig.return_type)
                 pc = 0
                 env = dict(zip(sig.param_names, args))
                 bindings = callee_bindings
             elif kind == "new":
-                _, name, type_args = op
-                if type_args is not None and bindings:
-                    type_args = tuple(substitute(t, bindings) for t in type_args)
-                value_type = ListValue if class_conforms(table, name, "List") else ObjectValue
-                push(value_type(Rtti(name, type_args), next(self.oids)))
+                # Only a reified allocation can run under type bindings.
+                push(op[1](substitute(op[2], bindings) if bindings else op[2], next(self.oids)))
             elif kind == "print":
                 self.stdout.append(render_value(pop()) + "\n")
                 push(UNIT_VALUE)
@@ -539,19 +514,9 @@ class _Machine:
                 elif isinstance(recv, ObjectValue):
                     raise _Stop(RuntimeFault, op[2], f"property {op[1]} was never initialized")
                 else:
-                    raise _Stop(RuntimeFault, op[2], f"{value_class(recv)} has no property {op[1]}")
+                    raise _Stop(RuntimeFault, op[2], f"{recv.type.name} has no property {op[1]}")
             else:
                 raise TypeError(f"unknown operation {op!r}")
-
-
-def _find_method(table: ClassTable, class_name: str, member: str):
-    """(declaring class, signature) of the method `member` as objects of
-    `class_name` see it, or (None, None)."""
-    for owner in table.classes[class_name].ancestor_of:
-        sig = table.classes[owner].methods.get(member)
-        if sig is not None:
-            return owner, sig
-    return None, None
 
 
 def _list_method(recv: ListValue, member: str, args: list[Value], loc: SourceLoc, index_loc: SourceLoc) -> Value:
@@ -562,7 +527,7 @@ def _list_method(recv: ListValue, member: str, args: list[Value], loc: SourceLoc
         idx = args[0]
         if not isinstance(idx, IntValue):
             # The index is unboxed here, which is where the JVM checks it.
-            raise _Stop(ClassCastException, index_loc, "Int", value_class(idx))
+            raise _Stop(ClassCastException, index_loc, "Int", idx.type.name)
         if not 0 <= idx.value < len(recv.elements):
             raise _Stop(RuntimeFault, loc, f"index {idx.value} out of bounds for length {len(recv.elements)}")
         if member == "get":

@@ -1,10 +1,12 @@
-"""Class table, variance-aware subtyping, supertype instantiation, and LUB.
+"""Class table, variance-aware subtyping, supertype instantiation, member
+lookup, and LUB.
 
-This module answers only "is S a subtype of T?"; whether a declaration or a
-cast is *legal* is the checker's business. It owns the walk up the class
-hierarchy (each entry's `ancestors`) and the list of a program's bodies
-against the table. The table is immutable once built and every query here
-is pure.
+This module answers only "is S a subtype of T?", "is class C at or below
+class D?" and "which member do instances of class C see?"; whether a
+declaration or a cast is *legal* is the checker's business. It is the one
+module that walks the class hierarchy (each entry's `ancestors`), for the
+checker and the runtime alike, and it lists a program's bodies against the
+table. The table is immutable once built and every query here is pure.
 """
 
 from __future__ import annotations
@@ -65,12 +67,16 @@ def _prelude_program() -> Program:
 
 
 @dataclass(frozen=True)
-class MethodSig:
+class Signature:
+    """A function's or a method's signature, with its declaration. A method
+    has no type parameters of its own; a builtin has no declaration."""
+
     name: str
+    type_params: tuple[str, ...]
     param_types: tuple[TypeRef, ...]
     param_names: tuple[str, ...]
     return_type: TypeRef
-    decl: Method
+    decl: FunDecl | Method | None
 
 
 @dataclass(frozen=True)
@@ -78,16 +84,6 @@ class PropertySig:
     name: str
     type: TypeRef
     decl: Property
-
-
-@dataclass(frozen=True)
-class FunSig:
-    name: str
-    type_params: tuple[str, ...]
-    param_types: tuple[TypeRef, ...]
-    param_names: tuple[str, ...]
-    return_type: TypeRef
-    is_builtin: bool = False
 
 
 @dataclass
@@ -98,7 +94,7 @@ class ClassEntry:
     is_open: bool
     ctor_private: bool
     supertypes: tuple[SupertypeRef, ...]  # types resolved (ParamRefs bound)
-    methods: dict[str, MethodSig]
+    methods: dict[str, Signature]
     properties: dict[str, PropertySig]
     decl: ClassDecl
     is_prelude: bool = False
@@ -120,7 +116,7 @@ class ClassEntry:
 @dataclass
 class ClassTable:
     classes: dict[str, ClassEntry] = field(default_factory=dict)
-    functions: dict[str, FunSig] = field(default_factory=dict)
+    functions: dict[str, Signature] = field(default_factory=dict)
     # `lub` results by (s, t): valid as long as the table, which never changes once built.
     lubs: dict[tuple[TypeRef, TypeRef], TypeRef] = field(default_factory=dict, repr=False, compare=False)
 
@@ -138,8 +134,8 @@ class ClassTable:
 
 
 BUILTIN_FUNCTIONS = (
-    FunSig("mutableListOf", ("T",), (), (), ClassType("MutableList", (ParamRef("T"),)), is_builtin=True),
-    FunSig("println", (), (ANY_NULLABLE,), ("message",), UNIT, is_builtin=True),
+    Signature("mutableListOf", ("T",), (), (), ClassType("MutableList", (ParamRef("T"),)), None),
+    Signature("println", (), (ANY_NULLABLE,), ("message",), UNIT, None),
 )
 
 
@@ -254,8 +250,8 @@ def _collect_functions(table: ClassTable, program: Program, diags: list[Diagnost
         except TypeResolutionError as e:
             diags.append(error("E-TABLE", e.loc, e.message))
             continue
-        table.functions[d.name] = FunSig(
-            d.name, d.type_params, param_types, tuple(p.name for p in d.params), return_type
+        table.functions[d.name] = Signature(
+            d.name, d.type_params, param_types, tuple(p.name for p in d.params), return_type, d
         )
 
 
@@ -353,7 +349,7 @@ def _resolve_members(table: ClassTable, diags: list[Diagnostic]) -> None:
                 if isinstance(m, Method):
                     params = tuple(resolve_type(table, p.type, scope, p.loc) for p in m.params)
                     ret = resolve_type(table, m.return_type, scope, m.loc)
-                    entry.methods[m.name] = MethodSig(m.name, params, tuple(p.name for p in m.params), ret, m)
+                    entry.methods[m.name] = Signature(m.name, (), params, tuple(p.name for p in m.params), ret, m)
                 else:
                     entry.properties[m.name] = PropertySig(m.name, resolve_type(table, m.type, scope, m.loc), m)
             except TypeResolutionError as e:
@@ -385,7 +381,7 @@ def program_bodies(table: ClassTable, program: Program) -> Iterator[Body]:
     for decl in program.decls:
         if isinstance(decl, FunDecl):
             sig = table.functions.get(decl.name)
-            if sig is not None and not sig.is_builtin:
+            if sig is not None and sig.decl is not None:
                 params = tuple(zip(sig.param_names, sig.param_types))
                 yield Body(decl, None, frozenset(decl.type_params), params, sig.return_type, decl.body)
         elif isinstance(decl, ClassDecl):
@@ -430,22 +426,25 @@ def supertype_instantiation(table: ClassTable, t: ClassType, ancestor: str) -> C
     return substitute(inst, entry.bindings(t.args)) if t.args else inst
 
 
-def ancestor_entries(table: ClassTable, t: ClassType):
-    """Yield (entry, bindings) for each ancestor class of `t` in preorder,
-    `t`'s own class first: the order in which member lookup searches them.
-    `bindings` maps that class's type parameters to their arguments as seen
-    from `t`. A bare reference has no instantiation: ValueError."""
-    if t.args is None:
-        raise ValueError(f"bare reference {t.name} has no instantiation")
-    entry = table.classes.get(t.name)
-    if entry is None:
-        return
-    own = entry.bindings(t.args)
-    for anc in entry.ancestor_of.values():
-        inst = substitute(anc, own)
-        assert isinstance(inst, ClassType) and inst.args is not None
-        sup = table.classes[anc.name]
-        yield sup, sup.bindings(inst.args)
+def find_member(table: ClassTable, class_name: str, name: str, kind: str):
+    """(declaring entry, signature) of the first method or property (`kind`)
+    `name` up the ancestors of `class_name`, in `ancestor_of` preorder: the
+    member its instances see. None if there is none."""
+    for owner in table.classes[class_name].ancestor_of:
+        entry = table.classes[owner]
+        sig = (entry.methods if kind == "method" else entry.properties).get(name)
+        if sig is not None:
+            return entry, sig
+    return None
+
+
+def class_conforms(table: ClassTable, actual: str, expected: str) -> bool:
+    """Whether class `actual` is `expected` or below it: the check an erased
+    runtime can make, with the type arguments gone."""
+    if actual == expected:
+        return True
+    entry = table.classes.get(actual)
+    return entry is not None and expected in entry.ancestor_of
 
 
 def _args_conform(table: ClassTable, params: tuple[TypeParam, ...], s_args, t_args) -> bool:

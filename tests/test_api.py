@@ -109,3 +109,13 @@ def test_every_private_module_level_name_is_read_elsewhere():
                 ):
                     unread.append(f"{name}:{private}")
     assert unread == []
+
+
+def test_only_typesys_reads_the_ancestor_tables():
+    readers = sorted(
+        path.name
+        for path in SOURCES
+        if path.name != "typesys.py"
+        and {"ancestor_of", "ancestors"} & set(_references(ast.parse(path.read_text(encoding="utf-8"))))
+    )
+    assert readers == []

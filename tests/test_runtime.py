@@ -13,7 +13,6 @@ from minik.runtime import (
     Completed,
     ListValue,
     ObjectValue,
-    Rtti,
     RuntimeFault,
     StringValue,
     UNIT_VALUE,
@@ -139,14 +138,14 @@ def test_full_matrix_static_and_dynamic():
 
 def test_erased_instance_check_ignores_type_arguments():
     table, _ = build_class_table(parse(""))
-    strings = ListValue(Rtti("MutableList", None), 1, [StringValue("x")])
+    strings = ListValue(ClassType("MutableList"), 1, [StringValue("x")])
     assert erased_instance_check(table, strings, t("List", PrimitiveType("Int")))
 
 
 def test_erased_instance_check_uses_the_value_class():
     table, _ = build_class_table(parse("open class B\n\nclass A private constructor() : B()\n"))
-    a_value = ObjectValue(Rtti("A", None), 1)
-    b_value = ObjectValue(Rtti("B", None), 2)
+    a_value = ObjectValue(ClassType("A"), 1)
+    b_value = ObjectValue(ClassType("B"), 2)
     assert erased_instance_check(table, a_value, t("A"))
     assert erased_instance_check(table, a_value, t("B"))
     assert not erased_instance_check(table, b_value, t("A"))
@@ -157,6 +156,33 @@ def test_completed_outcome_carries_the_final_value():
     outcome = run_program(build_src("val n = 1\nprintln(n)\nn\n"), ERASED)
     assert isinstance(outcome, Completed)
     assert outcome.value is not None and outcome.value.value == 1
+
+
+@pytest.mark.parametrize("mode, expected", [
+    (ERASED, ClassType("MutableList")),  # erasure keeps the class alone
+    (REIFIED, t("MutableList", t("A"))),
+])
+def test_a_value_carries_its_runtime_type(mode, expected):
+    outcome = run_program(build_src("class A\n\nval l = mutableListOf<A>()\nl\n"), mode)
+    assert isinstance(outcome, Completed)
+    assert outcome.value.type == expected
+
+
+DIAMOND = (
+    "interface I {\n    fun m(): Int\n}\n\n"
+    "open class B {\n    fun m(): String {\n        return \"B\"\n    }\n}\n\n"
+    "class C : B(), I\n\n"
+)
+
+
+def test_checker_and_runtimes_see_the_same_inherited_member():
+    _, diags = build(DIAMOND + "val s: String = C().m()\n", "test.mk")
+    assert diags == []
+    _, diags = build(DIAMOND + "val i: Int = C().m()\n", "test.mk")
+    assert [d.code for d in diags] == ["E-TYPE"]
+    checked = build_src(DIAMOND + "println(C().m())\n")
+    for mode in (ERASED, REIFIED):
+        assert run_program(checked, mode) == Completed("B\n", UNIT_VALUE)
 
 
 def test_mutation_in_the_unsound_chain_is_shared():

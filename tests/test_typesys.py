@@ -7,7 +7,6 @@ from minik.cli import run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
 from minik.typesys import (
-    ancestor_entries,
     build_class_table,
     lub,
     nominal_ancestors,
@@ -128,11 +127,6 @@ def test_supertype_instantiation_only_goes_up(ab_table):
 def test_supertype_instantiation_rejects_a_bare_reference(ab_table):
     with pytest.raises(ValueError, match="bare reference"):
         supertype_instantiation(ab_table, ClassType("MutableList"), "List")
-
-
-def test_ancestor_entries_rejects_a_bare_reference(ab_table):
-    with pytest.raises(ValueError, match="bare reference"):
-        list(ancestor_entries(ab_table, ClassType("MutableList")))
 
 
 def test_covariant_list_argument_subtyping(ab_table):
