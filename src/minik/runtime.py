@@ -21,6 +21,11 @@ coercion into a val, a parameter or a receiver, and every explicit cast,
 immediately and variance-aware, by `subtype` on the value's own type. In
 both modes a value of the wrong class fails at an `if` condition or a list
 index, where the JVM unboxes it.
+
+A run decides each distinct class check, reified check and `is` test once,
+by its runtime type (class name when erased) and its target, and keeps the
+verdict for the rest of that run only; every check still runs at its own
+operation, location and message.
 """
 
 from __future__ import annotations
@@ -397,6 +402,11 @@ class _Machine:
         self.table = checked.table
         self.compiler = _Compiler(checked, mode, eager_checkcast)
         self.codes: dict[int, list[tuple]] = {}  # id() of a function's or method's Signature -> its code
+        # Each check's verdict by (actual class name, expected class name) for
+        # `check` and by (runtime type, target after substitution) for `full`
+        # and `is`. Runs with `full` checks are reified, where `is` decides by
+        # the same `subtype`, so the key shapes cannot clash.
+        self.verdicts: dict[tuple, bool] = {}
         self.stdout: list[str] = []
         self.oids = count(1)
 
@@ -423,7 +433,7 @@ class _Machine:
 
     def execute(self, code: list[tuple], env: dict[str, Value]) -> Value:
         """Run `code` with `env` until it returns; the value it returns."""
-        table = self.table
+        table, verdicts = self.table, self.verdicts
         stack: list[Value] = []
         push, pop = stack.append, stack.pop
         calls: list[tuple] = []  # the suspended callers: (code, pc, env, bindings)
@@ -437,7 +447,11 @@ class _Machine:
                 push(env[op[1]])
             elif kind == "check":
                 actual = stack[-1].type.name
-                if not class_conforms(table, actual, op[1]):
+                key = (actual, op[1])
+                ok = verdicts.get(key)
+                if ok is None:
+                    ok = verdicts[key] = class_conforms(table, actual, op[1])
+                if not ok:
                     raise _Stop(ClassCastException, op[2], op[1], actual)
             elif kind == "store":
                 env[op[1]] = pop()
@@ -460,17 +474,28 @@ class _Machine:
             elif kind == "full":
                 t = substitute(op[1], bindings) if bindings else op[1]
                 actual_t = stack[-1].type
-                if not subtype(table, actual_t, t):
+                key = (actual_t, t)
+                ok = verdicts.get(key)
+                if ok is None:
+                    ok = verdicts[key] = subtype(table, actual_t, t)
+                if not ok:
                     raise _Stop(ClassCastException, op[2], t.render(), actual_t.render())
             elif kind == "is":
                 t = substitute(op[2], bindings) if bindings else op[2]
-                push(BoolValue(op[1](table, pop(), t)))
+                v = pop()
+                key = (v.type, t)
+                ok = verdicts.get(key)
+                if ok is None:
+                    ok = verdicts[key] = op[1](table, v, t)
+                push(BoolValue(ok))
             elif kind == "call" or kind == "method":
                 base = len(stack) - op[1]
                 args = stack[base:]
                 if kind == "call":
                     _, _, sig, loc, type_args = op
-                    callee_bindings = {name: substitute(t, bindings) for name, t in zip(sig.type_params, type_args)}
+                    callee_bindings = {}
+                    if type_args:
+                        callee_bindings = {name: substitute(t, bindings) for name, t in zip(sig.type_params, type_args)}
                     del stack[base:]
                 else:
                     _, _, member, loc, index_loc = op

@@ -42,6 +42,9 @@ from .parser import parse
 
 PRELUDE_FILE = "<prelude>"
 
+# Types the language provides without a class declaration.
+_BUILT_IN_TYPE_NAMES = frozenset({"Any", "Boolean", "Int", "String", "Unit"})
+
 # The always-present collection hierarchy: a covariant read-only List with a
 # non-variant MutableList below it, plus the backing ArrayList class.
 PRELUDE_SOURCE = """\
@@ -198,8 +201,9 @@ def resolve_type(
 
 def build_class_table(program: Program) -> tuple[ClassTable, list[Diagnostic]]:
     """Build the class table for a program: prelude entries plus user
-    declarations, rejecting duplicates, unknown/closed supertypes, arity
-    mismatches, and inheritance cycles (all as E-TABLE diagnostics)."""
+    declarations, rejecting duplicates, classes named after a built-in type,
+    unknown/closed supertypes, arity mismatches, and inheritance cycles (all
+    as E-TABLE diagnostics)."""
     table = ClassTable()
     diags: list[Diagnostic] = []
     for sig in BUILTIN_FUNCTIONS:
@@ -221,6 +225,11 @@ def _collect_classes(table: ClassTable, program: Program, diags: list[Diagnostic
             continue
         if d.name in table.classes:
             diags.append(error("E-TABLE", d.loc, f"duplicate declaration of type {d.name}"))
+            continue
+        if d.name in _BUILT_IN_TYPE_NAMES:
+            # Erased checks compare class names, so such a class would pass
+            # for the built-in type and the built-in type for it.
+            diags.append(error("E-TABLE", d.loc, f"{d.name} is a built-in type and cannot be declared"))
             continue
         table.classes[d.name] = ClassEntry(
             name=d.name,

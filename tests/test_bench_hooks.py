@@ -10,6 +10,7 @@ test runs every driver command under the tracer and fails instead.
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import minik.cli
@@ -58,3 +59,34 @@ def test_tracer_counts_every_layer(capsys):
     capsys.readouterr()
     for counter in COUNTERS:
         assert tracer.counts[counter] > 0, counter
+
+
+def _load_gen(monkeypatch):
+    spec = importlib.util.spec_from_file_location("minik_bench_gen", _SPANS.parent / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_runtime_checks_decided_do_not_grow_with_the_calls_run(tmp_path, capsys, monkeypatch):
+    # A run decides each distinct check once, so the checks it computes stay
+    # fixed while a calltree of 9 levels makes 16 times the calls of 5 levels.
+    gen, tracer = _load_gen(monkeypatch), _load_spans().Tracer()
+    counts = {}
+    tracer.install()
+    try:
+        for levels in (5, 9):
+            program = gen.calltree(1, levels)
+            path = tmp_path / f"{levels}-{program.filename}"
+            path.write_text(program.source)
+            for metric, counter, mode in (("run_reified_ms", "runtime.coercion_checks", "reified"),
+                                          ("run_erased_ms", "runtime.class_checks", "erased")):
+                tracer.begin_pass()
+                assert minik.cli.main(["run", "--mode", mode, str(path)]) == 0
+                assert capsys.readouterr().out == program.expected[metric].stdout
+                counts[levels, mode] = tracer.counts[counter]
+    finally:
+        tracer.uninstall()
+    for mode in ("reified", "erased"):
+        assert counts[9, mode] == counts[5, mode] > 0, counts

@@ -465,3 +465,95 @@ def test_a_val_name_reused_across_branches_and_after_them():
     )
     for mode in (ERASED, REIFIED):
         assert run_program(build_src(src), mode).stdout == "1\n3\ntwo\n3\n"
+
+
+# ============================================================
+# ONE VERDICT PER CHECK AND RUN
+#
+# Each run decides a check once per (runtime type, target) and reuses the
+# verdict. These programs make one check site see keys that a wrong memo
+# key would merge.
+# ============================================================
+
+LEAF_THEN_BASE = (
+    "open class Base\n"
+    "open class Mid : Base()\n"
+    "class Leaf : Mid()\n"
+    "fun narrow(x: Base): Base {\n"
+    "    val c = x as Mid\n"
+    "    val m: Base = c\n"
+    "    return m\n"
+    "}\n"
+    "println(narrow(Leaf()))\n"
+    "println(narrow(Base()))\n"
+)
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_one_cast_site_decides_each_runtime_class_on_its_own(mode):
+    outcome = run_program(build_src(LEAF_THEN_BASE), mode)
+    assert outcome.stdout == "<Leaf@1>\n"
+    assert outcome.render() == "ClassCastException: Base cannot be cast to Mid at test.mk:5:15"
+
+
+# `Bad<out T>` fills MutableList's invariant slot with an `out` parameter,
+# which the checker accepts: a `Bad<Leaf>` passes as a `Bad<Base>`, so in
+# `pass<Base>` the same argument check meets `MutableList<E>` as
+# `MutableList<Base>` after it met it as `MutableList<Leaf>` in `pass<Leaf>`.
+GENERIC_ARGUMENT_UNDER_TWO_BINDINGS = (
+    "open class Base\n"
+    "class Leaf : Base()\n"
+    "class Bad<out T> : MutableList<T>\n"
+    "fun take<F>(l: MutableList<F>) {\n"
+    "}\n"
+    "fun pass<E>(b: Bad<E>) {\n"
+    "    take(b)\n"
+    "}\n"
+    "val leaves = Bad<Leaf>()\n"
+    "pass<Leaf>(leaves)\n"
+    'println("first")\n'
+    "pass<Base>(leaves)\n"
+)
+
+
+def test_a_generic_argument_check_is_decided_per_binding():
+    checked = build_src(GENERIC_ARGUMENT_UNDER_TWO_BINDINGS)
+    assert run_program(checked, ERASED) == Completed("first\n", UNIT_VALUE)
+    outcome = run_program(checked, REIFIED)
+    assert outcome.render() == "ClassCastException: Bad<Leaf> cannot be cast to MutableList<Base> at test.mk:7:10"
+    assert outcome.stdout == "first\n"
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_verdicts_do_not_cross_between_programs(mode):
+    # The same class names, with B below A in one program and not in the other.
+    use = "val x: Any = B()\nval y = x as A\nprintln(\"cast\")\n"
+    below = (build_src("open class A\nclass B : A()\n" + use), "cast\n", "completed")
+    apart = (build_src("open class A\nclass B\n" + use), "", "ClassCastException: B cannot be cast to A at test.mk:4:11")
+    for order in ((below, apart), (apart, below)):
+        for checked, stdout, rendered in order:
+            outcome = run_program(checked, mode)
+            assert (outcome.stdout, outcome.render()) == (stdout, rendered)
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_one_is_site_gives_true_then_false(mode):
+    src = (
+        "open class A\n"
+        "class B : A()\n"
+        "fun show(x: Any) {\n"
+        "    println(x is B)\n"
+        "}\n"
+        "show(B())\n"
+        "show(A())\n"
+        "show(B())\n"
+    )
+    assert run_program(build_src(src), mode).stdout == "true\nfalse\ntrue\n"
+
+
+def test_a_reified_check_of_a_200_deep_type_argument_completes():
+    depth = 200
+    inner = "List<" * depth + "Int" + ">" * depth
+    src = f"val x: List<{inner}> = mutableListOf<{inner}>()\nprintln(x.size)\n"
+    for mode in (ERASED, REIFIED):
+        assert run_program(build_src(src), mode) == Completed("0\n", UNIT_VALUE)

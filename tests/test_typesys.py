@@ -57,6 +57,32 @@ def test_redeclaring_prelude_class_is_rejected():
     assert any(d.code == "E-TABLE" and "duplicate" in d.message for d in diags)
 
 
+@pytest.mark.parametrize("name", ["Int", "String", "Unit", "Boolean", "Any"])
+def test_a_class_named_after_a_built_in_type_is_rejected(name):
+    _, diags = build_class_table(parse(f"open class {name}\n\ninterface I\n"))
+    assert [(d.code, d.loc.line, d.message) for d in diags] == [
+        ("E-TABLE", 1, f"{name} is a built-in type and cannot be declared")
+    ]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # Accepted, an erased run let an `Int` object through `as Int` and
+        # then failed at the index with "Int cannot be cast to Int".
+        "class Int\n\nval a: Any = Int()\nval n = a as Int\nval l = mutableListOf<String>()\nl.add(\"s\")\nprintln(l[n])\n",
+        # Accepted, an erased run let a Boolean value through a cast to the class.
+        "open class Boolean\n\nval a: Any = 1 is Int\nval b = a as Boolean\nprintln(b)\n",
+    ],
+)
+def test_programs_using_a_class_named_after_a_built_in_type_do_not_check(source):
+    stdout, code = run_command("check", source, "t.mk")
+    assert code == 1
+    assert stdout.startswith("error E-TABLE t.mk:1:1: ")
+    for mode in ("erased", "reified"):
+        assert run_command("run", source, "t.mk", mode=mode) == (stdout, 1)
+
+
 def test_inheriting_from_non_open_class_is_rejected():
     _, diags = build_class_table(parse("class A\n\nclass C : A()\n"))
     assert any(d.code == "E-TABLE" and "not open" in d.message for d in diags)
