@@ -134,7 +134,9 @@ def _param_occurrences(t: TypeRef, table: ClassTable, position: str, out: list[t
 def check_variance_positions(table: ClassTable, entry: ClassEntry) -> list[Diagnostic]:
     """Flag uses of a variant type parameter in a contradicting position:
     'out' parameters in parameter or mutable-property positions, 'in'
-    parameters in return positions. @UnsafeVariance on a property type
+    parameters in return positions. A supertype reference is an 'out'
+    position, so `class Bad<out T> : MutableList<T>` is flagged.
+    @UnsafeVariance on a property type or a supertype reference
     acknowledges and suppresses the violation."""
     diags: list[Diagnostic] = []
     variant = {p.name: p.variance for p in entry.type_params if p.variance is not Variance.INV}
@@ -157,6 +159,9 @@ def check_variance_positions(table: ClassTable, entry: ClassEntry) -> list[Diagn
                 )
             )
 
+    for ref in entry.supertypes:
+        if not ref.unsafe_variance:
+            scan(ref.type, _OUT_POS, ref.loc, f"the supertype {ref.type.render()} of {entry.name}")
     for sig in entry.methods.values():
         m = sig.decl
         for ptype, pname in zip(sig.param_types, sig.param_names):

@@ -213,8 +213,7 @@ def build_class_table(program: Program) -> tuple[ClassTable, list[Diagnostic]]:
     _collect_classes(table, program, diags, is_prelude=False)
     _collect_functions(table, program, diags)
     _validate_hierarchy(table, diags)
-    for entry in table.classes.values():
-        _link_ancestors(table, entry, diags)
+    _link_ancestors(table, diags)
     _resolve_members(table, diags)
     return table, diags
 
@@ -296,55 +295,54 @@ def _validate_hierarchy(table: ClassTable, diags: list[Diagnostic]) -> None:
             diags.append(error("E-TABLE", entry.decl.loc, f"{entry.name} has more than one class supertype"))
         entry.supertypes = tuple(resolved)
 
-    # Supertype cycles make every other query unreliable; report and cut.
-    for entry in list(table.classes.values()):
-        if _reaches_cycle(table, entry.name, {}):
+
+def _link_ancestors(table: ClassTable, diags: list[Diagnostic]) -> None:
+    """Fill in every class's ancestors in topological order (Kahn): a class
+    is linked once all its supertypes are, from their finished ancestors.
+    This is the one place that follows `supertypes` transitively. When none
+    is ready, the rest reach an inheritance cycle: the first of them in
+    declaration order is reported and loses its supertypes. A class that
+    reaches one generic class through two supertypes with different
+    arguments is an error, as in Kotlin: subtyping sees only the first
+    instantiation."""
+    pending = {name: len(entry.supertypes) for name, entry in table.classes.items()}
+    below: dict[str, list[ClassEntry]] = {name: [] for name in table.classes}
+    for entry in table.classes.values():
+        for ref in entry.supertypes:
+            below[ref.type.name].append(entry)
+    ready = [entry for entry in table.classes.values() if not entry.supertypes]
+    declared = iter(table.classes.values())
+    while True:
+        if not ready:
+            entry = next((e for e in declared if not e.ancestors), None)
+            if entry is None:
+                return
             diags.append(error("E-TABLE", entry.decl.loc, f"inheritance cycle through {entry.name}"))
             entry.supertypes = ()
-
-
-def _reaches_cycle(table: ClassTable, name: str, state: dict[str, int]) -> bool:
-    """Depth-first search up the supertypes from `name`; `state` marks each
-    class visited so far as 0 (on the current path) or 1 (done)."""
-    if state.get(name) == 1:
-        return False
-    if state.get(name) == 0:
-        return True
-    state[name] = 0
-    cyclic = False
-    for ref in table.classes[name].supertypes:
-        assert isinstance(ref.type, ClassType)
-        if _reaches_cycle(table, ref.type.name, state):
-            cyclic = True
-    state[name] = 1
-    return cyclic
-
-
-def _link_ancestors(table: ClassTable, entry: ClassEntry, diags: list[Diagnostic]) -> tuple[ClassType, ...]:
-    """Fill in `entry`'s ancestors, after those of its supertypes; the
-    hierarchy is acyclic by now. Apart from the cycle check, this is the one
-    place that follows `supertypes` transitively. A class that reaches one
-    generic class through two supertypes with different arguments is an
-    error, as in Kotlin: subtyping sees only the first instantiation."""
-    if not entry.ancestors:
-        found = [ClassType(entry.name, tuple(ParamRef(p.name) for p in entry.type_params))]
+            pending[entry.name] = 0  # its old supertypes count it down past zero, never to zero
+            ready.append(entry)
+        entry = ready.pop()
+        # Ordered and hashed: the keys are the ancestors found so far.
+        found = {ClassType(entry.name, tuple(ParamRef(p.name) for p in entry.type_params)): None}
         for ref in entry.supertypes:
             assert isinstance(ref.type, ClassType) and ref.type.args is not None
             sup = table.classes[ref.type.name]
             bindings = sup.bindings(ref.type.args)
             earlier = {anc.name: anc for anc in found}
-            for anc in _link_ancestors(table, sup, diags):
+            for anc in sup.ancestors:
                 inst = substitute(anc, bindings)
                 other = earlier.get(inst.name, inst)
                 if other != inst:
                     diags.append(error("E-TABLE", entry.decl.loc, f"inconsistent type arguments for {inst.name}: "
                                        f"{other.render()} and {inst.render()}"))
-                if inst not in found:
-                    found.append(inst)
+                found.setdefault(inst)
         entry.ancestors = tuple(found)
         for anc in found:
             entry.ancestor_of.setdefault(anc.name, anc)
-    return entry.ancestors
+        for sub in below[entry.name]:
+            pending[sub.name] -= 1
+            if not pending[sub.name]:
+                ready.append(sub)
 
 
 def _resolve_members(table: ClassTable, diags: list[Diagnostic]) -> None:

@@ -19,6 +19,11 @@ def check_source():
     return _check
 
 
+def call_deep(frames: int, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)` called from `frames` extra Python frames."""
+    return call_deep(frames - 1, fn, *args, **kwargs) if frames else fn(*args, **kwargs)
+
+
 def codes(diags) -> list[str]:
     return [d.code for d in diags]
 

@@ -14,7 +14,7 @@ from minik.checker import (
     complete_cast_target,
     infer_call_type_args,
 )
-from minik.cli import build
+from minik.cli import build, run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
 from minik.typesys import build_class_table, subtype
@@ -121,6 +121,31 @@ def test_positions_compose_through_generic_arguments():
         "interface Sink<in S>\n\nclass C<out T> {\n    fun wire(s: Sink<T>)\n}\n", "C"
     )
     assert ok == []
+
+
+@pytest.mark.parametrize(
+    "source, rendered",
+    [
+        (
+            "class Bad<out T> : MutableList<T>\n",
+            "1:20: type parameter T is declared 'out' but occurs in invariant position "
+            "in the supertype MutableList<T> of Bad",
+        ),
+        (
+            "interface Src<in T> : List<T>\n",
+            "1:23: type parameter T is declared 'in' but occurs in out position in the supertype List<T> of Src",
+        ),
+        (
+            "interface Nest<out T> : List<MutableList<T>>\n",
+            "1:25: type parameter T is declared 'out' but occurs in invariant position "
+            "in the supertype List<MutableList<T>> of Nest",
+        ),
+        ("class Bad<out T> : @UnsafeVariance MutableList<T>\n", None),
+    ],
+)
+def test_a_supertype_reference_is_an_out_position(source, rendered):
+    expected = ("", 0) if rendered is None else (f"error E-VARIANCE-POSITION t.mk:{rendered}\n", 1)
+    assert run_command("check", source, "t.mk") == expected
 
 
 def test_prelude_passes_baseline_variance_positions():
@@ -441,3 +466,24 @@ ID_FUN = "fun id<T>(x: T): T {\n    return x\n}\n"
 def test_member_and_type_argument_errors(check_source, source, line, message):
     _, diags = check_source(source)
     assert [(d.code, d.loc.line, d.loc.col, d.message) for d in diags] == [("E-TYPE", line, 9, message)]
+
+
+@pytest.mark.parametrize(
+    "source, rendered",
+    [
+        ("println(y)\n", "1:9: unknown name y"),
+        ("f()\n", "1:1: unknown function f"),
+        ("fun f(x: Int) {\n}\nf()\n", "3:1: f expects 1 argument(s), got 0"),
+        ("class C {\n    fun m() {\n    }\n}\nC().m(1)\n", "5:1: C.m expects 0 argument(s), got 1"),
+        ("fun f<T>() {\n}\nf()\n", "3:1: cannot infer type argument T for call to f"),
+        ("fun f() {\n}\nf<Int>()\n", "3:1: f is not generic"),
+        ("class C\nval c = C<Int>()\n", "2:9: C is not generic"),
+        ("interface I\nval i = I()\n", "2:9: cannot instantiate interface I"),
+        ("class C\nval c = C(1)\n", "2:9: constructor of C takes no arguments"),
+        ("class G<T>\nval g = G()\n", "2:9: constructor of G needs explicit type arguments"),
+        ("return 1\n", "1:1: return outside of a function"),
+        ("val x = 1\nval x = 2\n", "2:1: redeclaration of x"),
+    ],
+)
+def test_type_diagnostics(source, rendered):
+    assert run_command("check", source, "t.mk") == (f"error E-TYPE t.mk:{rendered}\n", 1)

@@ -221,6 +221,74 @@ def test_ancestor_walk_agrees_with_recursive_reference(query):
             assert supertype_instantiation(table, t, name) == reference_instantiation(table, t, name)
 
 
+# Prelude interfaces a generated class may extend: (type parameters, supertypes).
+_PRELUDE_SUPERS = {
+    "List": (("T",), ()),
+    "MutableList": (("T",), (ClassType("List", (ParamRef("T"),)),)),
+}
+
+
+def reference_preorder(supers, t: ClassType) -> list[ClassType]:
+    """`t`, then the preorder of each declared supertype in turn, over
+    `supers` (name -> (type parameters, supertypes)), duplicates kept."""
+    params, refs = supers[t.name]
+    bindings = dict(zip(params, t.args))
+    found = [t]
+    for ref in refs:
+        found += reference_preorder(supers, substitute(ref, bindings))
+    return found
+
+
+@st.composite
+def diamond_tables(draw):
+    """(declarations, supers): up to eight classes and interfaces, each with
+    up to three supertypes drawn from the prelude interfaces and the earlier
+    declarations, so diamonds and repeated references occur. A reference is
+    kept only if the table stays legal and every ancestor class keeps one
+    instantiation."""
+    supers = dict(_PRELUDE_SUPERS)
+    interfaces = set(_PRELUDE_SUPERS)
+    decls = []
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        name = f"H{i}"
+        is_interface = draw(st.booleans())
+        params = ("P0", "P1")[: draw(st.integers(min_value=0, max_value=2))]
+        arg_choices = [ParamRef(p) for p in params] + [INT, STRING]
+        refs: list[SupertypeRef] = []
+        instance_of: dict[str, ClassType] = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            sup = draw(st.sampled_from(sorted(supers)))
+            sup_is_interface = sup in interfaces
+            if not sup_is_interface and (is_interface or any(r.has_ctor_call for r in refs)):
+                continue
+            ref = ClassType(sup, tuple(draw(st.sampled_from(arg_choices)) for _ in supers[sup][0]))
+            reached = reference_preorder(supers, ref)
+            if any(instance_of.get(anc.name, anc) != anc for anc in reached):
+                continue
+            instance_of.update((anc.name, anc) for anc in reached)
+            refs.append(SupertypeRef(ref, not sup_is_interface, False, _LOC))
+        supers[name] = (params, tuple(r.type for r in refs))
+        if is_interface:
+            interfaces.add(name)
+        type_params = tuple(TypeParam(p, draw(st.sampled_from(list(Variance))), _LOC) for p in params)
+        decls.append(ClassDecl(name, type_params, is_interface, True, False, tuple(refs), (), _LOC))
+    return decls, supers
+
+
+@pytest.mark.properties
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(diamond_tables())
+def test_ancestor_order_agrees_with_recursive_preorder(case):
+    decls, supers = case
+    table, diags = build_class_table(Program(tuple(decls)))
+    assert not any(d.severity == "error" for d in diags), [d.render() for d in diags]
+    for d in decls:
+        for args in (tuple(ParamRef(p.name) for p in d.type_params), (INT, STRING)[: len(d.type_params)]):
+            t = ClassType(d.name, args)
+            expected = list(dict.fromkeys(reference_preorder(supers, t))) + [ANY, ANY_NULLABLE]
+            assert nominal_ancestors(table, t) == expected
+
+
 # ============================================================
 # LIFTING LAWS
 # ============================================================

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import call_deep
 from minik import corpus
 from minik.ast import CastExpr, ClassType, PrimitiveType, walk_body_exprs
 from minik.cli import build
@@ -434,15 +435,10 @@ def chain(length: int) -> str:
     return funs + f"fun f{length - 1}(x: Int): Int {{\n    return x\n}}\nprintln(f0(7))\n"
 
 
-def run_deep(frames: int, checked, mode: str):
-    """`run_program` called from `frames` extra Python frames."""
-    return run_deep(frames - 1, checked, mode) if frames else run_program(checked, mode)
-
-
 @pytest.mark.parametrize("mode", [ERASED, REIFIED])
 @pytest.mark.parametrize("frames", [0, 800])
 def test_a_call_chain_of_600_functions_completes(frames, mode):
-    assert run_deep(frames, build_src(chain(600)), mode) == Completed("7\n", UNIT_VALUE)
+    assert call_deep(frames, run_program, build_src(chain(600)), mode) == Completed("7\n", UNIT_VALUE)
 
 
 def test_a_val_name_reused_across_branches_and_after_them():
@@ -497,13 +493,14 @@ def test_one_cast_site_decides_each_runtime_class_on_its_own(mode):
 
 
 # `Bad<out T>` fills MutableList's invariant slot with an `out` parameter,
-# which the checker accepts: a `Bad<Leaf>` passes as a `Bad<Base>`, so in
-# `pass<Base>` the same argument check meets `MutableList<E>` as
-# `MutableList<Base>` after it met it as `MutableList<Leaf>` in `pass<Leaf>`.
+# which `@UnsafeVariance` lets through the checker: a `Bad<Leaf>` passes as a
+# `Bad<Base>`, so in `pass<Base>` the same argument check meets
+# `MutableList<E>` as `MutableList<Base>` after it met it as
+# `MutableList<Leaf>` in `pass<Leaf>`.
 GENERIC_ARGUMENT_UNDER_TWO_BINDINGS = (
     "open class Base\n"
     "class Leaf : Base()\n"
-    "class Bad<out T> : MutableList<T>\n"
+    "class Bad<out T> : @UnsafeVariance MutableList<T>\n"
     "fun take<F>(l: MutableList<F>) {\n"
     "}\n"
     "fun pass<E>(b: Bad<E>) {\n"

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import call_deep
 from minik.ast import ANY, ANY_NULLABLE, INT, STRING, ClassType, ParamRef
-from minik.cli import run_command
+from minik.cli import build_or_error, run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
 from minik.typesys import (
@@ -93,6 +94,53 @@ def test_supertype_cycle_is_rejected():
     assert any(d.code == "E-TABLE" and "cycle" in d.message for d in diags)
 
 
+@pytest.mark.parametrize(
+    "source, rendered",
+    [
+        # Cutting I1 frees I2 and I3; cutting A frees B.
+        (
+            "interface I1 : I2\ninterface I2 : I1\ninterface I3 : I1\nopen class A : A()\nclass B : A()\n",
+            "error E-TABLE t.mk:1:1: inheritance cycle through I1\n"
+            "error E-TABLE t.mk:4:1: inheritance cycle through A\n",
+        ),
+        # I3 only reaches the cycle, but it comes first, so it is cut first.
+        (
+            "interface I3 : I1\ninterface I1 : I2\ninterface I2 : I1\n",
+            "error E-TABLE t.mk:1:1: inheritance cycle through I3\n"
+            "error E-TABLE t.mk:2:1: inheritance cycle through I1\n",
+        ),
+        # C links I<A>, I<B> and I<X>, so E meets I<B> and I<X> again through
+        # C, each against E's own I<A>: hence `ancestors` keeps every
+        # distinct instantiation, not only the first one of each class.
+        (
+            "class A\nclass B\nclass X\ninterface I<T>\ninterface J : I<A>\ninterface K : I<B>\n"
+            "interface M : I<X>\nopen class C : J, K, M\nclass E : J, C()\nclass F : C()\n",
+            "error E-TABLE t.mk:8:1: inconsistent type arguments for I: I<A> and I<B>\n"
+            "error E-TABLE t.mk:8:1: inconsistent type arguments for I: I<B> and I<X>\n"
+            "error E-TABLE t.mk:9:1: inconsistent type arguments for I: I<A> and I<B>\n"
+            "error E-TABLE t.mk:9:1: inconsistent type arguments for I: I<A> and I<X>\n",
+        ),
+        ("interface I\nclass C : I, I\n", ""),
+    ],
+)
+def test_hierarchy_diagnostics(source, rendered):
+    assert run_command("check", source, "t.mk") == (rendered, 1 if rendered else 0)
+
+
+def class_chain(length: int) -> str:
+    classes = "".join(f"open class C{i} : C{i - 1}()\n" for i in range(1, length))
+    return f"open class C0\n{classes}val x: Any = C{length - 1}()\nval y = x as C0\nprintln(y)\n"
+
+
+@pytest.mark.parametrize("length, frames", [(1200, 0), (400, 800)])
+def test_a_deep_class_chain_builds_checks_and_runs(length, frames):
+    source = class_chain(length)
+    built = call_deep(frames, build_or_error, source, "t.mk", False)
+    assert call_deep(frames, run_command, "check", source, "t.mk", built=built) == ("", 0)
+    ran = call_deep(frames, run_command, "run", source, "t.mk", mode="erased", built=built)
+    assert ran == (f"<C{length - 1}@1>\ncompleted\n", 0)
+
+
 def test_supertype_arity_mismatch_is_rejected():
     _, diags = build_class_table(parse("class C : List\n"))
     assert any(d.code == "E-TABLE" and "type argument" in d.message for d in diags)
@@ -129,6 +177,22 @@ def test_inconsistent_supertype_arguments_are_rejected():
 def test_member_table_errors(source, line, col, message):
     _, diags = build_class_table(parse(source))
     assert [(d.code, d.loc.line, d.loc.col, d.message) for d in diags] == [("E-TABLE", line, col, message)]
+
+
+@pytest.mark.parametrize(
+    "source, rendered",
+    [
+        ("fun f() {\n}\nfun f() {\n}\n", "3:1: duplicate declaration of function f"),
+        ("fun f<T>(x: T<Int>) {\n}\n", "1:10: type parameter T takes no type arguments"),
+        ("fun f(x: List<Int, Int>) {\n}\n", "1:7: List expects 1 type argument(s), got 2"),
+        ("class C : Any\n", "1:11: Any cannot be used as a supertype"),
+        ("interface I\nclass C : I()\n", "2:11: interface I has no constructor to call"),
+        ("open class A\ninterface I : A()\n", "2:15: interface I cannot extend class A"),
+        ("open class A\nopen class B\nclass C : A(), B()\n", "3:1: C has more than one class supertype"),
+    ],
+)
+def test_table_diagnostics(source, rendered):
+    assert run_command("check", source, "t.mk") == (f"error E-TABLE t.mk:{rendered}\n", 1)
 
 
 def test_lub_is_memoized_per_table(ab_table):
