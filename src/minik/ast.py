@@ -2,6 +2,8 @@
 
 Every node carries a 1-based source location. Locations are excluded from
 structural equality so that parse/pretty-print round trips compare cleanly.
+Every node class has `__slots__`: a parse makes tens of thousands of nodes,
+and no code sets attributes on them beyond their fields.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLoc:
     file: str
     line: int  # 1-based
@@ -38,7 +40,7 @@ class Variance(Enum):
 # ============================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeRef:
     """Base for static type references. Abstract."""
 
@@ -46,7 +48,7 @@ class TypeRef:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassType(TypeRef):
     name: str
     args: tuple[TypeRef, ...] | None = None
@@ -57,7 +59,7 @@ class ClassType(TypeRef):
         return f"{self.name}<{', '.join(a.render() for a in self.args)}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamRef(TypeRef):
     """Occurrence of a type parameter inside its binding declaration."""
 
@@ -67,7 +69,7 @@ class ParamRef(TypeRef):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopType(TypeRef):
     """`Any`: supertype of every non-nullable type."""
 
@@ -75,7 +77,7 @@ class TopType(TypeRef):
         return "Any"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullableTopType(TypeRef):
     """`Any?`: the single top above everything, including `Any`."""
 
@@ -83,7 +85,7 @@ class NullableTopType(TypeRef):
         return "Any?"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimitiveType(TypeRef):
     name: str  # "Int" | "String" | "Unit" | "Boolean"
 
@@ -106,30 +108,30 @@ BOOLEAN = PrimitiveType("Boolean")
 # ============================================================
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit(Expr):
     value: str
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class VarRef(Expr):
     name: str
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class CallExpr(Expr):
     """`name[<T,...>](args)`: a function call or a constructor call.
 
@@ -143,7 +145,7 @@ class CallExpr(Expr):
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodCall(Expr):
     receiver: Expr
     name: str
@@ -151,14 +153,14 @@ class MethodCall(Expr):
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class PropertyGet(Expr):
     receiver: Expr
     name: str
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Expr):
     """`receiver[index]`; checked as a call to `get`."""
 
@@ -167,7 +169,7 @@ class Index(Expr):
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class CastExpr(Expr):
     """`expr as Target`; `target` may be a bare generic class reference."""
 
@@ -176,7 +178,7 @@ class CastExpr(Expr):
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class IsExpr(Expr):
     expr: Expr
     target: TypeRef
@@ -188,12 +190,12 @@ class IsExpr(Expr):
 # ============================================================
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ValDecl(Stmt):
     name: str
     declared_type: TypeRef | None
@@ -201,19 +203,19 @@ class ValDecl(Stmt):
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     expr: Expr
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then_body: tuple[Stmt, ...]
@@ -226,14 +228,14 @@ class If(Stmt):
 # ============================================================
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeParam:
     name: str
     variance: Variance
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class SupertypeRef:
     """One entry of a declaration's supertype list.
 
@@ -248,14 +250,14 @@ class SupertypeRef:
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     name: str
     type: TypeRef
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Method:
     name: str
     params: tuple[Param, ...]
@@ -264,7 +266,7 @@ class Method:
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Property:
     name: str
     type: TypeRef
@@ -276,12 +278,12 @@ class Property:
 Member = Method | Property
 
 
-@dataclass
+@dataclass(slots=True)
 class Decl:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassDecl(Decl):
     name: str
     type_params: tuple[TypeParam, ...]
@@ -293,7 +295,7 @@ class ClassDecl(Decl):
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class FunDecl(Decl):
     name: str
     type_params: tuple[str, ...]
@@ -303,13 +305,13 @@ class FunDecl(Decl):
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class StmtDecl(Decl):
     stmt: Stmt
     loc: SourceLoc = field(compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     decls: tuple[Decl, ...]
 

@@ -188,8 +188,7 @@ def check_inheritance_variance(table: ClassTable, entry: ClassEntry, strict: boo
     diags: list[Diagnostic] = []
     own = {p.name: p.variance for p in entry.type_params}
     for ref in entry.supertypes:
-        sup = ref.type
-        assert isinstance(sup, ClassType)
+        sup = ref.type  # a class type with arguments, by the table's construction
         sup_entry = table.classes.get(sup.name)
         if sup_entry is None or sup.args is None:
             continue

@@ -39,12 +39,14 @@ class Diagnostic:
 
 
 def warning(code: str, loc: SourceLoc, message: str) -> Diagnostic:
-    assert code in WARNING_CODES, code
+    if code not in WARNING_CODES:
+        raise ValueError(f"unknown warning code {code}")
     return Diagnostic(code, loc, message)
 
 
 def error(code: str, loc: SourceLoc, message: str) -> Diagnostic:
-    assert code in ERROR_CODES, code
+    if code not in ERROR_CODES:
+        raise ValueError(f"unknown error code {code}")
     return Diagnostic(code, loc, message)
 
 

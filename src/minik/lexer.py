@@ -6,13 +6,19 @@ suppressed when the previous token cannot end a statement (after `=`, `,`,
 wrap across lines the way the source figures do.
 
 One compiled master regex matches each token together with the blanks and
-comment before it; text it cannot match goes to `_lex_error`, which names
-the fault and its location.
+comment before it, or else one character no token matches, which goes to
+`_lex_error` to name the fault and its location.
+
+The result is one `Tokens` value: parallel lists of each token's kind, text
+and character offset, with no object per token. A location is built from an
+offset only when asked for, by bisecting the offsets at which lines start.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import NoReturn
 
 from .ast import SourceLoc
@@ -45,10 +51,12 @@ _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 # Blanks, then a comment running to the end of the line.
 _BLANKS = r"[ \t\r]*(?://[^\n]*)?"
-# One group per token class, numbered as `tokenize` tests them. `\w` is
-# exactly `str.isalnum()` or `_`, and `\d` exactly `str.isdecimal()`; a name
-# must also start with a letter or `_`, which `tokenize` checks past ASCII.
-_NAME, _PUNCT, _NEWLINE, _INT, _STRING, _ANNOTATION = range(1, 7)
+# One group per token class, numbered as `tokenize` tests them, then one for
+# the character of a fault: so every position matches, and `finditer` skips
+# no text. `\w` is exactly `str.isalnum()` or `_`, and `\d` exactly
+# `str.isdecimal()`; a name must also start with a letter or `_`, which
+# `tokenize` checks past ASCII.
+_NAME, _PUNCT, _NEWLINE, _INT, _STRING, _ANNOTATION, _EOF = range(1, 8)
 _TOKEN = re.compile(_BLANKS + "(?:" + "|".join((
     r"([^\W\d]\w*)",
     "([" + re.escape("".join(PUNCT)) + "])",
@@ -57,9 +65,10 @@ _TOKEN = re.compile(_BLANKS + "(?:" + "|".join((
     r'("(?:[^"\\\n]|\\[' + re.escape("".join(_ESCAPES)) + '])*")',
     "(@UnsafeVariance)",
     r"(\Z)",
+    "(.)",
 )) + ")")
-_SKIP = re.compile(_BLANKS)
 _ESCAPE = re.compile(r"\\(.)")
+_LINE_END = re.compile("\n")
 
 
 class LexError(Exception):
@@ -69,66 +78,78 @@ class LexError(Exception):
         self.loc = loc
 
 
-class Token:
-    """One token. Its `loc` is built when read: the parser reads few."""
+@dataclass(slots=True)
+class Tokens:
+    """The tokens of one file. Token `i` has kind `kinds[i]` ("name", "int",
+    "string", "newline", "eof", "@UnsafeVariance" or one of PUNCT), text
+    `texts[i]` (a string literal's unescaped body) and starts at character
+    offset `starts[i]`. `line_starts` holds the offset of each line."""
 
-    __slots__ = ("kind", "text", "file", "line", "col")
+    kinds: list[str]
+    texts: list[str]
+    starts: list[int]
+    file: str
+    line_starts: list[int]
 
-    def __init__(self, kind: str, text: str, file: str, line: int, col: int) -> None:
-        self.kind = kind  # "name" | "int" | "string" | "newline" | "eof" | "@UnsafeVariance" | one of PUNCT
-        self.text = text
-        self.file = file
-        self.line = line
-        self.col = col
+    def __len__(self) -> int:
+        return len(self.kinds)
 
-    @property
-    def loc(self) -> SourceLoc:
-        return SourceLoc(self.file, self.line, self.col)
+    def loc(self, i: int) -> SourceLoc:
+        return _source_loc(self.file, self.line_starts, self.starts[i])
 
 
-def tokenize(source: str, file: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    push = tokens.append
-    match = _TOKEN.match
-    pos = line_start = 0
-    line = 1
-    while True:
-        m = match(source, pos)
-        if m is None:
-            _lex_error(source, _SKIP.match(source, pos).end(), file, line, line_start)
+def _source_loc(file: str, line_starts: list[int], offset: int) -> SourceLoc:
+    """The location of `offset`: its line, by bisecting the line starts,
+    and its 1-based column in characters."""
+    line = bisect_right(line_starts, offset)
+    return SourceLoc(file, line, offset - line_starts[line - 1] + 1)
+
+
+def tokenize(source: str, file: str = "<input>") -> Tokens:
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    kind, text, start = kinds.append, texts.append, starts.append
+    line_starts = [0] + [m.end() for m in _LINE_END.finditer(source)]
+    for m in _TOKEN.finditer(source):
         k = m.lastindex
-        text = m[k]
-        pos = m.end()
-        col = pos - len(text) - line_start + 1
+        word = m[k]
+        at = m.end() - len(word)
         if k == _NAME:
-            if text[0] > "z" and not text[0].isalpha():
-                raise LexError(f"unexpected character {text[0]!r}", SourceLoc(file, line, col))
-            push(Token("name", text, file, line, col))
+            if word[0] > "z" and not word[0].isalpha():
+                raise LexError(f"unexpected character {word[0]!r}", _source_loc(file, line_starts, at))
+            kind("name")
         elif k == _PUNCT or k == _ANNOTATION:
-            push(Token(text, text, file, line, col))
+            kind(word)
         elif k == _NEWLINE:
-            last = tokens[-1] if tokens else None
-            if last is not None and last.kind != "newline" and (
-                last.kind == "string" or last.text not in _CONTINUATION_AFTER
+            if not kinds or kinds[-1] == "newline" or (
+                kinds[-1] != "string" and texts[-1] in _CONTINUATION_AFTER
             ):
-                push(Token("newline", "\n", file, line, col))
-            line += text.count("\n")
-            line_start = pos
+                continue
+            kind("newline")
+            word = "\n"
         elif k == _INT:
-            push(Token("int", text, file, line, col))
+            kind("int")
         elif k == _STRING:
-            body = text[1:-1]
-            if "\\" in body:
-                body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
-            push(Token("string", body, file, line, col))
+            kind("string")
+            word = word[1:-1]
+            if "\\" in word:
+                word = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], word)
+        elif k == _EOF:
+            break
         else:
-            push(Token("eof", "", file, line, col))
-            return tokens
+            _lex_error(source, at, file, line_starts)
+        text(word)
+        start(at)
+    kind("eof")
+    text("")
+    start(len(source))
+    return Tokens(kinds, texts, starts, file, line_starts)
 
 
-def _lex_error(source: str, i: int, file: str, line: int, line_start: int) -> NoReturn:
+def _lex_error(source: str, i: int, file: str, line_starts: list[int]) -> NoReturn:
     """Raise the LexError for the text at `i`, which no token matches."""
-    at = SourceLoc(file, line, i - line_start + 1)
+    at = _source_loc(file, line_starts, i)
     if source[i] == "@":
         raise LexError("unknown annotation (only @UnsafeVariance exists)", at)
     if source[i] == '"':
@@ -137,7 +158,7 @@ def _lex_error(source: str, i: int, file: str, line: int, line_start: int) -> No
         while j < len(source) and source[j] != "\n":
             if source[j] == "\\":
                 if source[j + 1:j + 2] not in _ESCAPES:
-                    raise LexError("unknown string escape", SourceLoc(file, line, at.col + j - i))
+                    raise LexError("unknown string escape", _source_loc(file, line_starts, j))
                 j += 1
             j += 1
         raise LexError("unterminated string literal", at)

@@ -4,6 +4,10 @@ The grammar is a strict Kotlin subset: class/interface/fun declarations with
 declaration-site variance marks, newline-terminated statements, and a small
 expression language (calls, indexing, `as`, `is`). Function and constructor
 calls share one syntactic form; the checker tells them apart.
+
+The parser reads the lexer's parallel kind and text lists by index: taking
+a token returns its index, and a location is built from it (`loc`) only for
+a node or an error.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .ast import (
     VarRef,
     Variance,
 )
-from .lexer import KEYWORDS, LexError, Token, tokenize
+from .lexer import KEYWORDS, LexError, Tokens, tokenize
 
 _BUILTIN_TYPES = {"Int": INT, "String": STRING, "Unit": UNIT}
 
@@ -60,48 +64,53 @@ class ParseError(Exception):
 
 
 class _Parser:
-    # The current token, its kind, and its text when it is a name (else
-    # None) are fields that only `seek` sets: the parser reads them several
-    # times per token.
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    # The current token's index, its kind, and its text when it is a name
+    # (else None) are fields that only `seek` sets: the parser reads them
+    # several times per token.
+    def __init__(self, tokens: Tokens) -> None:
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.loc = tokens.loc
         self.seek(0)
 
     # -- token plumbing ------------------------------------------------
 
     def seek(self, pos: int) -> None:
         self.pos = pos
-        tok = self.tok = self.tokens[pos]
-        self.kind = tok.kind
-        self.word = tok.text if tok.kind == "name" else None
+        kind = self.kind = self.kinds[pos]
+        self.word = self.texts[pos] if kind == "name" else None
+
+    def here(self) -> SourceLoc:
+        return self.loc(self.pos)
 
     def error(self, expected: str) -> ParseError:
         got = self.kind if self.word is None else f"'{self.word}'"
         if got == "newline":
             got = "end of line"
-        return ParseError(f"expected {expected}, got {got}", self.tok.loc)
+        return ParseError(f"expected {expected}, got {got}", self.here())
 
-    def advance(self) -> Token:
-        t = self.tok
-        if t.kind != "eof":
-            self.seek(self.pos + 1)
-        return t
+    def advance(self) -> int:
+        """Take the current token (at eof, stay there); return its index."""
+        i = self.pos
+        if self.kind != "eof":
+            self.seek(i + 1)
+        return i
 
-    def eat(self, kind: str, expected: str | None = None) -> Token:
+    def eat(self, kind: str, expected: str | None = None) -> int:
         if self.kind != kind:
             raise self.error(expected or f"'{kind}'")
         return self.advance()
 
-    def eat_word(self, word: str) -> Token:
+    def eat_word(self, word: str) -> int:
         if self.word != word:
             raise self.error(f"'{word}'")
         return self.advance()
 
-    def eat_ident(self) -> Token:
+    def eat_ident(self) -> int:
         if self.word is None:
             raise self.error("an identifier")
         if self.word in KEYWORDS:
-            raise ParseError(f"'{self.word}' is a keyword", self.tok.loc)
+            raise ParseError(f"'{self.word}' is a keyword", self.here())
         return self.advance()
 
     def skip_newlines(self) -> None:
@@ -119,10 +128,10 @@ class _Parser:
     # -- types ---------------------------------------------------------
 
     def parse_type(self) -> TypeRef:
-        tok = self.eat("name", "a type name")
-        name = tok.text
+        i = self.eat("name", "a type name")
+        name = self.texts[i]
         if name in KEYWORDS:
-            raise ParseError(f"'{name}' is a keyword, not a type", tok.loc)
+            raise ParseError(f"'{name}' is a keyword, not a type", self.loc(i))
         if name == "Any":
             if self.kind == "?":
                 self.advance()
@@ -188,7 +197,7 @@ class _Parser:
         return StmtDecl(stmt, loc=stmt.loc)
 
     def parse_class(self, is_interface: bool) -> ClassDecl:
-        start = self.tok.loc
+        start = self.here()
         is_open = False
         if self.word == "open":
             self.advance()
@@ -198,7 +207,7 @@ class _Parser:
             is_open = True  # interfaces are always extendable
         else:
             self.eat_word("class")
-        name = self.eat_ident().text
+        name = self.texts[self.eat_ident()]
         type_params = self.parse_type_params(self.parse_type_param) if self.kind == "<" else ()
         ctor_private = False
         if self.word == "private":
@@ -226,7 +235,7 @@ class _Parser:
         )
 
     def parse_type_param(self) -> TypeParam:
-        loc = self.tok.loc
+        loc = self.here()
         variance = Variance.INV
         if self.word == "out":
             self.advance()
@@ -234,16 +243,16 @@ class _Parser:
         elif self.word == "in":
             self.advance()
             variance = Variance.IN
-        name = self.eat_ident().text
+        name = self.texts[self.eat_ident()]
         return TypeParam(name, variance, loc)
 
     def parse_fun_type_param(self) -> str:
         if self.word == "out" or self.word == "in":
-            raise ParseError("variance marks are only allowed on class type parameters", self.tok.loc)
-        return self.eat_ident().text
+            raise ParseError("variance marks are only allowed on class type parameters", self.here())
+        return self.texts[self.eat_ident()]
 
     def parse_supertype(self) -> SupertypeRef:
-        loc = self.tok.loc
+        loc = self.here()
         unsafe = self.parse_unsafe_variance()
         t = self.parse_type()
         has_ctor_call = False
@@ -269,10 +278,10 @@ class _Parser:
         return tuple(members)
 
     def parse_method(self) -> Method:
-        loc = self.eat_word("fun").loc
-        name = self.eat_ident().text
+        loc = self.loc(self.eat_word("fun"))
+        name = self.texts[self.eat_ident()]
         if self.kind == "<":
-            raise ParseError("methods cannot declare type parameters", self.tok.loc)
+            raise ParseError("methods cannot declare type parameters", self.here())
         params = self.parse_params()
         return_type = self.parse_return_type()
         body: tuple[Stmt, ...] | None = None
@@ -281,16 +290,16 @@ class _Parser:
         return Method(name, params, return_type, body, loc)
 
     def parse_property(self) -> Property:
-        tok = self.advance()  # val | var
-        mutable = tok.text == "var"
-        name = self.eat_ident().text
+        i = self.advance()  # val | var
+        mutable = self.texts[i] == "var"
+        name = self.texts[self.eat_ident()]
         self.eat(":", "':' before the property type")
         unsafe = self.parse_unsafe_variance()
-        return Property(name, self.parse_type(), mutable, unsafe, tok.loc)
+        return Property(name, self.parse_type(), mutable, unsafe, self.loc(i))
 
     def parse_fun(self) -> FunDecl:
-        loc = self.eat_word("fun").loc
-        name = self.eat_ident().text
+        loc = self.loc(self.eat_word("fun"))
+        name = self.texts[self.eat_ident()]
         type_params = self.parse_type_params(self.parse_fun_type_param) if self.kind == "<" else ()
         params = self.parse_params()
         return_type = self.parse_return_type()
@@ -302,10 +311,10 @@ class _Parser:
         while self.kind != ")":
             if params:
                 self.eat(",", "',' between parameters")
-            tok = self.eat_ident()
+            i = self.eat_ident()
             self.eat(":", "':' before the parameter type")
             t = self.parse_type()
-            params.append(Param(tok.text, t, tok.loc))
+            params.append(Param(self.texts[i], t, self.loc(i)))
         self.eat(")")
         return tuple(params)
 
@@ -323,8 +332,8 @@ class _Parser:
 
     def parse_stmt(self) -> Stmt:
         if self.word == "val":
-            loc = self.advance().loc
-            name = self.eat_ident().text
+            loc = self.loc(self.advance())
+            name = self.texts[self.eat_ident()]
             declared: TypeRef | None = None
             if self.kind == ":":
                 self.advance()
@@ -334,9 +343,9 @@ class _Parser:
             self.end_of_stmt()
             return ValDecl(name, declared, init, loc)
         if self.word == "var":
-            raise ParseError("mutable locals are not supported; use 'val'", self.tok.loc)
+            raise ParseError("mutable locals are not supported; use 'val'", self.here())
         if self.word == "return":
-            loc = self.advance().loc
+            loc = self.loc(self.advance())
             expr = self.parse_expr()
             self.end_of_stmt()
             return Return(expr, loc)
@@ -347,7 +356,7 @@ class _Parser:
         return ExprStmt(expr, loc=expr.loc)
 
     def parse_if(self) -> If:
-        loc = self.eat_word("if").loc
+        loc = self.loc(self.eat_word("if"))
         self.eat("(", "'(' after 'if'")
         cond = self.parse_expr()
         self.eat(")", "')' after the condition")
@@ -369,12 +378,12 @@ class _Parser:
     def parse_expr(self) -> Expr:
         e = self.parse_postfix()
         while self.word == "as" or self.word == "is":
-            tok = self.advance()
+            i = self.advance()
             target = self.parse_type()
-            if tok.text == "as":
-                e = CastExpr(e, target, tok.loc)
+            if self.texts[i] == "as":
+                e = CastExpr(e, target, self.loc(i))
             else:
-                e = IsExpr(e, target, tok.loc)
+                e = IsExpr(e, target, self.loc(i))
         return e
 
     def parse_postfix(self) -> Expr:
@@ -382,12 +391,12 @@ class _Parser:
         while True:
             if self.kind == ".":
                 self.advance()
-                name = self.eat_ident()
+                name = self.texts[self.eat_ident()]
                 if self.kind == "(":
                     args = self.parse_args()
-                    e = MethodCall(e, name.text, args, loc=e.loc)
+                    e = MethodCall(e, name, args, loc=e.loc)
                 else:
-                    e = PropertyGet(e, name.text, loc=e.loc)
+                    e = PropertyGet(e, name, loc=e.loc)
             elif self.kind == "[":
                 self.advance()
                 idx = self.parse_expr()
@@ -398,19 +407,19 @@ class _Parser:
 
     def parse_primary(self) -> Expr:
         if self.kind == "int":
-            tok = self.advance()
-            return IntLit(int(tok.text), tok.loc)
+            i = self.advance()
+            return IntLit(int(self.texts[i]), self.loc(i))
         if self.kind == "string":
-            tok = self.advance()
-            return StringLit(tok.text, tok.loc)
+            i = self.advance()
+            return StringLit(self.texts[i], self.loc(i))
         if self.word is not None:
             if self.word in KEYWORDS:
                 raise self.error("an expression")
-            tok = self.advance()
+            i = self.advance()
             type_args = self.parse_type_args() if self.kind == "<" else None
             if type_args is not None or self.kind == "(":
-                return CallExpr(tok.text, type_args, self.parse_args(), tok.loc)
-            return VarRef(tok.text, tok.loc)
+                return CallExpr(self.texts[i], type_args, self.parse_args(), self.loc(i))
+            return VarRef(self.texts[i], self.loc(i))
         raise self.error("an expression")
 
     def parse_args(self) -> tuple[Expr, ...]:

@@ -3,7 +3,8 @@
 A forward, intraprocedural, flow-sensitive pass tracks, per value, the set
 of static types the value has held along its chain of implicit upcasts
 (val bindings, argument passing, returns). Aliasing through val bindings
-shares one history; if/else joins union the histories. Explicit casts are
+shares one history; if/else joins union the histories of the values either
+branch changed, which each branch's undo log names. Explicit casts are
 then re-classified against every recorded origin type, which surfaces
 unchecked casts the baseline classifier misses once an implicit upcast has
 laundered the type arguments.
@@ -62,12 +63,26 @@ class _Analysis:
         self.out = ProvenanceMap()
         self.values: dict[int, tuple[TypeRef, ...]] = {}
         self.next_value = 0
+        # The history each value had before the innermost open branch first
+        # changed it (at the top level, a log nobody reads).
+        self.log: dict[int, tuple[TypeRef, ...]] = {}
 
     def fresh(self, t: TypeRef) -> int:
+        # Not logged: no code outside the branch that makes it sees the value.
         vid = self.next_value
         self.next_value += 1
         self.values[vid] = (t,)
         return vid
+
+    def write(self, vid: int, history: tuple[TypeRef, ...]) -> None:
+        if vid not in self.log:
+            self.log[vid] = self.values[vid]
+        self.values[vid] = history
+
+    def extend(self, vid: int, t: TypeRef) -> None:
+        history = self.values[vid]
+        if t not in history:
+            self.write(vid, history + (t,))
 
     def static_type(self, e: Expr) -> TypeRef:
         return self.checked.expr_types.get(id(e), BOOLEAN)
@@ -87,7 +102,7 @@ class _Analysis:
             vid = self.visit_expr(e.expr, env)
             # The lint wants the history as it stood when the cast ran.
             self.out.cast_snapshots[id(e)] = self.values[vid]
-            self.values[vid] = _append(self.values[vid], self.static_type(e))  # the completed target
+            self.extend(vid, self.static_type(e))  # the completed target
             self.out.occurrence_sets[id(e)] = self.values[vid]
             return vid
         if isinstance(e, IsExpr):
@@ -114,7 +129,7 @@ class _Analysis:
         vid = self.visit_expr(e, env)
         coerced = self.checked.coercions.get(id(e))
         if coerced is not None:
-            self.values[vid] = _append(self.values[vid], coerced)
+            self.extend(vid, coerced)
 
     # -- statements --------------------------------------------------------
 
@@ -123,7 +138,7 @@ class _Analysis:
             vid = self.visit_expr(s.init, env)
             bound = self.checked.decl_types.get(id(s))
             if bound is not None:
-                self.values[vid] = _append(self.values[vid], bound)
+                self.extend(vid, bound)
             env[s.name] = vid
             return
         if isinstance(s, ExprStmt):
@@ -134,29 +149,31 @@ class _Analysis:
             return
         if isinstance(s, If):
             self.visit_expr(s.cond, env)
-            before = dict(self.values)
-            then_env = dict(env)
-            for inner in s.then_body:
-                self.visit_stmt(inner, then_env)
-            after_then = self.values
-            self.values = dict(before)
-            else_env = dict(env)
-            if s.else_body is not None:
-                for inner in s.else_body:
-                    self.visit_stmt(inner, else_env)
-            after_else = self.values
-            # Join: histories union, ordered as then-branch then else-only.
-            merged: dict[int, tuple[TypeRef, ...]] = {}
-            for vid in set(after_then) | set(after_else):
-                a = after_then.get(vid, ())
-                b = after_else.get(vid, ())
-                joined = a
-                for t in b:
+            outer = self.log
+            after_then = self.visit_branch(s.then_body, env)
+            after_else = self.visit_branch(s.else_body or (), env)
+            self.log = outer
+            # Join the values either branch changed: histories union, ordered
+            # as then-branch then else-only. Every other value is unchanged.
+            for vid in after_then.keys() | after_else.keys():
+                before = self.values[vid]
+                joined = after_then.get(vid, before)
+                for t in after_else.get(vid, before):
                     joined = _append(joined, t)
-                merged[vid] = joined
-            self.values = merged
+                self.write(vid, joined)
             return
         raise TypeError(f"unknown statement {s!r}")
+
+    def visit_branch(self, body: tuple[Stmt, ...], env: dict[str, int]) -> dict[int, tuple[TypeRef, ...]]:
+        """Visit one branch in its own scope, then undo its changes to the
+        values it found; return the histories it left on them."""
+        self.log = log = {}
+        branch_env = dict(env)
+        for inner in body:
+            self.visit_stmt(inner, branch_env)
+        after = {vid: self.values[vid] for vid in log}
+        self.values.update(log)
+        return after
 
 
 def compute_provenance(

@@ -324,8 +324,7 @@ def _link_ancestors(table: ClassTable, diags: list[Diagnostic]) -> None:
         entry = ready.pop()
         # Ordered and hashed: the keys are the ancestors found so far.
         found = {ClassType(entry.name, tuple(ParamRef(p.name) for p in entry.type_params)): None}
-        for ref in entry.supertypes:
-            assert isinstance(ref.type, ClassType) and ref.type.args is not None
+        for ref in entry.supertypes:  # class types with arguments, by `_validate_hierarchy`
             sup = table.classes[ref.type.name]
             bindings = sup.bindings(ref.type.args)
             earlier = {anc.name: anc for anc in found}
@@ -490,14 +489,15 @@ def subtype(table: ClassTable, s: TypeRef, t: TypeRef) -> bool:
         return False  # equal ParamRefs already matched above
     if isinstance(s, PrimitiveType) or isinstance(t, PrimitiveType):
         return False  # distinct primitives are unrelated
-    assert isinstance(s, ClassType) and isinstance(t, ClassType)
+    if not isinstance(s, ClassType) or not isinstance(t, ClassType):
+        raise TypeError(f"not a miniK type: {s!r} or {t!r}")
     if s.args is None or t.args is None:
         return False
     inst = supertype_instantiation(table, s, t.name)
     if inst is None:
         return False
     entry = table.classes[t.name]
-    assert inst.args is not None
+    # `inst` has arguments: it is `s` or an ancestor, and every ancestor has.
     return _args_conform(table, entry.type_params, inst.args, t.args)
 
 

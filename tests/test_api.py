@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import minik
+from minik import diagnostics
 
 
 def test_public_api_is_pinned():
@@ -119,3 +120,24 @@ def test_only_typesys_reads_the_ancestor_tables():
         and {"ancestor_of", "ancestors"} & set(_references(ast.parse(path.read_text(encoding="utf-8"))))
     )
     assert readers == []
+
+
+def test_every_diagnostic_code_passed_in_the_sources_is_registered():
+    # So `warning` and `error` never raise their ValueError for miniK's own code.
+    registered = {"warning": diagnostics.WARNING_CODES, "error": diagnostics.ERROR_CODES}
+    calls = 0
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in registered:
+                code = node.args[0]
+                calls += 1
+                assert isinstance(code, ast.Constant) and code.value in registered[node.func.id], (
+                    f"{path.name}:{node.lineno}"
+                )
+    assert calls > 20  # the walk found the call sites
+
+
+@pytest.mark.parametrize("make, code", [("warning", "E-TYPE"), ("error", "W-UNCHECKED-CAST"), ("error", "E-NEW")])
+def test_an_unregistered_diagnostic_code_is_a_value_error(make, code):
+    with pytest.raises(ValueError, match=f"unknown {make} code {code}"):
+        getattr(diagnostics, make)(code, minik.SourceLoc("t.mk", 1, 1), "message")

@@ -90,3 +90,16 @@ def test_runtime_checks_decided_do_not_grow_with_the_calls_run(tmp_path, capsys,
         tracer.uninstall()
     for mode in ("reified", "erased"):
         assert counts[9, mode] == counts[5, mode] > 0, counts
+
+
+def test_front_end_counters_keep_their_definition():
+    # Fixed numbers for P1: a lexer or AST change that alters what the
+    # benchmark's `lexer.tokens` or `parser.nodes` count must say so here.
+    path = corpus.BY_ID["P1"].source_path
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        minik.cli.parse(path.read_text(), str(path))  # looked up at call time
+    finally:
+        tracer.uninstall()
+    assert (tracer.counts["lexer.tokens"], tracer.counts["parser.nodes"]) == (102, 37)

@@ -126,7 +126,8 @@ def reference_tokenize(source: str, file: str = "<input>") -> list[tuple[str, st
 
 
 def triples(source: str, file: str) -> list[tuple[str, str, SourceLoc]]:
-    return [(t.kind, t.text, t.loc) for t in tokenize(source, file)]
+    tokens = tokenize(source, file)
+    return [(tokens.kinds[i], tokens.texts[i], tokens.loc(i)) for i in range(len(tokens))]
 
 
 def outcome(lex, source: str):
@@ -191,3 +192,33 @@ def test_lex_errors_name_the_fault_and_its_location(source, message, col):
     with pytest.raises(LexError) as e:
         tokenize(source, "t.mk")
     assert (e.value.message, e.value.loc) == (message, SourceLoc("t.mk", 1, col))
+
+
+@pytest.mark.parametrize(
+    "source, message, line, col",
+    [
+        ('val x = 1\nprintln(x)\nval s = "abc\n', "unterminated string literal", 3, 9),
+        ('val x = 1\r\nval s = "ab\r\n', "unterminated string literal", 2, 9),
+        ("val x = 1\n  \t// c\n\nval y = @Foo\n", "unknown annotation (only @UnsafeVariance exists)", 4, 9),
+        ("val x = 1\nval y = 2 ~", "unexpected character '~'", 2, 11),
+        # Columns count characters, not bytes.
+        ('val é = "ü" ~\n', "unexpected character '~'", 1, 13),
+        ('val x = 1\nval ñ = "x\\q"\n', "unknown string escape", 2, 11),
+    ],
+)
+def test_lex_error_locations_count_lines_and_characters(source, message, line, col):
+    with pytest.raises(LexError) as e:
+        tokenize(source, "t.mk")
+    assert (e.value.message, e.value.loc) == (message, SourceLoc("t.mk", line, col))
+
+
+@pytest.mark.parametrize("word", ["newline", "string", "name", "int", "eof"])
+def test_an_identifier_spelled_like_a_token_kind_ends_its_line(word):
+    end = len(word) + 1
+    assert triples(f"{word}\n{word}\n", "t.mk") == [
+        ("name", word, SourceLoc("t.mk", 1, 1)),
+        ("newline", "\n", SourceLoc("t.mk", 1, end)),
+        ("name", word, SourceLoc("t.mk", 2, 1)),
+        ("newline", "\n", SourceLoc("t.mk", 2, end)),
+        ("eof", "", SourceLoc("t.mk", 3, 1)),
+    ]

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import minik.ast
 from minik import corpus
 from minik.ast import (
     CastExpr,
@@ -111,6 +114,14 @@ def test_no_node_object_appears_twice_in_a_parsed_program():
         assert len({id(n) for n in nodes}) == len(nodes), filename
 
 
+def test_every_ast_class_is_slotted():
+    # A parse makes tens of thousands of nodes; a per-instance dict on each
+    # costs memory and collector time.
+    classes = [c for c in vars(minik.ast).values() if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert len(classes) == 32
+    assert [c.__name__ for c in classes if c.__dictoffset__] == []
+
+
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.id)
 def test_corpus_locations_within_bounds(entry):
     src = entry.source()
@@ -181,6 +192,28 @@ def test_list_error_messages(source, line, col, message):
     with pytest.raises(ParseError) as exc:
         parse(source, "bad.mk")
     assert (exc.value.loc.line, exc.value.loc.col, exc.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize(
+    "source, line, col, message",
+    [
+        ("val x = 1\nval y = )\n", 2, 9, "expected an expression, got )"),
+        ("val x = 1\r\nval y = 2\r\nval z = )\r\n", 3, 9, "expected an expression, got )"),
+        ("val x = 1\n\n// a comment\n   \n  // another\n\nval y = ]\n", 7, 9, "expected an expression, got ]"),
+        # At the end of the file, with and without a last line break.
+        ("fun f() {", 1, 10, "expected an expression, got eof"),
+        ("fun f() {\n", 2, 1, "expected an expression, got eof"),
+        ("val x = 1\nval y =", 2, 8, "expected an expression, got eof"),
+        # A lexer error on a later line, through `parse`.
+        ('val x = 1\nprintln(x)\nval s = "abc\n', 3, 9, "unterminated string literal"),
+        # Columns count characters, not bytes.
+        ("val x = 1\nval ü = é ?\n", 2, 11, "expected end of statement, got ?"),
+    ],
+)
+def test_error_locations_past_the_first_line(source, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse(source, "t.mk")
+    assert (exc.value.message, exc.value.loc) == (message, SourceLoc("t.mk", line, col))
 
 
 def test_method_call_chain_and_index():

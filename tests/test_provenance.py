@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from minik import corpus
 from minik.ast import CastExpr, ClassType, FunDecl, ValDecl, VarRef, walk_exprs, walk_stmts
-from minik.cli import build
+from minik.cli import build, run_command
 from minik.provenance import compute_provenance, lint_function, lint_program
 
 from conftest import codes
@@ -237,3 +237,54 @@ def test_conservativeness_on_corpus():
                 for history in prov.occurrence_sets.values():
                     for ty in history:
                         assert ty in allowed, (entry.id, ty)
+
+
+# m changes in the then-branch only, n in the else-branch and in an if
+# nested in the then-branch, k in both. The else-branch sees m as it was
+# before the then-branch, and a joined history lists the then-branch's types
+# first, then the else-branch's new ones.
+BRANCH_WRITES = """\
+open class B
+
+class A : B()
+
+fun f(flag: Any) {
+    val m = mutableListOf<A>()
+    val n = mutableListOf<A>()
+    val k = mutableListOf<A>()
+    if (flag is Int) {
+        val m1: List<A> = m
+        val k1: List<B> = k
+        if (flag is String) {
+            val n1: List<A> = n
+        }
+    } else {
+        val n2: List<Any> = n
+        val k2: List<A> = k
+        val me: List<B> = m
+        println(me as MutableList)
+    }
+    val mu: List<B> = m
+    val nu: List<B> = n
+    val ku: List<B> = k
+    println(mu as MutableList)
+    println(nu as MutableList)
+    println(ku as MutableList)
+}
+
+f(1)
+"""
+
+
+def test_if_join_lists_then_branch_types_then_else_only_ones():
+    expected = "".join(
+        f"warning W-PROVENANCE-UNCHECKED-CAST t.mk:{at}: cast to MutableList<B> is unchecked for a value "
+        f"whose implicit-cast history is {{{history}}} (unchecked from MutableList<A>)\n"
+        for at, history in (
+            ("19:20", "MutableList<A>, List<B>"),  # m, in the else-branch
+            ("24:16", "MutableList<A>, List<A>, List<B>, MutableList<B>, Any?"),  # m
+            ("25:16", "MutableList<A>, List<A>, List<Any>, List<B>"),  # n
+            ("26:16", "MutableList<A>, List<B>, List<A>"),  # k
+        )
+    )
+    assert run_command("lint", BRANCH_WRITES, "t.mk") == (expected, 0)

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import call_deep
-from minik.ast import ANY, ANY_NULLABLE, INT, STRING, ClassType, ParamRef
+from minik import corpus
+from minik.ast import ANY, ANY_NULLABLE, INT, STRING, ClassType, ParamRef, TypeRef
 from minik.cli import build_or_error, run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
@@ -284,3 +285,37 @@ def test_supertype_instantiation_agrees_with_subtype(ab_table):
             inst = supertype_instantiation(ab_table, source, ancestor)
             if inst is not None:
                 assert subtype(ab_table, source, inst)
+
+
+BAD_SUPERTYPES = (
+    "class C : Any\n",
+    "class C : Int\n",
+    "class C<T> : T\n",
+    "class C : List\n",
+    "class C : List<Int, Int>\n",
+    "class C : Nope\n",
+    "class C : C()\n",
+    "interface I<T>\nclass C<T> : I<T<Int>>\n",
+    "interface I<out T>\nclass C<T> : I<T>, I<Any>\n",
+)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [e.source() for e in corpus.ENTRIES] + list(BAD_SUPERTYPES),
+    ids=[e.id for e in corpus.ENTRIES] + [f"bad{i}" for i in range(len(BAD_SUPERTYPES))],
+)
+def test_supertypes_and_ancestors_are_class_types_with_arguments(source):
+    # What `_link_ancestors`, `check_inheritance_variance` and `subtype`
+    # read a supertype or an ancestor as, whatever the table rejected.
+    table, _ = build_class_table(parse(source))
+    for entry in table.classes.values():
+        for ref in entry.supertypes:
+            assert isinstance(ref.type, ClassType) and ref.type.args is not None, (entry.name, ref.type)
+        for anc in entry.ancestors:
+            assert isinstance(anc, ClassType) and anc.args is not None, (entry.name, anc)
+
+
+def test_subtype_rejects_a_type_outside_the_type_model(ab_table):
+    with pytest.raises(TypeError, match="not a miniK type"):
+        subtype(ab_table, TypeRef(), t("A"))
