@@ -4,11 +4,16 @@ Every node carries a 1-based source location. Locations are excluded from
 structural equality so that parse/pretty-print round trips compare cleanly.
 Every node class has `__slots__`: a parse makes tens of thousands of nodes,
 and no code sets attributes on them beyond their fields.
+
+Types are hash-consed: each type class's constructor returns the one object
+for its fields, so structurally equal types are the same object, and `==`
+and `hash` on types are `object`'s identity versions, O(1) at any nesting
+depth. No code may build a type with `object.__new__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 
@@ -37,21 +42,51 @@ class Variance(Enum):
 # Shared between the syntax and the type system. A ClassType with
 # args=None is a *bare* reference (`as MutableList`); the checker
 # completes or rejects it depending on position.
+#
+# Types are interned: every constructor call goes through the class's
+# `__new__`, which returns the one object in `_TYPES` for (class, fields)
+# and builds it only the first time. So `==` is `is`, and a type's hash is
+# its identity, never a walk over its arguments. Copies and unpickling
+# rebuild through the constructor (`__reduce__`) and return the same
+# object; so does `dataclasses.replace` with unchanged fields.
 # ============================================================
 
+# Every type built so far, by (class, *fields). A plain dict: bounded by
+# the distinct types a process builds.
+_TYPES: dict[tuple, TypeRef] = {}
 
-@dataclass(frozen=True, slots=True)
+
+def _intern(key: tuple, **values) -> TypeRef:
+    """Build and record the type for `key`, (class, *field values)."""
+    t = _TYPES[key] = object.__new__(key[0])
+    for name, value in values.items():
+        object.__setattr__(t, name, value)
+    return t
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TypeRef:
     """Base for static type references. Abstract."""
+
+    def __new__(cls) -> TypeRef:  # the field-less tops
+        key = (cls,)
+        return _TYPES.get(key) or _intern(key)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def render(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ClassType(TypeRef):
     name: str
     args: tuple[TypeRef, ...] | None = None
+
+    def __new__(cls, name: str, args: tuple[TypeRef, ...] | None = None) -> ClassType:
+        key = (cls, name, args)
+        return _TYPES.get(key) or _intern(key, name=name, args=args)
 
     def render(self) -> str:
         if self.args is None or not self.args:
@@ -59,17 +94,21 @@ class ClassType(TypeRef):
         return f"{self.name}<{', '.join(a.render() for a in self.args)}>"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ParamRef(TypeRef):
     """Occurrence of a type parameter inside its binding declaration."""
 
     name: str
 
+    def __new__(cls, name: str) -> ParamRef:
+        key = (cls, name)
+        return _TYPES.get(key) or _intern(key, name=name)
+
     def render(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TopType(TypeRef):
     """`Any`: supertype of every non-nullable type."""
 
@@ -77,7 +116,7 @@ class TopType(TypeRef):
         return "Any"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class NullableTopType(TypeRef):
     """`Any?`: the single top above everything, including `Any`."""
 
@@ -85,9 +124,13 @@ class NullableTopType(TypeRef):
         return "Any?"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class PrimitiveType(TypeRef):
     name: str  # "Int" | "String" | "Unit" | "Boolean"
+
+    def __new__(cls, name: str) -> PrimitiveType:
+        key = (cls, name)
+        return _TYPES.get(key) or _intern(key, name=name)
 
     def render(self) -> str:
         return self.name

@@ -24,16 +24,17 @@ from .ast import (
     ClassType,
     Expr,
     ExprStmt,
+    INT,
     If,
     Index,
     IntLit,
     IsExpr,
     MethodCall,
     ParamRef,
-    PrimitiveType,
     Program,
     PropertyGet,
     Return,
+    STRING,
     SourceLoc,
     Stmt,
     StringLit,
@@ -517,9 +518,9 @@ class _Checker:
 
     def _expr(self, e: Expr, scope: _Scope, expected: TypeRef | None) -> TypeRef:
         if isinstance(e, IntLit):
-            return PrimitiveType("Int")
+            return INT
         if isinstance(e, StringLit):
-            return PrimitiveType("String")
+            return STRING
         if isinstance(e, VarRef):
             t = scope.lookup(e.name)
             if t is None:

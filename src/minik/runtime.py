@@ -404,8 +404,9 @@ class _Machine:
         self.codes: dict[int, list[tuple]] = {}  # id() of a function's or method's Signature -> its code
         # Each check's verdict by (actual class name, expected class name) for
         # `check` and by (runtime type, target after substitution) for `full`
-        # and `is`. Runs with `full` checks are reified, where `is` decides by
-        # the same `subtype`, so the key shapes cannot clash.
+        # and `is`. Types are interned, so those keys hash and compare by
+        # identity, at any nesting depth. Runs with `full` checks are reified,
+        # where `is` decides by the same `subtype`, so the key shapes cannot clash.
         self.verdicts: dict[tuple, bool] = {}
         self.stdout: list[str] = []
         self.oids = count(1)
