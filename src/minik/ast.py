@@ -5,6 +5,10 @@ structural equality so that parse/pretty-print round trips compare cleanly.
 Every node class has `__slots__`: a parse makes tens of thousands of nodes,
 and no code sets attributes on them beyond their fields.
 
+Every call is a `Call` with a `receiver` (None for a function or constructor
+call) and `args` (empty for a property read). `a[i]` is an `Index`, a
+`MethodCall` of `get` that only the printer tells apart, as in Kotlin.
+
 Types are hash-consed: each type class's constructor returns the one object
 for its fields, so structurally equal types are the same object, and `==`
 and `hash` on types are `object`'s identity versions, O(1) at any nesting
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import ClassVar
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,13 +180,19 @@ class VarRef(Expr):
 
 
 @dataclass(slots=True)
-class CallExpr(Expr):
+class Call(Expr):
+    """Base of the call nodes; each has a `receiver` and `args`."""
+
+
+@dataclass(slots=True)
+class CallExpr(Call):
     """`name[<T,...>](args)`: a function call or a constructor call.
 
     The two forms are syntactically identical; the checker resolves which
     one it is from the class table.
     """
 
+    receiver: ClassVar[None] = None
     name: str
     type_args: tuple[TypeRef, ...] | None
     args: tuple[Expr, ...]
@@ -189,7 +200,7 @@ class CallExpr(Expr):
 
 
 @dataclass(slots=True)
-class MethodCall(Expr):
+class MethodCall(Call):
     receiver: Expr
     name: str
     args: tuple[Expr, ...]
@@ -197,18 +208,15 @@ class MethodCall(Expr):
 
 
 @dataclass(slots=True)
-class PropertyGet(Expr):
-    receiver: Expr
-    name: str
-    loc: SourceLoc = field(compare=False, repr=False)
+class Index(MethodCall):
+    """`receiver[index]`, built as `receiver.get(index)`."""
 
 
 @dataclass(slots=True)
-class Index(Expr):
-    """`receiver[index]`; checked as a call to `get`."""
-
+class PropertyGet(Call):
     receiver: Expr
-    index: Expr
+    name: str
+    args: ClassVar[tuple[Expr, ...]] = ()
     loc: SourceLoc = field(compare=False, repr=False)
 
 
@@ -359,30 +367,13 @@ class Program:
     decls: tuple[Decl, ...]
 
 
-def call_parts(e: Expr) -> tuple[Expr | None, tuple[Expr, ...]] | None:
-    """(receiver, arguments) of a call-like node, None for any other node.
-    A function or constructor call has no receiver, an index read's argument
-    is its index, and a property read has no arguments."""
-    if isinstance(e, MethodCall):
-        return e.receiver, e.args
-    if isinstance(e, Index):
-        return e.receiver, (e.index,)
-    if isinstance(e, PropertyGet):
-        return e.receiver, ()
-    if isinstance(e, CallExpr):
-        return None, e.args
-    return None
-
-
 def walk_exprs(e: Expr):
     """Yield `e` and every sub-expression, preorder."""
     yield e
-    parts = call_parts(e)
-    if parts is not None:
-        receiver, args = parts
-        if receiver is not None:
-            yield from walk_exprs(receiver)
-        for a in args:
+    if isinstance(e, Call):
+        if e.receiver is not None:
+            yield from walk_exprs(e.receiver)
+        for a in e.args:
             yield from walk_exprs(a)
     elif isinstance(e, (CastExpr, IsExpr)):
         yield from walk_exprs(e.expr)

@@ -5,6 +5,10 @@ from `is` checks, enforces declaration-site variance positions (with
 @UnsafeVariance), classifies explicit casts the way an erased-generics
 compiler does, and records every implicit coercion for the provenance lint.
 
+Function and method calls end in one resolution step, `resolve_call`; a
+method and its bindings come from `typesys.find_member`, and an index read
+is a `get` call like any other.
+
 Strict mode adds two opt-in rules on top of the baseline diagnostics (it
 never removes one): non-variant inheritance from a variant class is flagged,
 and generic smart casts from a variant class to a non-variant class are
@@ -19,6 +23,7 @@ from enum import Enum
 from .ast import (
     ANY_NULLABLE,
     BOOLEAN,
+    Call,
     CallExpr,
     CastExpr,
     ClassType,
@@ -26,7 +31,6 @@ from .ast import (
     ExprStmt,
     INT,
     If,
-    Index,
     IntLit,
     IsExpr,
     MethodCall,
@@ -49,6 +53,7 @@ from .typesys import (
     Body,
     ClassEntry,
     ClassTable,
+    Signature,
     TypeResolutionError,
     find_member,
     lub,
@@ -71,7 +76,7 @@ class CastClassification(Enum):
 
 @dataclass(frozen=True)
 class CallInfo:
-    """Resolution of one call-like expression, kept for the runtime."""
+    """Resolution of one `Call` node (an index read is a `get`), kept for the runtime."""
 
     kind: str  # "ctor" | "fun" | "builtin" | "method" | "property-get"
     member: str | None
@@ -90,7 +95,6 @@ class CheckedProgram:
     # target, and a narrowed variable use's is the narrowed type
     expr_types: dict[int, TypeRef] = field(default_factory=dict)
     call_info: dict[int, CallInfo] = field(default_factory=dict)
-    cast_class: dict[int, CastClassification] = field(default_factory=dict)
     is_targets: dict[int, TypeRef] = field(default_factory=dict)
     decl_types: dict[int, TypeRef] = field(default_factory=dict)
     # id() of each implicitly upcast expression -> the type it is upcast to
@@ -530,9 +534,7 @@ class _Checker:
         if isinstance(e, CallExpr):
             return self.check_call(e, scope)
         if isinstance(e, MethodCall):
-            return self.check_member_call(e, e.receiver, e.name, e.args, scope)
-        if isinstance(e, Index):
-            return self.check_member_call(e, e.receiver, "get", (e.index,), scope)
+            return self.check_member_call(e, scope)
         if isinstance(e, PropertyGet):
             return self.check_property_get(e, scope)
         if isinstance(e, CastExpr):
@@ -572,19 +574,7 @@ class _Checker:
             self.e_type(e.loc, f"{e.name} is not generic")
             return ANY_NULLABLE
 
-        param_types = tuple(substitute(t, bindings) for t in sig.param_types)
-        return_type = substitute(sig.return_type, bindings)
-        for arg, arg_t, want in zip(e.args, arg_types, param_types):
-            self.coerce(arg, arg_t, want, arg.loc, "parameter type")
-        self.out.call_info[id(e)] = CallInfo(
-            kind="builtin" if sig.decl is None else "fun",
-            member=e.name,
-            declared_return=sig.return_type,
-            type_args=tuple(bindings[p] for p in sig.type_params),
-            declared_params=sig.param_types,
-            param_types=param_types,
-        )
-        return return_type
+        return self.resolve_call(e, arg_types, sig, bindings)
 
     def written_type_args(self, e: CallExpr, type_params: tuple[str, ...]) -> tuple[TypeRef, ...] | None:
         """`e`'s written type arguments for `type_params`, resolved; None
@@ -623,41 +613,38 @@ class _Checker:
         return result
 
     def lookup_member(self, e: Expr, recv_t: TypeRef, name: str, kind: str):
-        """The first (signature, bindings) for the method or property
-        (`kind`) `name` up `recv_t`'s ancestors; None once its absence is
-        reported."""
+        """`find_member` of `recv_t`'s `kind` `name`; None once its absence is reported."""
         if not isinstance(recv_t, ClassType) or recv_t.args is None:
             self.e_type(e.loc, f"{recv_t.render()} has no member {name}")
             return None
-        found = find_member(self.table, recv_t.name, name, kind)
+        found = find_member(self.table, recv_t, name, kind)
         if found is None:
             self.e_type(e.loc, f"{recv_t.name} has no {kind} {name}")
-            return None
-        entry, sig = found
-        return sig, entry.bindings(supertype_instantiation(self.table, recv_t, entry.name).args)
+        return found
 
-    def check_member_call(self, e: Expr, receiver: Expr, name: str, args: tuple[Expr, ...], scope: _Scope) -> TypeRef:
-        recv_t = self.check_expr(receiver, scope)
-        arg_types = tuple(self.check_expr(a, scope) for a in args)
-        found = self.lookup_member(e, recv_t, name, "method")
+    def check_member_call(self, e: MethodCall, scope: _Scope) -> TypeRef:
+        recv_t = self.check_expr(e.receiver, scope)
+        arg_types = tuple(self.check_expr(a, scope) for a in e.args)
+        found = self.lookup_member(e, recv_t, e.name, "method")
         if found is None:
             return ANY_NULLABLE
         sig, bindings = found
+        if len(arg_types) != len(sig.param_types):
+            self.e_type(e.loc, f"{recv_t.name}.{e.name} expects {len(sig.param_types)} argument(s), got {len(arg_types)}")
+            return substitute(sig.return_type, bindings)
+        return self.resolve_call(e, arg_types, sig, bindings)
+
+    def resolve_call(self, e: Call, arg_types: tuple[TypeRef, ...], sig: Signature,
+                     bindings: dict[str, TypeRef]) -> TypeRef:
+        """Coerce `e`'s arity-checked arguments to `sig`'s parameters under
+        `bindings`, record how `e` resolved and return its result type."""
         param_types = tuple(substitute(t, bindings) for t in sig.param_types)
-        return_type = substitute(sig.return_type, bindings)
-        if len(arg_types) != len(param_types):
-            self.e_type(e.loc, f"{recv_t.name}.{name} expects {len(param_types)} argument(s), got {len(arg_types)}")
-            return return_type
-        for arg, arg_t, want in zip(args, arg_types, param_types):
+        for arg, arg_t, want in zip(e.args, arg_types, param_types):
             self.coerce(arg, arg_t, want, arg.loc, "parameter type")
-        self.out.call_info[id(e)] = CallInfo(
-            kind="method",
-            member=name,
-            declared_return=sig.return_type,
-            declared_params=sig.param_types,
-            param_types=param_types,
-        )
-        return return_type
+        kind = "method" if e.receiver is not None else "fun" if sig.decl is not None else "builtin"
+        type_args = tuple(bindings[p] for p in sig.type_params)
+        self.out.call_info[id(e)] = CallInfo(kind, e.name, sig.return_type, type_args, sig.param_types, param_types)
+        return substitute(sig.return_type, bindings)
 
     def check_property_get(self, e: PropertyGet, scope: _Scope) -> TypeRef:
         recv_t = self.check_expr(e.receiver, scope)
@@ -674,9 +661,7 @@ class _Checker:
         if target is None:
             return ANY_NULLABLE
         completed = complete_cast_target(self.table, source, target, expected)
-        classification = classify_cast_baseline(self.table, source, completed)
-        self.out.cast_class[id(e)] = classification
-        if classification is CastClassification.UNCHECKED_WARNED:
+        if classify_cast_baseline(self.table, source, completed) is CastClassification.UNCHECKED_WARNED:
             self.diag(
                 warning(
                     "W-UNCHECKED-CAST",

@@ -401,7 +401,7 @@ class _Parser:
                 self.advance()
                 idx = self.parse_expr()
                 self.eat("]", "']' to close indexing")
-                e = Index(e, idx, loc=e.loc)
+                e = Index(e, "get", (idx,), loc=e.loc)
             else:
                 return e
 

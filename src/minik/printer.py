@@ -48,12 +48,12 @@ def render_expr(e: Expr) -> str:
     if isinstance(e, CallExpr):
         targs = "" if e.type_args is None else f"<{', '.join(t.render() for t in e.type_args)}>"
         return f"{e.name}{targs}({', '.join(render_expr(a) for a in e.args)})"
+    if isinstance(e, Index):
+        return f"{render_expr(e.receiver)}[{render_expr(e.args[0])}]"
     if isinstance(e, MethodCall):
         return f"{render_expr(e.receiver)}.{e.name}({', '.join(render_expr(a) for a in e.args)})"
     if isinstance(e, PropertyGet):
         return f"{render_expr(e.receiver)}.{e.name}"
-    if isinstance(e, Index):
-        return f"{render_expr(e.receiver)}[{render_expr(e.index)}]"
     if isinstance(e, CastExpr):
         return f"{render_expr(e.expr)} as {e.target.render()}"
     if isinstance(e, IsExpr):

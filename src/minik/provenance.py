@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .ast import (
     BOOLEAN,
+    Call,
     CastExpr,
     ClassType,
     Expr,
@@ -30,7 +31,6 @@ from .ast import (
     TypeRef,
     ValDecl,
     VarRef,
-    call_parts,
     walk_body_exprs,
 )
 from .checker import CastClassification, CheckedProgram, classify_cast_baseline
@@ -110,12 +110,10 @@ class _Analysis:
             vid = self.fresh(BOOLEAN)
             self.out.occurrence_sets[id(e)] = self.values[vid]
             return vid
-        parts = call_parts(e)
-        if parts is not None:
-            receiver, args = parts
-            if receiver is not None:
-                self.visit_expr(receiver, env)
-            for a in args:
+        if isinstance(e, Call):
+            if e.receiver is not None:
+                self.visit_expr(e.receiver, env)
+            for a in e.args:
                 self.visit_coerced(a, env)
         # Call and container-read results start fresh, as literals do:
         # provenance does not flow through element reads or out of callees.
@@ -207,10 +205,8 @@ def lint_function(checked: CheckedProgram, body: tuple[Stmt, ...], prov: Provena
     for e in walk_body_exprs(body):
         if not isinstance(e, CastExpr):
             continue
-        classification = checked.cast_class.get(id(e))
-        if classification is None:
-            continue
         target = checked.expr_types[id(e)]  # the completed cast target
+        classification = classify_cast_baseline(checked.table, checked.expr_types[id(e.expr)], target)
         generic_target = isinstance(target, ClassType) and bool(target.args)
         eligible = classification is CastClassification.UNCHECKED_SILENT or (
             classification is CastClassification.FULLY_CHECKED and generic_target

@@ -22,6 +22,9 @@ immediately and variance-aware, by `subtype` on the value's own type. In
 both modes a value of the wrong class fails at an `if` condition or a list
 index, where the JVM unboxes it.
 
+Method dispatch takes the method and the bindings its body runs under from
+`typesys.find_member`, as the checker does.
+
 A run decides each distinct class check, reified check and `is` test once,
 by its runtime type (class name when erased) and its target, and keeps the
 verdict for the rest of that run only; every check still runs at its own
@@ -38,19 +41,17 @@ from .ast import (
     INT,
     STRING,
     UNIT,
+    Call,
     CastExpr,
     ClassType,
     Expr,
     ExprStmt,
     If,
-    Index,
     IntLit,
     IsExpr,
-    MethodCall,
     ParamRef,
     PrimitiveType,
     Program,
-    PropertyGet,
     Return,
     SourceLoc,
     Stmt,
@@ -59,7 +60,6 @@ from .ast import (
     TypeRef,
     ValDecl,
     VarRef,
-    call_parts,
 )
 from .checker import CheckedProgram
 from .typesys import (
@@ -69,7 +69,6 @@ from .typesys import (
     program_bodies,
     substitute,
     subtype,
-    supertype_instantiation,
 )
 
 ERASED = "erased"
@@ -261,7 +260,7 @@ def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
     """A read whose declared member type is a bare type parameter: under
     erasure there is no class to verify at the read, and coercion sites do
     not re-check the value."""
-    if not isinstance(e, (MethodCall, Index, PropertyGet)):
+    if not isinstance(e, Call) or e.receiver is None:
         return False
     info = checked.call_info.get(id(e))
     return info is not None and isinstance(info.declared_return, ParamRef)
@@ -347,9 +346,9 @@ class _Compiler:
         else:
             self.call(code, e)
 
-    def call(self, code: list[tuple], e: Expr) -> None:
+    def call(self, code: list[tuple], e: Call) -> None:
         checked, erased = self.checked, self.erased
-        receiver, args = call_parts(e)
+        receiver, args = e.receiver, e.args
         info = checked.call_info[id(e)]
         kind = info.kind
         if receiver is not None:
@@ -508,16 +507,10 @@ class _Machine:
                     recv_t = recv.type
                     if not isinstance(recv, ObjectValue):
                         raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no methods")
-                    found = find_member(table, recv_t.name, member, "method")
-                    if found is None or found[1].decl.body is None:
+                    found = find_member(table, recv_t, member, "method")
+                    if found is None or found[0].decl.body is None:
                         raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no callable method {member}")
-                    entry, sig = found
-                    callee_bindings = {}
-                    if recv_t.args is not None and entry.type_params:
-                        # Reified: the body sees the declaring class's
-                        # parameters as the receiver's type instantiates
-                        # them at that class.
-                        callee_bindings = entry.bindings(supertype_instantiation(table, recv_t, entry.name).args)
+                    sig, callee_bindings = found
                 if len(calls) >= MAX_CALL_DEPTH:
                     raise _Stop(RuntimeFault, loc, f"call depth exceeds {MAX_CALL_DEPTH}")
                 calls.append((code, pc, env, bindings))

@@ -432,15 +432,17 @@ def supertype_instantiation(table: ClassTable, t: ClassType, ancestor: str) -> C
     return substitute(inst, entry.bindings(t.args)) if t.args else inst
 
 
-def find_member(table: ClassTable, class_name: str, name: str, kind: str):
-    """(declaring entry, signature) of the first method or property (`kind`)
-    `name` up the ancestors of `class_name`, in `ancestor_of` preorder: the
-    member its instances see. None if there is none."""
-    for owner in table.classes[class_name].ancestor_of:
+def find_member(table: ClassTable, t: ClassType, name: str, kind: str):
+    """(signature, bindings) of the method or property (`kind`) `name` that
+    instances of `t` see, the first up its ancestors in `ancestor_of` order;
+    else None. The bindings are the declaring class's parameters as `t`
+    instantiates them: none when `t` is bare or that class is not generic."""
+    for owner in table.classes[t.name].ancestor_of:
         entry = table.classes[owner]
         sig = (entry.methods if kind == "method" else entry.properties).get(name)
         if sig is not None:
-            return entry, sig
+            instantiated = t.args is not None and entry.type_params
+            return sig, entry.bindings(supertype_instantiation(table, t, owner).args) if instantiated else {}
     return None
 
 

@@ -1,0 +1,282 @@
+"""Differential runner: the same miniK texts through two source trees.
+
+Usage:
+    python tests/differential.py OLD_TREE NEW_TREE [--seed N] [--count N] [--out FILE]
+
+Each tree is a checkout of this repository (its `src/minik` is imported). A
+parent tree can be made without touching the repository's `.git`:
+
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+
+The texts are the corpus programs, one program built around index reads and
+`get` calls, `--count` seeded character, line and identifier mutations of
+those, and small `launder` and `calltree` programs from `minik_bench/gen.py`
+(loaded by path, unchanged). Each tree runs every text through the seven
+command forms in `FORMS`, in one subprocess per tree. A Python exception
+escaping a command is a host exception: its type and message become that
+result, and its innermost frames are reported beside it. The JSON summary
+gives the texts, the results, the host exceptions per side and the
+differing results grouped by command form and by first differing line. The
+exit code is 0 when nothing differs and neither side raised, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import random
+import re
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, command, strict, mode, eager_checkcast)
+FORMS = (
+    ("check", "check", False, None, False),
+    ("check --strict", "check", True, None, False),
+    ("lint", "lint", False, None, False),
+    ("sites", "sites", False, None, False),
+    ("run --mode erased", "run", False, "erased", False),
+    ("run --mode reified", "run", False, "reified", False),
+    ("run --mode erased --eager-checkcast", "run", False, "erased", True),
+)
+
+HOST_EXCEPTION = "HOST-EXCEPTION "
+
+# Reads through `[i]`, `get` and `size`, used as receivers, arguments and
+# returns, and one laundering cast.
+INDEX_PROGRAM = """\
+open class B {
+    fun m(): Int {
+        return 1
+    }
+}
+
+class A : B()
+
+class R {
+    fun get(i: Int): B {
+        return A()
+    }
+}
+
+fun first(list: List<B>): B {
+    return list[0]
+}
+
+val list = mutableListOf<B>()
+list.add(A())
+list.add(B())
+println(list.size)
+println(list[0].m())
+println(list.get(1).m())
+val r = R()
+println(r[3].m())
+println(first(list).m())
+val up: List<B> = list
+val down = up as MutableList
+println(down.get(0) is A)
+println(down[1])
+"""
+
+_SNIPPETS = ("[0]", ".get(0)", ".size", ".m()", " as Any", " as MutableList", " is A", "<B>")
+_CHARS = "abAB01 \n()[]<>{}.,:=\"?"
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_EXPR_END = re.compile(r"(?<=[\w)\]])$", re.MULTILINE)
+_KEYWORDS = frozenset({"as", "class", "else", "fun", "if", "interface", "is", "open", "private", "return", "val", "var"})
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One character, line or identifier mutation of `text`. Identifier
+    mutations, which most often still parse, are the most frequent."""
+    kind = rng.choices(("char", "line", "ident"), (1, 2, 4))[0]
+    if kind == "char":
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            return text[:i] + text[i + 1:]
+        return text[:i] + rng.choice(_CHARS) + text[i + op - 1:]
+    if kind == "line":
+        lines = text.split("\n")
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        op = rng.randrange(3)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        return "\n".join(lines)
+    idents = [m for m in _IDENT.finditer(text) if m.group() not in _KEYWORDS]
+    ends = [m.start() for m in _EXPR_END.finditer(text)]
+    op = rng.randrange(3)
+    if op == 0 and idents:  # rename to another identifier of the text
+        m = rng.choice(idents)
+        return text[:m.start()] + rng.choice(idents).group() + text[m.end():]
+    # Append a snippet after an identifier, or after an expression that ends a line.
+    at = rng.choice(ends) if op == 1 and ends else rng.choice(idents).end() if idents else len(text)
+    return text[:at] + rng.choice(_SNIPPETS) + text[at:]
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("_minik_bench_gen", ROOT / "minik_bench" / "gen.py")
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def make_texts(seed: int, count: int) -> list[tuple[str, str]]:
+    """(filename, source) of every text, deterministic in `seed` and `count`."""
+    bases = [(p.name, p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src/minik/corpus").glob("*.mk"))]
+    bases.append(("index.mk", INDEX_PROGRAM))
+    texts = list(bases)
+    rng = random.Random(f"differential:{seed}")
+    for _ in range(count):
+        filename, source = rng.choice(bases)
+        for _ in range(rng.randint(1, 2)):
+            source = mutate(rng, source)
+        texts.append((filename, source))
+    gen = _load_gen()
+    for s in (seed, seed + 1):
+        for g in (gen.launder(s, functions=3), gen.calltree(s, levels=4)):
+            texts.append((g.filename, g.source))
+    return texts
+
+
+# ============================================================
+# THE WORKER: one per tree, in its own process
+# ============================================================
+
+
+def work(tree: Path, texts: list[tuple[str, str]]) -> dict:
+    """Every text through every form with the `minik` of `tree`."""
+    sys.path.insert(0, str(tree / "src"))
+    import minik
+    from minik.cli import build_or_error, run_command
+
+    imported = Path(minik.__file__).resolve()
+    if not imported.is_relative_to(tree):
+        raise RuntimeError(f"imported {imported}, not the minik of {tree}")
+
+    results, where = [], {}
+    for i, (filename, source) in enumerate(texts):
+        builds: dict[bool, object] = {}
+        row = []
+        for form, command, strict, mode, eager in FORMS:
+            try:
+                if strict not in builds:
+                    builds[strict] = build_or_error(source, filename, strict)
+                out, code = run_command(command, source, filename, strict=strict, mode=mode,
+                                        eager_checkcast=eager, built=builds[strict])
+                row.append(f"exit {code}\n{out}")
+            except Exception as exc:  # a host exception is a finding: kept as the result, traced apart
+                row.append(f"{HOST_EXCEPTION}{type(exc).__name__}: {exc}")
+                frames = traceback.extract_tb(exc.__traceback__)[-3:]
+                where[f"{i} {form}"] = [f"{Path(f.filename).name}:{f.lineno} {f.name}" for f in frames]
+        results.append(row)
+    return {"minik": str(imported.relative_to(tree)), "results": results, "where": where}
+
+
+def _run_tree(tree: Path, inputs: Path, output: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), str(inputs), str(output)]
+    return subprocess.Popen(cmd, env=env, cwd=tree)
+
+
+# ============================================================
+# COMPARISON
+# ============================================================
+
+
+def _first_difference(old: str, new: str) -> str:
+    a, b = old.split("\n"), new.split("\n")
+    for x, y in zip(a, b):
+        if x != y:
+            return f"{x!r} -> {y!r}"
+    return f"{len(a)} lines -> {len(b)} lines"
+
+
+def compare(old_tree: Path, new_tree: Path, seed: int = 0, count: int = 2000) -> dict:
+    """The summary of running `make_texts(seed, count)` through both trees."""
+    texts = make_texts(seed, count)
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp) / "texts.json"
+        inputs.write_text(json.dumps(texts), encoding="utf-8")
+        outs = [Path(tmp) / "old.json", Path(tmp) / "new.json"]
+        procs = [_run_tree(Path(t).resolve(), inputs, o) for t, o in zip((old_tree, new_tree), outs)]
+        for p in procs:
+            p.wait()
+        for p in procs:
+            if p.returncode != 0:
+                raise RuntimeError(f"worker {p.args} exited with {p.returncode}")
+        old, new = (json.loads(o.read_text(encoding="utf-8")) for o in outs)
+
+    host = {"old": [], "new": []}
+    where = {"old": old["where"], "new": new["where"]}
+    differences: dict[str, dict] = {}
+    for i, (old_row, new_row) in enumerate(zip(old["results"], new["results"])):
+        for (form, *_), a, b in zip(FORMS, old_row, new_row):
+            for side, r in (("old", a), ("new", b)):
+                if r.startswith(HOST_EXCEPTION):
+                    host[side].append({"text": i, "form": form, "error": r[len(HOST_EXCEPTION):],
+                                       "where": where[side][f"{i} {form}"]})
+            if a == b:
+                continue
+            group = differences.setdefault(form, {"count": 0, "by_first_line": {}, "examples": []})
+            group["count"] += 1
+            key = _first_difference(a, b)
+            group["by_first_line"][key] = group["by_first_line"].get(key, 0) + 1
+            if len(group["examples"]) < 3:
+                group["examples"].append({"text": i, "filename": texts[i][0], "source": texts[i][1],
+                                          "old": a, "new": b})
+    return {
+        "old_tree": str(old_tree),
+        "new_tree": str(new_tree),
+        "old_minik": old["minik"],
+        "new_minik": new["minik"],
+        "seed": seed,
+        "count": count,
+        "forms": [f[0] for f in FORMS],
+        "texts": len(texts),
+        "results": len(texts) * len(FORMS),
+        "host_exceptions": {side: len(found) for side, found in host.items()},
+        "host_exception_examples": {side: found[:5] for side, found in host.items()},
+        "differing_results": sum(g["count"] for g in differences.values()),
+        "differences": differences,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:
+        tree, inputs, output = argv[1:]
+        texts = json.loads(Path(inputs).read_text(encoding="utf-8"))
+        Path(output).write_text(json.dumps(work(Path(tree), texts)), encoding="utf-8")
+        return 0
+    ap = argparse.ArgumentParser(description="Compare two miniK source trees on the same texts.")
+    ap.add_argument("old_tree", type=Path)
+    ap.add_argument("new_tree", type=Path)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--count", type=int, default=2000, help="mutated texts, besides the fixed ones")
+    ap.add_argument("--out", type=Path, help="where to write the JSON summary (default: stdout)")
+    args = ap.parse_args(argv)
+    summary = compare(args.old_tree, args.new_tree, args.seed, args.count)
+    text = json.dumps(summary, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text, encoding="utf-8")
+        print(f"texts={summary['texts']} results={summary['results']} "
+              f"differing={summary['differing_results']} host_exceptions={summary['host_exceptions']}")
+    return 0 if summary["differing_results"] == 0 and not any(summary["host_exceptions"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

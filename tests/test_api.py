@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,12 @@ def test_only_typesys_reads_the_ancestor_tables():
         and {"ancestor_of", "ancestors"} & set(_references(ast.parse(path.read_text(encoding="utf-8"))))
     )
     assert readers == []
+
+
+def test_only_the_syntax_modules_name_index():
+    # Everywhere else an index read is the `get` call it stands for.
+    namers = sorted(path.name for path in SOURCES if re.search(r"\bIndex\b", path.read_text(encoding="utf-8")))
+    assert namers == ["ast.py", "parser.py", "printer.py"]
 
 
 def test_every_diagnostic_code_passed_in_the_sources_is_registered():

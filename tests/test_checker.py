@@ -487,3 +487,10 @@ def test_member_and_type_argument_errors(check_source, source, line, message):
 )
 def test_type_diagnostics(source, rendered):
     assert run_command("check", source, "t.mk") == (f"error E-TYPE t.mk:{rendered}\n", 1)
+
+
+def test_an_index_read_without_a_get_is_a_missing_get():
+    # `a[i]` is a call to `get`, so its errors are those of `a.get(i)`.
+    source = "class Plain\nval p = Plain()\nprintln(p[0])\nval n = 1\nprintln(n[0])\n"
+    expected = "error E-TYPE v.mk:3:9: Plain has no method get\nerror E-TYPE v.mk:5:9: Int has no member get\n"
+    assert run_command("check", source, "v.mk") == (expected, 1)

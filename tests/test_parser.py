@@ -12,6 +12,8 @@ from minik.ast import (
     ClassType,
     ExprStmt,
     FunDecl,
+    Index,
+    MethodCall,
     Program,
     SourceLoc,
     StmtDecl,
@@ -114,11 +116,18 @@ def test_no_node_object_appears_twice_in_a_parsed_program():
         assert len({id(n) for n in nodes}) == len(nodes), filename
 
 
+def test_an_index_read_is_a_get_call():
+    e = parse("x[0]\n").decls[0].stmt.expr
+    assert isinstance(e, Index) and isinstance(e, MethodCall)
+    assert (e.name, len(e.args)) == ("get", 1)
+    assert pretty_print(parse("x[0]\n")) == "x[0]\n"
+
+
 def test_every_ast_class_is_slotted():
     # A parse makes tens of thousands of nodes; a per-instance dict on each
     # costs memory and collector time.
     classes = [c for c in vars(minik.ast).values() if isinstance(c, type) and dataclasses.is_dataclass(c)]
-    assert len(classes) == 32
+    assert len(classes) == 33
     assert [c.__name__ for c in classes if c.__dictoffset__] == []
 
 

@@ -482,7 +482,7 @@ def gen_postfix_expr(draw, depth: int) -> Expr:
         return MethodCall(gen_postfix_expr(draw, depth - 1), draw(st.sampled_from(_NAMES)), args, _LOC)
     if choice == 5:
         return PropertyGet(gen_postfix_expr(draw, depth - 1), draw(st.sampled_from(_NAMES)), _LOC)
-    return Index(gen_postfix_expr(draw, depth - 1), gen_expr(draw, depth - 1), _LOC)
+    return Index(gen_postfix_expr(draw, depth - 1), "get", (gen_expr(draw, depth - 1),), _LOC)
 
 
 def gen_expr(draw, depth: int) -> Expr:

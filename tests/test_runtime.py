@@ -5,7 +5,7 @@ import pytest
 from conftest import call_deep
 from minik import corpus
 from minik.ast import CastExpr, ClassType, PrimitiveType, walk_body_exprs
-from minik.cli import build
+from minik.cli import build, run_command
 from minik.runtime import (
     ERASED,
     MAX_CALL_DEPTH,
@@ -402,6 +402,18 @@ def test_a_deferred_read_used_as_a_receiver_is_checked_there(source):
     outcome = run_program(checked, ERASED)
     assert isinstance(outcome, ClassCastException) and outcome.stdout == ""
     assert (outcome.actual, outcome.expected, outcome.loc) == ("B", "A", call)
+
+
+USER_GET = "class R {\n    fun get(i: Int): Int {\n        return i\n    }\n}\nval r = R()\nprintln(r[5])\n"
+
+
+def test_brackets_call_the_get_of_a_user_class():
+    assert run_command("check", USER_GET, "v.mk") == ("", 0)
+    assert run_command("lint", USER_GET, "v.mk") == ("", 0)
+    assert run_command("sites", USER_GET, "v.mk") == (
+        "v.mk:6:1 CHECKCAST R (implicit-decl)\nv.mk:7:9 CHECKCAST R (receiver)\n", 0)
+    for mode in (ERASED, REIFIED):
+        assert run_command("run", USER_GET, "v.mk", mode=mode) == ("5\ncompleted\n", 0)
 
 
 def test_sites_refuse_programs_with_errors():
