@@ -22,8 +22,12 @@ from enum import Enum
 from typing import ClassVar
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SourceLoc:
+    """Equal and hashed by its fields like a frozen record, but built
+    without the frozen `__init__`'s per-field `object.__setattr__`: a parse
+    makes one per node. No code sets a location's fields."""
+
     file: str
     line: int  # 1-based
     col: int  # 1-based

@@ -74,7 +74,7 @@ class CastClassification(Enum):
     UNCHECKED_SILENT = "unchecked-silent"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CallInfo:
     """Resolution of one `Call` node (an index read is a `get`), kept for the runtime."""
 

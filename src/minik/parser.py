@@ -65,8 +65,8 @@ class ParseError(Exception):
 
 class _Parser:
     # The current token's index, its kind, and its text when it is a name
-    # (else None) are fields that only `seek` sets: the parser reads them
-    # several times per token.
+    # (else None) are fields that only `seek` and `advance` set: the parser
+    # reads them several times per token.
     def __init__(self, tokens: Tokens) -> None:
         self.kinds = tokens.kinds
         self.texts = tokens.texts
@@ -92,8 +92,10 @@ class _Parser:
     def advance(self) -> int:
         """Take the current token (at eof, stay there); return its index."""
         i = self.pos
-        if self.kind != "eof":
-            self.seek(i + 1)
+        if self.kind != "eof":  # `seek(i + 1)`, inlined: one call fewer per token
+            pos = self.pos = i + 1
+            kind = self.kind = self.kinds[pos]
+            self.word = self.texts[pos] if kind == "name" else None
         return i
 
     def eat(self, kind: str, expected: str | None = None) -> int:

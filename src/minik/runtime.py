@@ -83,7 +83,7 @@ MAX_CALL_DEPTH = 1000
 # ============================================================
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CheckcastSite:
     loc: SourceLoc
     expected_class: str

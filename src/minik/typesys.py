@@ -6,7 +6,8 @@ class D?" and "which member do instances of class C see?"; whether a
 declaration or a cast is *legal* is the checker's business. It is the one
 module that walks the class hierarchy (each entry's `ancestors`), for the
 checker and the runtime alike, and it lists a program's bodies against the
-table. The table is immutable once built and every query here is pure.
+table. The table is immutable once built and every query here is pure, so
+each table keeps the answers it has given (`ClassTable.memo`).
 """
 
 from __future__ import annotations
@@ -120,8 +121,14 @@ class ClassEntry:
 class ClassTable:
     classes: dict[str, ClassEntry] = field(default_factory=dict)
     functions: dict[str, Signature] = field(default_factory=dict)
-    # `lub` results by (s, t): valid as long as the table, which never changes once built.
-    lubs: dict[tuple[TypeRef, TypeRef], TypeRef] = field(default_factory=dict, repr=False, compare=False)
+    # Answers to type questions on this table, keyed by the query's name and
+    # its arguments: ("subtype", s, t) for two class types, ("supinst", t,
+    # ancestor) including None answers, ("resolve", t, scope, allow_bare)
+    # for successful resolutions only, and ("lub", s, t). Types are interned,
+    # so a key hashes and compares in O(1). Valid as long as the table: the
+    # class names and arities that resolution reads are fixed once the
+    # classes are collected, and the rest once the table is built.
+    memo: dict[tuple, object] = field(default_factory=dict, repr=False, compare=False)
 
     def entry(self, name: str) -> ClassEntry:
         return self.classes[name]
@@ -169,29 +176,36 @@ def resolve_type(
     """
     if isinstance(t, (TopType, NullableTopType, PrimitiveType, ParamRef)):
         return t
-    if isinstance(t, ClassType):
-        if t.name in type_params:
-            if t.args is not None:
-                raise TypeResolutionError(f"type parameter {t.name} takes no type arguments", loc)
-            return ParamRef(t.name)
-        if not table.has_class(t.name):
-            raise TypeResolutionError(f"unknown type {t.name}", loc)
+    if not isinstance(t, ClassType):
+        raise TypeResolutionError(f"unsupported type reference {t!r}", loc)
+    # An error is never stored: each one carries the location it was asked at.
+    key = ("resolve", t, type_params, allow_bare)
+    found = table.memo.get(key)
+    if found is not None:
+        return found
+    if t.name in type_params:
+        if t.args is not None:
+            raise TypeResolutionError(f"type parameter {t.name} takes no type arguments", loc)
+        found = ParamRef(t.name)
+    elif not table.has_class(t.name):
+        raise TypeResolutionError(f"unknown type {t.name}", loc)
+    else:
         arity = table.arity(t.name)
         if t.args is None:
             if arity == 0:
-                return ClassType(t.name, ())
-            if allow_bare:
-                return ClassType(t.name, None)
-            raise TypeResolutionError(
-                f"{t.name} expects {arity} type argument(s)", loc
-            )
-        if len(t.args) != arity:
+                found = ClassType(t.name, ())
+            elif allow_bare:
+                found = ClassType(t.name, None)
+            else:
+                raise TypeResolutionError(f"{t.name} expects {arity} type argument(s)", loc)
+        elif len(t.args) != arity:
             raise TypeResolutionError(
                 f"{t.name} expects {arity} type argument(s), got {len(t.args)}", loc
             )
-        args = tuple(resolve_type(table, a, type_params, loc) for a in t.args)
-        return ClassType(t.name, args)
-    raise TypeResolutionError(f"unsupported type reference {t!r}", loc)
+        else:
+            found = ClassType(t.name, tuple(resolve_type(table, a, type_params, loc) for a in t.args))
+    table.memo[key] = found
+    return found
 
 
 # ============================================================
@@ -416,6 +430,10 @@ def substitute(t: TypeRef, bindings: dict[str, TypeRef]) -> TypeRef:
     return t
 
 
+# A memo miss, where None is an answer.
+_UNKNOWN = object()
+
+
 def supertype_instantiation(table: ClassTable, t: ClassType, ancestor: str) -> ClassType | None:
     """The instantiation of `ancestor` reached from `t` by substituting type
     arguments up the declared supertypes, or None if `ancestor` is not above
@@ -425,11 +443,16 @@ def supertype_instantiation(table: ClassTable, t: ClassType, ancestor: str) -> C
         raise ValueError(f"bare reference {t.name} has no instantiation")
     if t.name == ancestor:
         return t
+    key = ("supinst", t, ancestor)
+    found = table.memo.get(key, _UNKNOWN)
+    if found is not _UNKNOWN:
+        return found
     entry = table.classes.get(t.name)
-    inst = entry.ancestor_of.get(ancestor) if entry is not None else None
-    if inst is None:
-        return None
-    return substitute(inst, entry.bindings(t.args)) if t.args else inst
+    found = entry.ancestor_of.get(ancestor) if entry is not None else None
+    if found is not None and t.args:
+        found = substitute(found, entry.bindings(t.args))
+    table.memo[key] = found
+    return found
 
 
 def find_member(table: ClassTable, t: ClassType, name: str, kind: str):
@@ -495,12 +518,15 @@ def subtype(table: ClassTable, s: TypeRef, t: TypeRef) -> bool:
         raise TypeError(f"not a miniK type: {s!r} or {t!r}")
     if s.args is None or t.args is None:
         return False
+    key = ("subtype", s, t)
+    found = table.memo.get(key)
+    if found is not None:
+        return found
     inst = supertype_instantiation(table, s, t.name)
-    if inst is None:
-        return False
-    entry = table.classes[t.name]
     # `inst` has arguments: it is `s` or an ancestor, and every ancestor has.
-    return _args_conform(table, entry.type_params, inst.args, t.args)
+    found = inst is not None and _args_conform(table, table.classes[t.name].type_params, inst.args, t.args)
+    table.memo[key] = found
+    return found
 
 
 def nominal_ancestors(table: ClassTable, t: TypeRef) -> list[TypeRef]:
@@ -533,7 +559,8 @@ def lub(table: ClassTable, s: TypeRef, t: TypeRef) -> TypeRef:
     keep the minimal elements and, if that is not a single type, fall back
     to Any (or Any? when one side is nullable). Memoized on the table.
     """
-    found = table.lubs.get((s, t))
+    key = ("lub", s, t)
+    found = table.memo.get(key)
     if found is not None:
         return found
     candidates = nominal_ancestors(table, s) + nominal_ancestors(table, t)
@@ -550,5 +577,5 @@ def lub(table: ClassTable, s: TypeRef, t: TypeRef) -> TypeRef:
         found = ANY
     else:
         found = ANY_NULLABLE
-    table.lubs[(s, t)] = found
+    table.memo[key] = found
     return found

@@ -9,8 +9,8 @@ parent tree can be made without touching the repository's `.git`:
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
 
 The texts are the corpus programs, one program built around index reads and
-`get` calls, `--count` seeded character, line and identifier mutations of
-those, and small `launder` and `calltree` programs from `minik_bench/gen.py`
+`get` calls, one that launders a list and calls methods on its element,
+`--count` seeded character, line and identifier mutations of those, and small `launder` and `calltree` programs from `minik_bench/gen.py`
 (loaded by path, unchanged). Each tree runs every text through the seven
 command forms in `FORMS`, in one subprocess per tree. A Python exception
 escaping a command is a host exception: its type and message become that
@@ -85,6 +85,36 @@ println(down.get(0) is A)
 println(down[1])
 """
 
+# P1's laundering chain, then the laundered element as a receiver, read
+# through `[i]` and `get`. Neither read is checked where it is made (a
+# deferred read), so the erased run stops at the receiver's class check.
+RECEIVER_PROGRAM = """\
+open class B {
+    fun name(): String {
+        return "B"
+    }
+}
+
+class A : B() {
+    fun secret(): String {
+        return "A"
+    }
+}
+
+fun launder(list: MutableList<A>) {
+    val upcast: List<A> = list
+    val covariance: List<B> = upcast
+    val downcast: MutableList<B> = covariance as MutableList
+    downcast.add(B())
+}
+
+val list = mutableListOf<A>()
+launder(list)
+println(list.size)
+println(list[0].name())
+println(list.get(0).secret())
+"""
+
 _SNIPPETS = ("[0]", ".get(0)", ".size", ".m()", " as Any", " as MutableList", " is A", "<B>")
 _CHARS = "abAB01 \n()[]<>{}.,:=\"?"
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -135,6 +165,7 @@ def make_texts(seed: int, count: int) -> list[tuple[str, str]]:
     """(filename, source) of every text, deterministic in `seed` and `count`."""
     bases = [(p.name, p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src/minik/corpus").glob("*.mk"))]
     bases.append(("index.mk", INDEX_PROGRAM))
+    bases.append(("receiver.mk", RECEIVER_PROGRAM))
     texts = list(bases)
     rng = random.Random(f"differential:{seed}")
     for _ in range(count):

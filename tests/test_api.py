@@ -8,6 +8,9 @@ import pytest
 
 import minik
 from minik import diagnostics
+from minik.ast import INT, SourceLoc
+from minik.checker import CallInfo
+from minik.runtime import CheckcastSite
 
 
 def test_public_api_is_pinned():
@@ -148,3 +151,29 @@ def test_every_diagnostic_code_passed_in_the_sources_is_registered():
 def test_an_unregistered_diagnostic_code_is_a_value_error(make, code):
     with pytest.raises(ValueError, match=f"unknown {make} code {code}"):
         getattr(diagnostics, make)(code, minik.SourceLoc("t.mk", 1, 1), "message")
+
+
+def test_a_location_is_a_value():
+    loc = SourceLoc("a.mk", 3, 7)
+    assert loc == SourceLoc("a.mk", 3, 7)
+    assert loc != SourceLoc("a.mk", 3, 8)
+    assert {loc, SourceLoc("a.mk", 3, 7), SourceLoc("b.mk", 3, 7)} == {loc, SourceLoc("b.mk", 3, 7)}
+    assert str(loc) == "a.mk:3:7"
+    assert repr(loc) == "SourceLoc(file='a.mk', line=3, col=7)"
+
+
+_LOC = SourceLoc("a.mk", 1, 2)
+RECORDS = [
+    (SourceLoc, ("a.mk", 1, 2), ("a.mk", 2, 1)),
+    (CallInfo, ("method", "get", INT), ("method", "size", INT)),
+    (CheckcastSite, (_LOC, "A", "receiver"), (_LOC, "A", "call-arg")),
+]
+
+
+@pytest.mark.parametrize("record, fields, other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_per_node_records_are_slotted_values(record, fields, other):
+    assert "__slots__" in vars(record)
+    value = record(*fields)
+    assert not hasattr(value, "__dict__")
+    assert value == record(*fields) and hash(value) == hash(record(*fields))
+    assert value != record(*other)

@@ -3,7 +3,7 @@ parser round trip, each over at least a thousand generated instances."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +174,14 @@ def test_subtype_reflexive_and_transitive(chain):
     for x, y in ((s, t), (t, u), (s, u)):
         if subtype(table, x, y) and subtype(table, y, x):
             assert x == y
+    # Asked again, the table answers from its memo; a copy with an empty
+    # memo works each answer out afresh. All three agree.
+    fresh = replace(table, memo={})
+    for x in (s, t, u):
+        for y in (s, t, u):
+            first = subtype(table, x, y)
+            assert subtype(table, x, y) is first
+            assert subtype(fresh, x, y) is first
 
 
 # The hierarchy walk as a plain recursion over the declared supertypes: the
@@ -364,6 +372,10 @@ def type_pairs(draw):
 def test_lub_is_a_minimal_common_supertype(pair):
     table, s, t = pair
     r = lub(table, s, t)
+    # Asked again, the table answers from its memo; a copy with an empty
+    # memo works the answer out afresh.
+    assert lub(table, s, t) is r
+    assert lub(replace(table, memo={}), s, t) is r
     assert subtype(table, s, r)
     assert subtype(table, t, r)
     candidates = []

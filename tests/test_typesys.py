@@ -9,9 +9,11 @@ from minik.cli import build_or_error, run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
 from minik.typesys import (
+    TypeResolutionError,
     build_class_table,
     lub,
     nominal_ancestors,
+    resolve_type,
     subtype,
     supertype_instantiation,
 )
@@ -199,7 +201,45 @@ def test_table_diagnostics(source, rendered):
 def test_lub_is_memoized_per_table(ab_table):
     query = (t("MutableList", t("A")), t("List", t("B")))
     assert lub(ab_table, *query) is lub(ab_table, *query)
-    assert ab_table.lubs[query] == t("List", t("B"))
+    assert ab_table.memo[("lub", *query)] == t("List", t("B"))
+
+
+def _answers(table):
+    """Each memoized query about classes `A`, `B` and `Box`, asked twice."""
+    b, a, box = t("B"), t("A"), ClassType("Box")
+    loc = parse("val x = 1\n").decls[0].loc
+    rows = []
+    for _ in range(2):
+        try:
+            resolved = resolve_type(table, box, frozenset(), loc)
+        except TypeResolutionError as e:
+            resolved = e.message
+        rows.append((subtype(table, b, a), supertype_instantiation(table, b, "A"),
+                     resolve_type(table, box, frozenset(), loc, allow_bare=True), resolved, lub(table, b, a)))
+    assert rows[0] == rows[1]
+    return rows[0]
+
+
+def test_memoized_answers_do_not_cross_between_programs():
+    # The same class names in one process: B is below A in one program and
+    # not in the other, and Box is generic in one and not in the other.
+    below = ("open class A\nclass B : A()\nclass Box<T>\n",
+             (True, t("A"), ClassType("Box", None), "Box expects 1 type argument(s)", t("A")))
+    apart = ("open class A\nclass B\nclass Box\n",
+             (False, None, t("Box"), t("Box"), ANY))
+    for order in ((below, apart), (apart, below)):
+        for source, want in order:
+            assert _answers(table_for(source)) == want
+
+
+def test_an_unresolvable_type_is_reported_at_each_place_it_is_written():
+    src = "val x: Foo = 1\nval y: List<Foo> = mutableListOf<Int>()\n  val z: Foo = 2\n"
+    assert run_command("check", src, "t.mk") == (
+        "error E-TYPE t.mk:1:1: unknown type Foo\n"
+        "error E-TYPE t.mk:2:1: unknown type Foo\n"
+        "error E-TYPE t.mk:3:3: unknown type Foo\n",
+        1,
+    )
 
 
 def test_supertype_instantiation_through_one_level(ab_table):
