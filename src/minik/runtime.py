@@ -22,13 +22,20 @@ immediately and variance-aware, by `subtype` on the value's own type. In
 both modes a value of the wrong class fails at an `if` condition or a list
 index, where the JVM unboxes it.
 
+The checks on a value read from a variable run inside that read's `load`,
+in order, each at its own location and with its own message; an `if`
+whose condition is an `is` test is one operation that tests and jumps; and
+a call pops its arguments straight into the callee's variables, exactly as
+many as the call site passes, bound by position.
+
 Method dispatch takes the method and the bindings its body runs under from
-`typesys.find_member`, as the checker does.
+`typesys.find_member`, as the checker does, once per receiver runtime type,
+method name and argument count in a run.
 
 A run decides each distinct class check, reified check and `is` test once,
 by its runtime type (class name when erased) and its target, and keeps the
 verdict for the rest of that run only; every check still runs at its own
-operation, location and message.
+location and with its own message.
 """
 
 from __future__ import annotations
@@ -245,14 +252,22 @@ def render_value(v: Value) -> str:
 #
 # An operation is a tuple whose first field names it. Operands are popped
 # from, and results pushed to, one value stack shared by every activation
-# record. `check` is an erased class check; `full` is a reified check.
+# record. A check is a target and a location: an erased class check when
+# the target is a class name, a reified check when it is a type. The checks
+# of a value read from a variable ride on that `load`, as a list of
+# (target, loc) that it runs in order before it pushes the value; any other
+# check is a `check` operation after the value's operation.
 #
-#   load name | store name | const value | pop | print | return
-#   check class loc | full type loc | is instance_check target
-#   new value_class type | prop name loc
-#   call nargs sig loc type_args (empty when erased)
-#   method nargs member loc index_loc
-#   branch target loc | jump target
+#   load name checks | check target loc | store name | const value | pop
+#   print | return | is instance_check target | new value_class type
+#   prop name loc | call names sig loc type_args (empty when erased)
+#   method nargs member loc index_loc | branch target loc | jump target
+#   branch_is instance_check type target  (an `if (v is T)`: tests, then
+#   jumps to `target` when false)
+#
+# A call's `names` are the parameters its arguments bind, in the order the
+# arguments come off the stack (`_pop_order`). A `method` pops exactly
+# `nargs` arguments whatever the method found at run time declares.
 # ============================================================
 
 
@@ -266,11 +281,26 @@ def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
     return info is not None and isinstance(info.declared_return, ParamRef)
 
 
+def _pop_order(names: tuple[str, ...], nargs: int) -> tuple[str | None, ...]:
+    """The parameter each of a call's `nargs` arguments binds, last argument
+    first, the order the call pops them. The arguments bind `names` by
+    position. An argument past the last parameter, or bound to a parameter
+    that a later one of the same name shadows, gets None, a key no read
+    names: a method found at run time may declare more or fewer parameters
+    than the one the call was checked against, and of two parameters with
+    one name the later wins."""
+    order = (names[:nargs] + (None,) * (nargs - len(names)))[::-1]
+    if len(set(order)) < len(order):
+        order = tuple(None if name in order[:i] else name for i, name in enumerate(order))
+    return order
+
+
 class _Compiler:
     def __init__(self, checked: CheckedProgram, mode: str, eager: bool,
                  sites: list[CheckcastSite] | None = None) -> None:
         self.checked = checked
         self.erased = mode == ERASED
+        self.instance_check = erased_instance_check if self.erased else reified_instance_check
         self.eager = eager
         self.sites = sites  # when given, each erased site placed is appended
 
@@ -281,6 +311,15 @@ class _Compiler:
         code += (("const", UNIT_VALUE), ("return",))
         return code
 
+    def check(self, code: list[tuple], target: str | TypeRef, loc: SourceLoc) -> None:
+        """The check of the value on top of the stack, folded into the `load`
+        that left it there when there is one."""
+        last = code[-1]
+        if last[0] == "load":
+            last[2].append((target, loc))
+        else:
+            code.append(("check", target, loc))
+
     def site(self, code: list[tuple], e: Expr | None, t: TypeRef | None, loc: SourceLoc, reason: str) -> None:
         """Erased: the checkcast site verifying that the value of `e` (or of a
         receiver, when `e` is None) is of `t`'s class, unless `t` names no
@@ -288,7 +327,7 @@ class _Compiler:
         if isinstance(t, ClassType) and (e is None or not _is_deferred_read(self.checked, e)):
             if self.sites is not None:
                 self.sites.append(CheckcastSite(loc, t.name, reason))
-            code.append(("check", t.name, loc))
+            self.check(code, t.name, loc)
 
     def stmt(self, code: list[tuple], s: Stmt, return_type: TypeRef | None) -> None:
         if isinstance(s, ValDecl):
@@ -298,7 +337,7 @@ class _Compiler:
                 reason = "explicit-decl" if s.declared_type is not None else "implicit-decl"
                 self.site(code, s.init, bound, s.loc, reason)
             else:
-                code.append(("full", bound, s.loc))
+                self.check(code, bound, s.loc)
             code.append(("store", s.name))
         elif isinstance(s, ExprStmt):
             self.expr(code, s.expr)
@@ -309,14 +348,18 @@ class _Compiler:
                 self.site(code, s.expr, return_type, s.loc, "return-value")
             code.append(("return",))
         elif isinstance(s, If):
-            self.expr(code, s.cond)
+            cond = s.cond
+            self.expr(code, cond.expr if isinstance(cond, IsExpr) else cond)
             branch = len(code)
-            code.append(())  # patched below, as is the jump
+            code.append(("jump", None))  # patched below, as is the jump
             for inner in s.then_body:
                 self.stmt(code, inner, return_type)
             jump = len(code)
-            code.append(())
-            code[branch] = ("branch", len(code), s.cond.loc)
+            code.append(("jump", None))
+            if isinstance(cond, IsExpr):
+                code[branch] = ("branch_is", self.instance_check, self.checked.is_targets[id(cond)], len(code))
+            else:
+                code[branch] = ("branch", len(code), cond.loc)
             for inner in s.else_body or ():
                 self.stmt(code, inner, return_type)
             code[jump] = ("jump", len(code))
@@ -325,7 +368,7 @@ class _Compiler:
 
     def expr(self, code: list[tuple], e: Expr) -> None:
         if isinstance(e, VarRef):
-            code.append(("load", e.name))
+            code.append(("load", e.name, []))
         elif isinstance(e, IntLit):
             code.append(("const", IntValue(e.value)))
         elif isinstance(e, StringLit):
@@ -334,15 +377,14 @@ class _Compiler:
             self.expr(code, e.expr)
             target = self.checked.expr_types[id(e)]  # the completed cast target
             if not self.erased:
-                code.append(("full", target, e.loc))
+                self.check(code, target, e.loc)
             # An explicit cast always verifies the class portion, even in
             # value-discarding positions; the type arguments are gone.
             elif isinstance(target, (ClassType, PrimitiveType)):
-                code.append(("check", target.name, e.loc))
+                self.check(code, target.name, e.loc)
         elif isinstance(e, IsExpr):
             self.expr(code, e.expr)
-            check = erased_instance_check if self.erased else reified_instance_check
-            code.append(("is", check, self.checked.is_targets[id(e)]))
+            code.append(("is", self.instance_check, self.checked.is_targets[id(e)]))
         else:
             self.call(code, e)
 
@@ -357,7 +399,7 @@ class _Compiler:
             if erased:
                 self.site(code, None, recv_t, e.loc, "receiver")
             elif isinstance(recv_t, ClassType):
-                code.append(("full", recv_t, e.loc))
+                self.check(code, recv_t, e.loc)
         if kind == "ctor" or kind == "builtin" and e.name == "mutableListOf":
             # The checker admits no value arguments here.
             name = e.name if kind == "ctor" else "MutableList"
@@ -371,10 +413,10 @@ class _Compiler:
                     if erased:
                         self.site(code, a, expected[i], a.loc, "call-arg")
                     else:
-                        code.append(("full", expected[i], a.loc))
+                        self.check(code, expected[i], a.loc)
             if kind == "fun":
                 sig = checked.table.functions[e.name]
-                code.append(("call", len(args), sig, e.loc, () if erased else info.type_args))
+                code.append(("call", _pop_order(sig.param_names, len(args)), sig, e.loc, () if erased else info.type_args))
             elif kind == "builtin":
                 if e.name != "println":
                     raise TypeError(f"unknown builtin {e.name}")
@@ -388,12 +430,14 @@ class _Compiler:
             # immediately instead of waiting for a downstream site.
             t = checked.expr_types.get(id(e))
             if isinstance(t, ClassType):
-                code.append(("check", t.name, e.loc))
+                self.check(code, t.name, e.loc)
 
 
 # ============================================================
 # THE LOOP
 # ============================================================
+
+_NO_BINDINGS: dict[str, TypeRef] = {}  # shared by every call without type arguments; never written
 
 
 class _Machine:
@@ -402,11 +446,16 @@ class _Machine:
         self.compiler = _Compiler(checked, mode, eager_checkcast)
         self.codes: dict[int, list[tuple]] = {}  # id() of a function's or method's Signature -> its code
         # Each check's verdict by (actual class name, expected class name) for
-        # `check` and by (runtime type, target after substitution) for `full`
-        # and `is`. Types are interned, so those keys hash and compare by
-        # identity, at any nesting depth. Runs with `full` checks are reified,
-        # where `is` decides by the same `subtype`, so the key shapes cannot clash.
+        # a class check and by (runtime type, target after substitution) for
+        # a reified check and `is`. Types are interned, so those keys hash and
+        # compare by identity, at any nesting depth. Runs with reified checks
+        # are reified, where `is` decides by the same `subtype`, so the key
+        # shapes cannot clash.
         self.verdicts: dict[tuple, bool] = {}
+        # Each method call's dispatch by (receiver's runtime type, method
+        # name, argument count): the callee's signature, its type bindings
+        # and the names its arguments bind, in pop order.
+        self.methods: dict[tuple, tuple] = {}
         self.stdout: list[str] = []
         self.oids = count(1)
 
@@ -431,101 +480,139 @@ class _Machine:
             return outcome("".join(self.stdout), *fields)
         return Completed("".join(self.stdout), last)
 
+    def decide(self, v: Value, target: str | TypeRef, loc: SourceLoc, bindings: dict[str, TypeRef]) -> None:
+        """Runs the check of `v` against `target`, deciding its verdict if
+        the run lacks it; a failure ends the run at `loc`."""
+        table, verdicts = self.table, self.verdicts
+        if isinstance(target, str):
+            actual = v.type.name
+            key = (actual, target)
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = class_conforms(table, actual, target)
+            if not ok:
+                raise _Stop(ClassCastException, loc, target, actual)
+        else:
+            t = substitute(target, bindings) if bindings else target
+            key = (v.type, t)
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = subtype(table, v.type, t)
+            if not ok:
+                raise _Stop(ClassCastException, loc, t.render(), v.type.render())
+
+    def dispatch(self, recv: Value, member: str, nargs: int, loc: SourceLoc) -> tuple:
+        """The method `member` that `recv` runs with `nargs` arguments: its
+        signature, bindings and the names the arguments bind, in pop order."""
+        recv_t = recv.type
+        if not isinstance(recv, ObjectValue):
+            raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no methods")
+        found = find_member(self.table, recv_t, member, "method")
+        if found is None or found[0].decl.body is None:
+            raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no callable method {member}")
+        sig, bindings = found
+        return sig, bindings, _pop_order(sig.param_names, nargs)
+
     def execute(self, code: list[tuple], env: dict[str, Value]) -> Value:
         """Run `code` with `env` until it returns; the value it returns."""
-        table, verdicts = self.table, self.verdicts
+        table, verdicts, codes, methods, decide = self.table, self.verdicts, self.codes, self.methods, self.decide
+        erased = self.compiler.erased
         stack: list[Value] = []
         push, pop = stack.append, stack.pop
         calls: list[tuple] = []  # the suspended callers: (code, pc, env, bindings)
-        bindings: dict[str, TypeRef] = {}
+        bindings: dict[str, TypeRef] = _NO_BINDINGS
         pc = 0
         while True:
             op = code[pc]
             pc += 1
             kind = op[0]
             if kind == "load":
-                push(env[op[1]])
-            elif kind == "check":
-                actual = stack[-1].type.name
-                key = (actual, op[1])
-                ok = verdicts.get(key)
-                if ok is None:
-                    ok = verdicts[key] = class_conforms(table, actual, op[1])
-                if not ok:
-                    raise _Stop(ClassCastException, op[2], op[1], actual)
+                v = env[op[1]]
+                checks = op[2]
+                if checks:
+                    # A verdict already decided true is read here; any other
+                    # is decided, or fails, in `decide`. An erased run has
+                    # no bindings.
+                    actual = v.type.name if erased else v.type
+                    for target, loc in checks:
+                        if not verdicts.get((actual, substitute(target, bindings) if bindings else target)):
+                            decide(v, target, loc, bindings)
+                push(v)
             elif kind == "store":
                 env[op[1]] = pop()
-            elif kind == "pop":
-                pop()
-            elif kind == "const":
-                push(op[1])
             elif kind == "return":
                 if not calls:
                     return pop()
                 code, pc, env, bindings = calls.pop()
-            elif kind == "branch":
-                cond = pop()
-                if not isinstance(cond, BoolValue):
-                    raise _Stop(ClassCastException, op[2], "Boolean", cond.type.name)
-                if not cond.value:
-                    pc = op[1]
-            elif kind == "jump":
-                pc = op[1]
-            elif kind == "full":
-                t = substitute(op[1], bindings) if bindings else op[1]
-                actual_t = stack[-1].type
-                key = (actual_t, t)
-                ok = verdicts.get(key)
-                if ok is None:
-                    ok = verdicts[key] = subtype(table, actual_t, t)
-                if not ok:
-                    raise _Stop(ClassCastException, op[2], t.render(), actual_t.render())
-            elif kind == "is":
-                t = substitute(op[2], bindings) if bindings else op[2]
+            elif kind == "pop":
+                pop()
+            elif kind == "call" or kind == "method":
+                if kind == "call":
+                    _, names, sig, loc, type_args = op
+                    callee_bindings = _NO_BINDINGS
+                    if type_args:
+                        callee_bindings = {name: substitute(t, bindings) for name, t in zip(sig.type_params, type_args)}
+                else:
+                    _, nargs, member, loc, index_loc = op
+                    recv = stack[-1 - nargs]
+                    if isinstance(recv, ListValue):
+                        args = stack[len(stack) - nargs:]
+                        del stack[len(stack) - nargs - 1:]
+                        push(_list_method(recv, member, args, loc, index_loc))
+                        continue
+                    key = (recv.type, member, nargs)
+                    found = methods.get(key)
+                    if found is None:
+                        found = methods[key] = self.dispatch(recv, member, nargs, loc)
+                    sig, callee_bindings, names = found
+                    del stack[-1 - nargs]  # the receiver
+                callee_env = {}
+                for name in names:
+                    callee_env[name] = pop()
+                if len(calls) >= MAX_CALL_DEPTH:
+                    raise _Stop(RuntimeFault, loc, f"call depth exceeds {MAX_CALL_DEPTH}")
+                calls.append((code, pc, env, bindings))
+                code = codes.get(id(sig))
+                if code is None:
+                    code = codes[id(sig)] = self.compiler.body(sig.decl.body, sig.return_type)
+                pc = 0
+                env = callee_env
+                bindings = callee_bindings
+            elif kind == "branch_is":
                 v = pop()
+                t = substitute(op[2], bindings) if bindings else op[2]
                 key = (v.type, t)
                 ok = verdicts.get(key)
                 if ok is None:
                     ok = verdicts[key] = op[1](table, v, t)
-                push(BoolValue(ok))
-            elif kind == "call" or kind == "method":
-                base = len(stack) - op[1]
-                args = stack[base:]
-                if kind == "call":
-                    _, _, sig, loc, type_args = op
-                    callee_bindings = {}
-                    if type_args:
-                        callee_bindings = {name: substitute(t, bindings) for name, t in zip(sig.type_params, type_args)}
-                    del stack[base:]
-                else:
-                    _, _, member, loc, index_loc = op
-                    recv = stack[base - 1]
-                    del stack[base - 1:]
-                    if isinstance(recv, ListValue):
-                        push(_list_method(recv, member, args, loc, index_loc))
-                        continue
-                    recv_t = recv.type
-                    if not isinstance(recv, ObjectValue):
-                        raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no methods")
-                    found = find_member(table, recv_t, member, "method")
-                    if found is None or found[0].decl.body is None:
-                        raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no callable method {member}")
-                    sig, callee_bindings = found
-                if len(calls) >= MAX_CALL_DEPTH:
-                    raise _Stop(RuntimeFault, loc, f"call depth exceeds {MAX_CALL_DEPTH}")
-                calls.append((code, pc, env, bindings))
-                code = self.codes.get(id(sig))
-                if code is None:
-                    code = self.codes[id(sig)] = self.compiler.body(sig.decl.body, sig.return_type)
-                pc = 0
-                env = dict(zip(sig.param_names, args))
-                bindings = callee_bindings
+                if not ok:
+                    pc = op[3]
+            elif kind == "jump":
+                pc = op[1]
+            elif kind == "const":
+                push(op[1])
+            elif kind == "check":
+                decide(stack[-1], op[1], op[2], bindings)
             elif kind == "new":
                 # Only a reified allocation can run under type bindings.
                 push(op[1](substitute(op[2], bindings) if bindings else op[2], next(self.oids)))
             elif kind == "print":
                 self.stdout.append(render_value(pop()) + "\n")
                 push(UNIT_VALUE)
+            elif kind == "is":
+                v = pop()
+                t = substitute(op[2], bindings) if bindings else op[2]
+                key = (v.type, t)
+                ok = verdicts.get(key)
+                if ok is None:
+                    ok = verdicts[key] = op[1](table, v, t)
+                push(BoolValue(ok))
+            elif kind == "branch":
+                cond = pop()
+                if not isinstance(cond, BoolValue):
+                    raise _Stop(ClassCastException, op[2], "Boolean", cond.type.name)
+                if not cond.value:
+                    pc = op[1]
             elif kind == "prop":
                 recv = pop()
                 if isinstance(recv, ListValue) and op[1] == "size":

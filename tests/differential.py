@@ -9,15 +9,17 @@ parent tree can be made without touching the repository's `.git`:
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
 
 The texts are the corpus programs, one program built around index reads and
-`get` calls, one that launders a list and calls methods on its element,
-`--count` seeded character, line and identifier mutations of those, and small `launder` and `calltree` programs from `minik_bench/gen.py`
-(loaded by path, unchanged). Each tree runs every text through the seven
-command forms in `FORMS`, in one subprocess per tree. A Python exception
-escaping a command is a host exception: its type and message become that
-result, and its innermost frames are reported beside it. The JSON summary
-gives the texts, the results, the host exceptions per side and the
-differing results grouped by command form and by first differing line. The
-exit code is 0 when nothing differs and neither side raised, 1 otherwise.
+`get` calls, one that launders a list and calls methods on its element, one
+that calls a generic method under two instantiations, `--count` seeded
+character, line and identifier mutations of those, and small `launder` and
+`calltree` programs from `minik_bench/gen.py` (loaded by path, unchanged).
+Each tree runs every text through the seven command forms in `FORMS`, in
+one subprocess per tree. A Python exception escaping a command is a host
+exception: its type and message become that result, and its innermost
+frames are reported beside it. The JSON summary gives the texts, the
+results, the host exceptions per side and the differing results grouped by
+command form and by first differing line. The exit code is 0 when nothing
+differs and neither side raised, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -115,6 +117,72 @@ println(list[0].name())
 println(list.get(0).secret())
 """
 
+# Two instantiations of one generic class whose method checks its argument
+# against T, an `is`-guarded `if` that runs both arms, a 3-argument call,
+# methods that a subclass redeclares with more and with fewer parameters,
+# called through the superclass, and a cast on a variable that fails. The
+# reified run stops where `Box<Leaf>` keeps a `Base`; the erased run goes on
+# to the failing cast.
+DISPATCH_PROGRAM = """\
+open class Base {
+    fun m(x: Int): Int {
+        return x
+    }
+    fun n(x: Int, y: Int): Int {
+        return y
+    }
+}
+
+class Leaf : Base() {
+    fun m(x: Int, y: Int): Int {
+        return x
+    }
+    fun n(): Int {
+        return 7
+    }
+}
+
+class Box<T> {
+    fun keep(x: Any): T {
+        val t = x as T
+        return t
+    }
+}
+
+fun kind(x: Any): String {
+    if (x is Leaf) {
+        return "leaf"
+    } else {
+        return "other"
+    }
+}
+
+fun middle(a: Base, b: Base, c: Base): Base {
+    println(kind(a))
+    println(kind(c))
+    return b
+}
+
+fun pair(a: Int, b: Int): Int {
+    println(a)
+    return b
+}
+
+val base: Base = Leaf()
+println(pair(10, base.m(1)))
+println(pair(20, base.n(2, 3)))
+println(Leaf().m(4, 5))
+val leaves = Box<Leaf>()
+val bases = Box<Base>()
+println(leaves.keep(Leaf()))
+println(bases.keep(Base()))
+println(middle(Leaf(), bases.keep(Leaf()), Base()))
+println(leaves.keep(Base()))
+val y: Any = Base()
+val z = y as Leaf
+println(z)
+"""
+
 _SNIPPETS = ("[0]", ".get(0)", ".size", ".m()", " as Any", " as MutableList", " is A", "<B>")
 _CHARS = "abAB01 \n()[]<>{}.,:=\"?"
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -166,6 +234,7 @@ def make_texts(seed: int, count: int) -> list[tuple[str, str]]:
     bases = [(p.name, p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src/minik/corpus").glob("*.mk"))]
     bases.append(("index.mk", INDEX_PROGRAM))
     bases.append(("receiver.mk", RECEIVER_PROGRAM))
+    bases.append(("dispatch.mk", DISPATCH_PROGRAM))
     texts = list(bases)
     rng = random.Random(f"differential:{seed}")
     for _ in range(count):

@@ -566,3 +566,261 @@ def test_a_reified_check_of_a_200_deep_type_argument_completes():
     src = f"val x: List<{inner}> = mutableListOf<{inner}>()\nprintln(x.size)\n"
     for mode in (ERASED, REIFIED):
         assert run_program(build_src(src), mode) == Completed("0\n", UNIT_VALUE)
+
+
+# ============================================================
+# CHECKS ON THEIR LOAD, FUSED `is` BRANCHES AND CALLS
+#
+# The checks on a variable's value run inside its `load`, an `if (v is T)`
+# tests and branches in one operation, and a call moves its arguments off
+# the stack into the callee's names. These programs pin what each of those
+# must keep: every check's own location and classes, and each argument
+# bound to its own parameter.
+# ============================================================
+
+CAST_THEN_DECL = (
+    "open class Base\n"
+    "class Leaf : Base()\n"
+    "class Bad<out T> : @UnsafeVariance MutableList<T>\n"
+    "fun narrow(x: Base) {\n"
+    "    val c = x as Leaf\n"
+    '    println("narrowed")\n'
+    "}\n"
+    "fun widen(b: Any) {\n"
+    "    val c: MutableList<Base> = b as Bad<Base>\n"
+    '    println("widened")\n'
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_a_failing_cast_on_a_load_names_the_cast(mode):
+    outcome = run_program(build_src(CAST_THEN_DECL + "narrow(Leaf())\nnarrow(Base())\n"), mode)
+    assert outcome.stdout == "narrowed\n"
+    assert outcome.render() == "ClassCastException: Base cannot be cast to Leaf at test.mk:5:15"
+
+
+def test_a_passing_cast_then_a_failing_declaration_on_one_load():
+    # `Bad<Leaf>` passes the cast to `Bad<Base>` (T is `out`) but is no
+    # `MutableList<Base>`: the second check on the load of `b` fails, at the
+    # declaration. Erased, both checks are class checks, and both pass.
+    checked = build_src(CAST_THEN_DECL + "widen(Bad<Leaf>())\n")
+    assert run_program(checked, ERASED) == Completed("widened\n", UNIT_VALUE)
+    outcome = run_program(checked, REIFIED)
+    assert outcome.stdout == ""
+    assert outcome.render() == "ClassCastException: Bad<Leaf> cannot be cast to MutableList<Base> at test.mk:9:5"
+
+
+def test_checks_on_a_load_substitute_the_type_bindings():
+    src = (
+        "open class Base\n"
+        "class Leaf : Base()\n"
+        "class Bad<out T> : @UnsafeVariance MutableList<T>\n"
+        "fun pass<E>(b: Any) {\n"
+        "    val c: MutableList<E> = b as Bad<E>\n"
+        '    println("passed")\n'
+        "}\n"
+        "val leaves = Bad<Leaf>()\n"
+        "pass<Leaf>(leaves)\n"
+        "pass<Base>(leaves)\n"
+    )
+    checked = build_src(src)
+    assert run_program(checked, ERASED) == Completed("passed\npassed\n", UNIT_VALUE)
+    outcome = run_program(checked, REIFIED)
+    assert outcome.stdout == "passed\n"
+    assert outcome.render() == "ClassCastException: Bad<Leaf> cannot be cast to MutableList<Base> at test.mk:5:5"
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_an_is_branch_takes_either_arm(mode):
+    src = (
+        "open class A\n"
+        "class B : A()\n"
+        "fun show(x: A) {\n"
+        "    if (x is B) {\n"
+        '        println("then")\n'
+        "    } else {\n"
+        '        println("else")\n'
+        "    }\n"
+        '    println("after")\n'
+        "}\n"
+        "show(A())\n"
+        "show(B())\n"
+        "show(A())\n"
+    )
+    assert run_program(build_src(src), mode).stdout == "else\nafter\nthen\nafter\nelse\nafter\n"
+
+
+def test_a_laundered_value_read_from_a_val_fails_at_the_condition():
+    # The deferred read leaves `flag` unchecked, so its `load` carries no
+    # check, and the String is unboxed at the `if`.
+    source = HOLE.replace("if (bl.get(1)) {", "val flag = bl.get(1)\nif (flag) {")
+    checked = build_src(source)
+    erased = run_program(checked, ERASED)
+    assert erased.render() == "ClassCastException: String cannot be cast to Boolean at test.mk:12:5"
+    reified = run_program(checked, REIFIED)
+    assert (reified.expected, reified.loc.line) == ("MutableList<Any>", 9)
+
+
+ARITIES = (
+    "class K {\n"
+    "    fun none(): Int {\n"
+    "        return 0\n"
+    "    }\n"
+    "    fun one(a: Int): Int {\n"
+    "        return a\n"
+    "    }\n"
+    "    fun three(a: Int, b: String, c: Int): Int {\n"
+    "        println(a)\n"
+    "        println(b)\n"
+    "        println(c)\n"
+    "        return c\n"
+    "    }\n"
+    "}\n"
+    "fun none(): Int {\n"
+    "    return 10\n"
+    "}\n"
+    "fun one(a: Int): Int {\n"
+    "    return a\n"
+    "}\n"
+    "fun three(a: Int, b: String, c: Int): Int {\n"
+    "    println(a)\n"
+    "    println(b)\n"
+    "    println(c)\n"
+    "    return a\n"
+    "}\n"
+    "println(none())\n"
+    "println(one(11))\n"
+    'println(three(12, "thirteen", 14))\n'
+    "val k = K()\n"
+    "println(k.none())\n"
+    "println(k.one(1))\n"
+    'println(k.three(2, "three", 4))\n'
+)
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_calls_bind_each_argument_to_its_own_parameter(mode):
+    expected = "10\n11\n12\nthirteen\n14\n12\n0\n1\n2\nthree\n4\n4\n"
+    assert run_program(build_src(ARITIES), mode).stdout == expected
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_a_repeated_parameter_name_binds_the_later_argument(mode):
+    # Kotlin rejects two parameters with one name as conflicting
+    # declarations; the class table does not yet, and the run reads the
+    # later one. When the checker rejects it, this test changes alone.
+    src = (
+        "class K {\n"
+        "    fun twice(y: Int, y: Int): Int {\n"
+        "        return y\n"
+        "    }\n"
+        "}\n"
+        "fun twice(x: Int, x: Int): Int {\n"
+        "    return x\n"
+        "}\n"
+        "println(twice(5, 6))\n"
+        "println(K().twice(7, 8))\n"
+    )
+    assert run_program(build_src(src), mode) == Completed("6\n8\n", UNIT_VALUE)
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_a_redeclared_method_of_another_arity_takes_the_call_sites_arguments(mode):
+    # `a.m(1)` is checked against A's `m`, but the run dispatches to B's,
+    # which declares one parameter more (`n`: two fewer). The call still
+    # moves exactly its own arguments, by position: `x` takes the 1 and the
+    # 10 pending for `pair` stays on the stack; surplus arguments bind
+    # nothing. `B().m(5, 6)` dispatches to the same method with two.
+    src = (
+        "open class A {\n"
+        "    fun m(x: Int): Int {\n"
+        "        return x\n"
+        "    }\n"
+        "    fun n(x: Int, y: Int): Int {\n"
+        "        return y\n"
+        "    }\n"
+        "}\n"
+        "class B : A() {\n"
+        "    fun m(x: Int, y: Int): Int {\n"
+        "        return x\n"
+        "    }\n"
+        "    fun n(): Int {\n"
+        "        return 7\n"
+        "    }\n"
+        "}\n"
+        "fun pair(a: Int, b: Int): Int {\n"
+        "    println(a)\n"
+        "    return b\n"
+        "}\n"
+        "val a: A = B()\n"
+        "println(pair(10, a.m(1)))\n"
+        "println(pair(20, a.n(2, 3)))\n"
+        "println(pair(30, a.m(4)))\n"
+        "println(B().m(5, 6))\n"
+    )
+    assert run_program(build_src(src), mode) == Completed("10\n1\n20\n7\n30\n4\n5\n", UNIT_VALUE)
+
+
+def test_a_generic_function_passes_its_bindings_to_a_generic_callee():
+    src = (
+        "open class Base\n"
+        "class Leaf : Base()\n"
+        "fun inner<T>(x: Any): T {\n"
+        "    return x as T\n"
+        "}\n"
+        "fun outer<U>(x: Any): U {\n"
+        "    return inner<U>(x)\n"
+        "}\n"
+        "println(outer<Leaf>(Leaf()))\n"
+        "println(outer<Base>(Leaf()))\n"
+        "println(outer<Leaf>(Base()))\n"
+    )
+    checked = build_src(src)
+    assert run_program(checked, ERASED).stdout == "<Leaf@1>\n<Leaf@2>\n<Base@3>\n"
+    outcome = run_program(checked, REIFIED)
+    assert outcome.stdout == "<Leaf@1>\n<Leaf@2>\n"
+    assert outcome.render() == "ClassCastException: Base cannot be cast to Leaf at test.mk:4:14"
+
+
+# ============================================================
+# ONE DISPATCH PER RECEIVER TYPE, METHOD AND RUN
+# ============================================================
+
+
+def test_each_instantiation_of_a_generic_receiver_gets_its_own_bindings():
+    # `keep` checks its argument against T. A dispatch decided for `Box<Leaf>`
+    # and reused for `Box<Base>` would make the second call fail.
+    src = (
+        "open class Base\n"
+        "class Leaf : Base()\n"
+        "class Box<T> {\n"
+        "    fun keep(x: Any): T {\n"
+        "        val t = x as T\n"
+        "        return t\n"
+        "    }\n"
+        "}\n"
+        "val leaves = Box<Leaf>()\n"
+        "val bases = Box<Base>()\n"
+        "println(leaves.keep(Leaf()))\n"
+        "println(bases.keep(Base()))\n"
+        "println(leaves.keep(Base()))\n"
+    )
+    checked = build_src(src)
+    assert run_program(checked, ERASED).stdout == "<Leaf@3>\n<Base@4>\n<Base@5>\n"
+    outcome = run_program(checked, REIFIED)
+    assert outcome.stdout == "<Leaf@3>\n<Base@4>\n"
+    assert outcome.render() == "ClassCastException: Base cannot be cast to Leaf at test.mk:5:19"
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_dispatch_does_not_cross_between_programs(mode):
+    # The same class names: B inherits A's `m` in one program and declares
+    # its own in the other.
+    a = 'open class A {\n    fun m() {\n        println("A")\n    }\n}\n'
+    use = "val x: A = A()\nx.m()\nB().m()\n"
+    inherits = (build_src(a + "class B : A()\n" + use), "A\nA\n")
+    overrides = (build_src(a + 'class B {\n    fun m() {\n        println("B")\n    }\n}\n' + use), "A\nB\n")
+    for order in ((inherits, overrides), (overrides, inherits)):
+        for checked, stdout in order:
+            assert run_program(checked, mode) == Completed(stdout, UNIT_VALUE)
