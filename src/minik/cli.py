@@ -28,12 +28,19 @@ BLOCKED_MARKER = "<blocked by errors>"
 def build(source: str, filename: str, strict: bool = False) -> tuple[CheckedProgram | None, list[Diagnostic]]:
     """Parse, build the class table, and check. Returns (checked, all
     diagnostics); checked is None when table construction already failed."""
+    return _builds(source, filename, (strict,))[strict]
+
+
+def _builds(source: str, filename: str, levels: tuple[bool, ...]) -> dict[bool, tuple[CheckedProgram | None, list[Diagnostic]]]:
+    """`build` at each strictness in `levels`, from one parse and one class
+    table: checking only reads the program and the table, whose memo keeps
+    answers that do not depend on the strictness."""
     program = parse(source, filename)
     table, table_diags = build_class_table(program)
     if has_errors(table_diags):
-        return None, table_diags
-    checked = check_program(table, program, strict)
-    return checked, table_diags + checked.diagnostics
+        return dict.fromkeys(levels, (None, table_diags))
+    checked = {strict: check_program(table, program, strict) for strict in levels}
+    return {strict: (c, table_diags + c.diagnostics) for strict, c in checked.items()}
 
 
 Built = tuple[CheckedProgram | None, list[Diagnostic]] | ParseError
@@ -79,9 +86,13 @@ def run_command(
 
 
 def _entry_builds(source: str, filename: str) -> dict[bool, Built]:
-    """One build per strictness: every golden column renders from one of
+    """`build_or_error` at both strictness levels, from one parse and one
+    class table checked twice: every golden column renders from one of
     these, `check-strict` from the strict one."""
-    return {strict: build_or_error(source, filename, strict) for strict in (False, True)}
+    try:
+        return _builds(source, filename, (False, True))
+    except ParseError as e:
+        return dict.fromkeys((False, True), e)
 
 
 def _column_output(source: str, filename: str, column: str, builds: dict[bool, Built]) -> str:

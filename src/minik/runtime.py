@@ -284,15 +284,10 @@ def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
 def _pop_order(names: tuple[str, ...], nargs: int) -> tuple[str | None, ...]:
     """The parameter each of a call's `nargs` arguments binds, last argument
     first, the order the call pops them. The arguments bind `names` by
-    position. An argument past the last parameter, or bound to a parameter
-    that a later one of the same name shadows, gets None, a key no read
+    position. An argument past the last parameter gets None, a key no read
     names: a method found at run time may declare more or fewer parameters
-    than the one the call was checked against, and of two parameters with
-    one name the later wins."""
-    order = (names[:nargs] + (None,) * (nargs - len(names)))[::-1]
-    if len(set(order)) < len(order):
-        order = tuple(None if name in order[:i] else name for i, name in enumerate(order))
-    return order
+    than the one the call was checked against."""
+    return (names[:nargs] + (None,) * (nargs - len(names)))[::-1]
 
 
 class _Compiler:

@@ -63,13 +63,6 @@ class ArrayList<T> : MutableList<T>
 """
 
 
-@functools.cache
-def _prelude_program() -> Program:
-    # Parsed once; table entries are rebuilt fresh per build, the AST is
-    # only ever read.
-    return parse(PRELUDE_SOURCE, PRELUDE_FILE)
-
-
 @dataclass(frozen=True)
 class Signature:
     """A function's or a method's signature, with its declaration. A method
@@ -216,23 +209,38 @@ def resolve_type(
 def build_class_table(program: Program) -> tuple[ClassTable, list[Diagnostic]]:
     """Build the class table for a program: prelude entries plus user
     declarations, rejecting duplicates, classes named after a built-in type,
-    unknown/closed supertypes, arity mismatches, and inheritance cycles (all
-    as E-TABLE diagnostics)."""
-    table = ClassTable()
+    repeated parameter names, unknown/closed supertypes, arity mismatches,
+    and inheritance cycles (all as E-TABLE diagnostics)."""
+    table = ClassTable(dict(_prelude_classes()), {sig.name: sig for sig in BUILTIN_FUNCTIONS})
     diags: list[Diagnostic] = []
-    for sig in BUILTIN_FUNCTIONS:
-        table.functions[sig.name] = sig
-
-    _collect_classes(table, _prelude_program(), diags, is_prelude=True)
-    _collect_classes(table, program, diags, is_prelude=False)
-    _collect_functions(table, program, diags)
-    _validate_hierarchy(table, diags)
-    _link_ancestors(table, diags)
-    _resolve_members(table, diags)
+    _add_declarations(table, program, diags, is_prelude=False)
     return table, diags
 
 
-def _collect_classes(table: ClassTable, program: Program, diags: list[Diagnostic], is_prelude: bool) -> None:
+@functools.cache
+def _prelude_classes() -> dict[str, ClassEntry]:
+    """The prelude's entries, built once per process in a table of their
+    own. Every table starts from a copy of this dict and only reads the
+    entries, and keeps its own memo."""
+    table = ClassTable()
+    diags: list[Diagnostic] = []
+    _add_declarations(table, parse(PRELUDE_SOURCE, PRELUDE_FILE), diags, is_prelude=True)
+    assert not diags, diags
+    return table.classes
+
+
+def _add_declarations(table: ClassTable, program: Program, diags: list[Diagnostic], is_prelude: bool) -> None:
+    """Collect, validate, link and resolve `program`'s classes and functions
+    into `table`, whose classes so far are all built already."""
+    entries = _collect_classes(table, program, diags, is_prelude)
+    _collect_functions(table, program, diags)
+    _validate_hierarchy(table, entries, diags)
+    _link_ancestors(table, entries, diags)
+    _resolve_members(table, entries, diags)
+
+
+def _collect_classes(table: ClassTable, program: Program, diags: list[Diagnostic], is_prelude: bool) -> list[ClassEntry]:
+    entries: list[ClassEntry] = []
     for d in program.decls:
         if not isinstance(d, ClassDecl):
             continue
@@ -244,7 +252,7 @@ def _collect_classes(table: ClassTable, program: Program, diags: list[Diagnostic
             # for the built-in type and the built-in type for it.
             diags.append(error("E-TABLE", d.loc, f"{d.name} is a built-in type and cannot be declared"))
             continue
-        table.classes[d.name] = ClassEntry(
+        entry = table.classes[d.name] = ClassEntry(
             name=d.name,
             type_params=d.type_params,
             is_interface=d.is_interface,
@@ -256,6 +264,17 @@ def _collect_classes(table: ClassTable, program: Program, diags: list[Diagnostic
             decl=d,
             is_prelude=is_prelude,
         )
+        entries.append(entry)
+    return entries
+
+
+def _repeated_params(owner: str, params, diags: list[Diagnostic]) -> None:
+    """E-TABLE at each parameter of `owner` named like an earlier one."""
+    seen: set[str] = set()
+    for p in params:
+        if p.name in seen:
+            diags.append(error("E-TABLE", p.loc, f"duplicate parameter {owner}.{p.name}"))
+        seen.add(p.name)
 
 
 def _collect_functions(table: ClassTable, program: Program, diags: list[Diagnostic]) -> None:
@@ -265,6 +284,7 @@ def _collect_functions(table: ClassTable, program: Program, diags: list[Diagnost
         if d.name in table.functions:
             diags.append(error("E-TABLE", d.loc, f"duplicate declaration of function {d.name}"))
             continue
+        _repeated_params(d.name, d.params, diags)
         scope = frozenset(d.type_params)
         try:
             param_types = tuple(resolve_type(table, p.type, scope, p.loc) for p in d.params)
@@ -277,8 +297,8 @@ def _collect_functions(table: ClassTable, program: Program, diags: list[Diagnost
         )
 
 
-def _validate_hierarchy(table: ClassTable, diags: list[Diagnostic]) -> None:
-    for entry in list(table.classes.values()):
+def _validate_hierarchy(table: ClassTable, entries: list[ClassEntry], diags: list[Diagnostic]) -> None:
+    for entry in entries:
         scope = frozenset(p.name for p in entry.type_params)
         resolved: list[SupertypeRef] = []
         class_supers = 0
@@ -310,22 +330,24 @@ def _validate_hierarchy(table: ClassTable, diags: list[Diagnostic]) -> None:
         entry.supertypes = tuple(resolved)
 
 
-def _link_ancestors(table: ClassTable, diags: list[Diagnostic]) -> None:
-    """Fill in every class's ancestors in topological order (Kahn): a class
-    is linked once all its supertypes are, from their finished ancestors.
-    This is the one place that follows `supertypes` transitively. When none
-    is ready, the rest reach an inheritance cycle: the first of them in
-    declaration order is reported and loses its supertypes. A class that
-    reaches one generic class through two supertypes with different
-    arguments is an error, as in Kotlin: subtyping sees only the first
-    instantiation."""
-    pending = {name: len(entry.supertypes) for name, entry in table.classes.items()}
-    below: dict[str, list[ClassEntry]] = {name: [] for name in table.classes}
-    for entry in table.classes.values():
+def _link_ancestors(table: ClassTable, entries: list[ClassEntry], diags: list[Diagnostic]) -> None:
+    """Fill in the ancestors of `entries` in topological order (Kahn): a
+    class is linked once all its supertypes are, from their finished
+    ancestors; the table's other classes are linked already. This is the
+    one place that follows `supertypes` transitively. When none is ready,
+    the rest reach an inheritance cycle: the first of them in declaration
+    order is reported and loses its supertypes. A class that reaches one
+    generic class through two supertypes with different arguments is an
+    error, as in Kotlin: subtyping sees only the first instantiation."""
+    below: dict[str, list[ClassEntry]] = {entry.name: [] for entry in entries}
+    pending = dict.fromkeys(below, 0)
+    for entry in entries:
         for ref in entry.supertypes:
-            below[ref.type.name].append(entry)
-    ready = [entry for entry in table.classes.values() if not entry.supertypes]
-    declared = iter(table.classes.values())
+            if ref.type.name in below:  # not linked yet
+                below[ref.type.name].append(entry)
+                pending[entry.name] += 1
+    ready = [entry for entry in entries if not pending[entry.name]]
+    declared = iter(entries)
     while True:
         if not ready:
             entry = next((e for e in declared if not e.ancestors), None)
@@ -358,8 +380,8 @@ def _link_ancestors(table: ClassTable, diags: list[Diagnostic]) -> None:
                 ready.append(sub)
 
 
-def _resolve_members(table: ClassTable, diags: list[Diagnostic]) -> None:
-    for entry in table.classes.values():
+def _resolve_members(table: ClassTable, entries: list[ClassEntry], diags: list[Diagnostic]) -> None:
+    for entry in entries:
         scope = frozenset(p.name for p in entry.type_params)
         for m in entry.decl.members:
             if m.name in entry.methods or m.name in entry.properties:
@@ -367,6 +389,7 @@ def _resolve_members(table: ClassTable, diags: list[Diagnostic]) -> None:
                 continue
             try:
                 if isinstance(m, Method):
+                    _repeated_params(f"{entry.name}.{m.name}", m.params, diags)
                     params = tuple(resolve_type(table, p.type, scope, p.loc) for p in m.params)
                     ret = resolve_type(table, m.return_type, scope, m.loc)
                     entry.methods[m.name] = Signature(m.name, (), params, tuple(p.name for p in m.params), ret, m)

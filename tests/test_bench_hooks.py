@@ -61,6 +61,20 @@ def test_tracer_counts_every_layer(capsys):
         assert tracer.counts[counter] > 0, counter
 
 
+def test_tracer_counts_the_front_end_of_a_golden_run_alone(capsys):
+    # The golden run parses, builds and checks without `cli.build`, through
+    # the globals the tracer patches.
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        minik.cli.run_corpus("P1", False)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for counter in ("lexer.tokens", "typesys.classes", "checker.coercions"):
+        assert tracer.counts[counter] > 0, counter
+
+
 def _load_gen(monkeypatch):
     spec = importlib.util.spec_from_file_location("minik_bench_gen", _SPANS.parent / "gen.py")
     module = importlib.util.module_from_spec(spec)

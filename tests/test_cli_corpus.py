@@ -188,18 +188,35 @@ def test_shared_build_sources_cover_parse_and_table_failures():
     assert p3a[0] is not None and cli.has_errors(p3a[1])
 
 
-def test_a_golden_run_builds_each_entry_once_per_strictness(monkeypatch):
+def test_a_golden_run_builds_each_entry_once_and_checks_it_per_strictness(monkeypatch):
     calls = []
-    real = cli.build
 
-    def counting(source, filename, strict=False):
-        calls.append((filename, strict))
-        return real(source, filename, strict)
+    def counting(name):
+        real = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "build", counting)
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("build", "parse", "build_class_table", "check_program"):
+        counting(name)  # the module globals the golden run looks up
     assert run_corpus(None, False, out=io.StringIO()) == 0
-    assert len(calls) == 2 * len(corpus_pkg.ENTRIES)
-    assert sorted(calls) == sorted((e.filename, s) for e in corpus_pkg.ENTRIES for s in (False, True))
+    n = len(corpus_pkg.ENTRIES)
+    assert sorted(calls) == ["build_class_table"] * n + ["check_program"] * 2 * n + ["parse"] * n
+
+
+@pytest.mark.parametrize("source, filename", SHARED_BUILD_SOURCES, ids=[f for _, f in SHARED_BUILD_SOURCES])
+def test_golden_builds_render_what_separate_builds_render(source, filename):
+    # `_entry_builds` parses and builds the table once for both levels;
+    # every column must read as if `build` had run at each level alone.
+    separate = {strict: cli.build_or_error(source, filename, strict) for strict in (False, True)}
+    shared = cli._entry_builds(source, filename)
+    for column in corpus_pkg.COLUMNS:
+        assert cli._column_output(source, filename, column, shared) == cli._column_output(
+            source, filename, column, separate
+        ), column
 
 
 def test_full_corpus_passes(capsys):

@@ -706,10 +706,10 @@ def test_calls_bind_each_argument_to_its_own_parameter(mode):
 
 
 @pytest.mark.parametrize("mode", [ERASED, REIFIED])
-def test_a_repeated_parameter_name_binds_the_later_argument(mode):
+def test_a_repeated_parameter_name_is_a_table_error(mode):
     # Kotlin rejects two parameters with one name as conflicting
-    # declarations; the class table does not yet, and the run reads the
-    # later one. When the checker rejects it, this test changes alone.
+    # declarations, so neither run starts: the class table reports the
+    # second parameter, of a method as of a function.
     src = (
         "class K {\n"
         "    fun twice(y: Int, y: Int): Int {\n"
@@ -722,7 +722,11 @@ def test_a_repeated_parameter_name_binds_the_later_argument(mode):
         "println(twice(5, 6))\n"
         "println(K().twice(7, 8))\n"
     )
-    assert run_program(build_src(src), mode) == Completed("6\n8\n", UNIT_VALUE)
+    assert run_command("run", src, "t.mk", mode=mode) == (
+        "error E-TABLE t.mk:2:23: duplicate parameter K.twice.y\n"
+        "error E-TABLE t.mk:6:19: duplicate parameter twice.x\n",
+        1,
+    )
 
 
 @pytest.mark.parametrize("mode", [ERASED, REIFIED])

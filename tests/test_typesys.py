@@ -56,6 +56,45 @@ def test_user_hierarchy_and_ctor_visibility(ab_table):
     assert not ab_table.entry("B").ctor_private
 
 
+def _prelude_state(table):
+    return {
+        e.name: (e.supertypes, e.ancestors, dict(e.ancestor_of), dict(e.methods), dict(e.properties))
+        for e in table.prelude_entries()
+    }
+
+
+def test_tables_share_the_prelude_entries_and_keep_their_own_memo():
+    first, second = table_for(""), table_for(AB)
+    assert list(first.classes) == ["List", "MutableList", "ArrayList"]
+    for entry in first.prelude_entries():
+        assert second.entry(entry.name) is entry
+    assert first.memo is not second.memo
+    assert subtype(first, t("ArrayList", INT), t("List", ANY))
+    key = ("subtype", t("ArrayList", INT), t("List", ANY))
+    assert key in first.memo and key not in second.memo
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("class A<T> : List<T>\nclass B<T> : MutableList<T>\nclass C<T> : ArrayList<T>()\n",
+         "class ArrayList is not open and cannot be inherited from"),
+        ("class List<T>\n", "duplicate declaration of type List"),
+        ("interface I1 : I2, List<Int>\ninterface I2 : I1\n", "inheritance cycle through I1"),
+        ("interface J : List<Int>\nclass C : List<String>, J\n",
+         "inconsistent type arguments for List: List<String> and List<Int>"),
+        (corpus.BY_ID["P1"].source(), None),  # clean, so checked too
+    ],
+)
+def test_building_a_program_leaves_the_shared_prelude_unchanged(source, message):
+    before = _prelude_state(table_for(""))
+    table, diags = build_class_table(parse(source))
+    assert [d.message for d in diags] == ([message] if message else [])
+    for strict in (False, True):
+        build_or_error(source, "t.mk", strict)
+    assert _prelude_state(table) == before
+
+
 def test_redeclaring_prelude_class_is_rejected():
     _, diags = build_class_table(parse("class List<T>"))
     assert any(d.code == "E-TABLE" and "duplicate" in d.message for d in diags)
