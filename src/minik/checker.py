@@ -17,6 +17,7 @@ rejected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,6 +56,7 @@ from .typesys import (
     ClassTable,
     Signature,
     TypeResolutionError,
+    _prelude_classes,
     find_member,
     lub,
     program_bodies,
@@ -217,6 +219,19 @@ def check_inheritance_variance(table: ClassTable, entry: ClassEntry, strict: boo
     return diags
 
 
+@functools.cache
+def _prelude_variance_diagnostics(strict: bool) -> tuple[Diagnostic, ...]:
+    """Both variance checks over the prelude's entries, once per process and
+    strictness: every table shares those entries, and they refer only to
+    one another."""
+    table = ClassTable(_prelude_classes())
+    return tuple(
+        d
+        for entry in table.classes.values()
+        for d in check_variance_positions(table, entry) + check_inheritance_variance(table, entry, strict)
+    )
+
+
 # ============================================================
 # CAST TARGET COMPLETION AND CLASSIFICATION
 # ============================================================
@@ -296,26 +311,26 @@ def classify_cast_baseline(table: ClassTable, source: TypeRef, target: TypeRef) 
     unless it is safe. Otherwise it is unchecked; it is *warned* only when
     the source's type arguments, viewed at the target's class, differ from
     the target's. A silent outcome means the runtime cannot verify the
-    arguments and the compiler saw nothing to complain about.
+    arguments and the compiler saw nothing to complain about. Memoized on
+    the table; a bare target is an error on every call.
     """
-    if isinstance(target, ParamRef):
-        if subtype(table, source, target):
-            return CastClassification.FULLY_CHECKED
-        return CastClassification.UNCHECKED_WARNED
-    if not isinstance(target, ClassType):
-        return CastClassification.FULLY_CHECKED
-    if target.args is None:
+    if isinstance(target, ClassType) and target.args is None:
         raise ValueError(f"classify requires a completed target, got bare {target.render()}")
-    if not target.args:
-        return CastClassification.FULLY_CHECKED
-    if subtype(table, source, target):
-        return CastClassification.FULLY_CHECKED
-    projected = _projected_args(table, source, target.name)
-    if projected is None:
-        return CastClassification.UNCHECKED_WARNED
-    if tuple(projected) == tuple(target.args):
-        return CastClassification.UNCHECKED_SILENT
-    return CastClassification.UNCHECKED_WARNED
+    key = ("cast", source, target)
+    found = table.memo.get(key)
+    if found is not None:
+        return found
+    if isinstance(target, ParamRef):
+        safe = subtype(table, source, target)
+        found = CastClassification.FULLY_CHECKED if safe else CastClassification.UNCHECKED_WARNED
+    elif not isinstance(target, ClassType) or not target.args or subtype(table, source, target):
+        found = CastClassification.FULLY_CHECKED
+    elif _projected_args(table, source, target.name) == target.args:
+        found = CastClassification.UNCHECKED_SILENT
+    else:
+        found = CastClassification.UNCHECKED_WARNED
+    table.memo[key] = found
+    return found
 
 
 # ============================================================
@@ -438,7 +453,10 @@ class _Checker:
     # -- program ----------------------------------------------------------
 
     def check(self) -> CheckedProgram:
+        self.out.diagnostics.extend(_prelude_variance_diagnostics(self.strict))
         for entry in self.table.classes.values():
+            if entry.is_prelude:
+                continue
             self.out.diagnostics.extend(check_variance_positions(self.table, entry))
             self.out.diagnostics.extend(check_inheritance_variance(self.table, entry, self.strict))
 

@@ -10,7 +10,9 @@ or golden mismatches, 0 otherwise; warnings never affect the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -144,46 +146,61 @@ def _significant(text: str) -> list[str]:
     return [ln.rstrip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off, and leave it as
+    it was found. A successful command builds no reference cycle, so the
+    collections its allocations would trigger find nothing to free."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_corpus(filter_prefix: str | None, bless: bool, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    entries = corpus_pkg.select(filter_prefix)
-    if bless:
-        corpus_pkg.GOLDEN_DIR.mkdir(exist_ok=True)
+    with _collector_paused():
+        out = out if out is not None else sys.stdout
+        entries = corpus_pkg.select(filter_prefix)
+        if bless:
+            corpus_pkg.GOLDEN_DIR.mkdir(exist_ok=True)
+            for entry in entries:
+                entry.golden_path.write_text(_golden_render(entry), encoding="utf-8")
+                print(f"{entry.id} blessed", file=out)
+            return 0
+        total = 0
+        failed = 0
         for entry in entries:
-            entry.golden_path.write_text(_golden_render(entry), encoding="utf-8")
-            print(f"{entry.id} blessed", file=out)
-        return 0
-    total = 0
-    failed = 0
-    for entry in entries:
-        golden = (
-            _golden_sections(entry.golden_path.read_text(encoding="utf-8"))
-            if entry.golden_path.exists()
-            else {}
-        )
-        source = entry.source()
-        builds = _entry_builds(source, entry.filename)
-        for column in corpus_pkg.COLUMNS:
-            total += 1
-            actual = _significant(_column_output(source, entry.filename, column, builds))
-            expected = golden.get(column)
-            if expected is None:
-                failed += 1
-                print(f"{entry.id} {column} FAIL", file=out)
-                print(f"  missing golden section {column}", file=out)
-                continue
-            if actual == expected:
-                print(f"{entry.id} {column} PASS", file=out)
-            else:
-                failed += 1
-                print(f"{entry.id} {column} FAIL", file=out)
-                for a, b in zip(expected + ["<end>"] * len(actual), actual + ["<end>"] * len(expected)):
-                    if a != b:
-                        print(f"  expected: {a}", file=out)
-                        print(f"  actual:   {b}", file=out)
-                        break
-    print(f"total={total} failed={failed}", file=out)
-    return 1 if failed else 0
+            golden = (
+                _golden_sections(entry.golden_path.read_text(encoding="utf-8"))
+                if entry.golden_path.exists()
+                else {}
+            )
+            source = entry.source()
+            builds = _entry_builds(source, entry.filename)
+            for column in corpus_pkg.COLUMNS:
+                total += 1
+                actual = _significant(_column_output(source, entry.filename, column, builds))
+                expected = golden.get(column)
+                if expected is None:
+                    failed += 1
+                    print(f"{entry.id} {column} FAIL", file=out)
+                    print(f"  missing golden section {column}", file=out)
+                    continue
+                if actual == expected:
+                    print(f"{entry.id} {column} PASS", file=out)
+                else:
+                    failed += 1
+                    print(f"{entry.id} {column} FAIL", file=out)
+                    for a, b in zip(expected + ["<end>"] * len(actual), actual + ["<end>"] * len(expected)):
+                        if a != b:
+                            print(f"  expected: {a}", file=out)
+                            print(f"  actual:   {b}", file=out)
+                            break
+        print(f"total={total} failed={failed}", file=out)
+        return 1 if failed else 0
 
 
 # ============================================================
@@ -253,8 +270,9 @@ def _argument_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _argument_parser().parse_args(argv)
-    return args.fn(args)
+    with _collector_paused():
+        args = _argument_parser().parse_args(argv)
+        return args.fn(args)
 
 
 if __name__ == "__main__":

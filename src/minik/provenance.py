@@ -31,7 +31,6 @@ from .ast import (
     TypeRef,
     ValDecl,
     VarRef,
-    walk_body_exprs,
 )
 from .checker import CastClassification, CheckedProgram, classify_cast_baseline
 from .diagnostics import Diagnostic, warning
@@ -42,12 +41,15 @@ from .typesys import program_bodies
 class ProvenanceMap:
     """Per-occurrence provenance: for every expression occurrence, the
     ordered set of static types its value had held at that point (the
-    current static type always included)."""
+    current static type always included). `casts` lists the body's explicit
+    casts in preorder, as `walk_body_exprs` meets them, and
+    `cast_snapshots` keeps each one's operand history."""
 
     occurrence_sets: dict[int, tuple[TypeRef, ...]] = field(default_factory=dict)
     # Snapshot of the operand's history taken at each explicit cast, before
     # the cast's own target type is appended.
     cast_snapshots: dict[int, tuple[TypeRef, ...]] = field(default_factory=dict)
+    casts: list[CastExpr] = field(default_factory=list)
 
     def at(self, e: Expr) -> tuple[TypeRef, ...]:
         return self.occurrence_sets.get(id(e), ())
@@ -99,6 +101,7 @@ class _Analysis:
             self.out.occurrence_sets[id(e)] = _append(self.values[vid], self.static_type(e))
             return vid
         if isinstance(e, CastExpr):
+            self.out.casts.append(e)  # before its operand's casts: preorder
             vid = self.visit_expr(e.expr, env)
             # The lint wants the history as it stood when the cast ran.
             self.out.cast_snapshots[id(e)] = self.values[vid]
@@ -200,11 +203,10 @@ def _render_set(types: tuple[TypeRef, ...]) -> str:
 def lint_function(checked: CheckedProgram, body: tuple[Stmt, ...], prov: ProvenanceMap) -> list[Diagnostic]:
     """Re-classify every explicit cast against each origin type in its
     operand's provenance set; casts the baseline already warns about are
-    skipped. One diagnostic per offending cast."""
+    skipped. One diagnostic per offending cast, in preorder. `prov` is
+    `compute_provenance` of `body`, whose casts it lists."""
     diags: list[Diagnostic] = []
-    for e in walk_body_exprs(body):
-        if not isinstance(e, CastExpr):
-            continue
+    for e in prov.casts:
         target = checked.expr_types[id(e)]  # the completed cast target
         classification = classify_cast_baseline(checked.table, checked.expr_types[id(e.expr)], target)
         generic_target = isinstance(target, ClassType) and bool(target.args)
@@ -213,7 +215,7 @@ def lint_function(checked: CheckedProgram, body: tuple[Stmt, ...], prov: Provena
         )
         if not eligible:
             continue
-        history = prov.cast_snapshots.get(id(e), ())
+        history = prov.cast_snapshots[id(e)]
         culprits = [
             origin
             for origin in history

@@ -117,7 +117,8 @@ class ClassTable:
     # Answers to type questions on this table, keyed by the query's name and
     # its arguments: ("subtype", s, t) for two class types, ("supinst", t,
     # ancestor) including None answers, ("resolve", t, scope, allow_bare)
-    # for successful resolutions only, and ("lub", s, t). Types are interned,
+    # for successful resolutions only, ("lub", s, t), and the checker's
+    # ("cast", source, target) for completed targets. Types are interned,
     # so a key hashes and compares in O(1). Valid as long as the table: the
     # class names and arities that resolution reads are fixed once the
     # classes are collected, and the rest once the table is built.

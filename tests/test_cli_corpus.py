@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import shutil
 
 import pytest
 
+import differential
 import minik.cli as cli
 import minik.corpus as corpus_pkg
 from minik.cli import main, run_corpus
@@ -266,3 +268,99 @@ def test_bless_writes_identical_goldens(tmp_path, monkeypatch):
         fresh = (tmp_path / "golden" / (entry.source_path.stem + ".golden")).read_text()
         committed = (corpus_pkg.CORPUS_DIR / "golden" / (entry.source_path.stem + ".golden")).read_text()
         assert fresh == committed, entry.id
+
+
+# ============================================================
+# THE CYCLIC COLLECTOR
+# ============================================================
+
+
+def _set_collector(enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Start the test with the collector on or off; restore it afterwards."""
+    was_enabled = gc.isenabled()
+    _set_collector(request.param)
+    yield request.param
+    _set_collector(was_enabled)
+
+
+COLLECTOR_CALLS = {
+    "check": lambda path, missing: main(["check", path]),
+    "usage-error": lambda path, missing: main(["run", path]),  # no --mode
+    "unreadable": lambda path, missing: main(["check", missing]),
+    "main-corpus": lambda path, missing: main(["corpus", "--filter", "P1"]),
+    "run-corpus": lambda path, missing: run_corpus("P1", False, out=io.StringIO()),
+}
+
+
+@pytest.mark.parametrize("call", COLLECTOR_CALLS)
+def test_commands_pause_the_collector_and_restore_it(monkeypatch, capsys, tmp_path, corpus_file, collector, call):
+    seen = []
+    real_run_command = cli.run_command
+
+    def recording_run_command(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real_run_command(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_command", recording_run_command)
+    try:
+        COLLECTOR_CALLS[call](corpus_file("P1"), str(tmp_path / "missing.mk"))
+    except SystemExit as exc:
+        assert call == "usage-error" and exc.code == 2
+    else:
+        assert call != "usage-error"
+    assert gc.isenabled() is collector
+    if call in ("usage-error", "unreadable"):  # stopped before any command ran
+        assert seen == []
+    else:
+        assert seen and not any(seen)
+    capsys.readouterr()
+
+
+COMMAND_FORMS = (
+    ["check"],
+    ["check", "--strict"],
+    ["lint"],
+    ["sites"],
+    ["run", "--mode", "erased"],
+    ["run", "--mode", "reified"],
+    ["run", "--mode", "erased", "--eager-checkcast"],
+)
+
+_GEN = differential._load_gen()
+COLLECTOR_TEXTS = [(e.filename, e.source()) for e in corpus_pkg.ENTRIES] + [
+    (g.filename, g.source) for g in (_GEN.launder(1, functions=3), _GEN.calltree(1, levels=4))
+]
+
+
+@pytest.fixture
+def collector_off():
+    """The collector off, with no garbage left from before the test."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    yield
+    _set_collector(was_enabled)
+
+
+# The premise of running commands with the collector paused: a command that
+# succeeds leaves no cyclic garbage behind. Parse and lex errors are left
+# out: the exception they raise and its frames form a small cycle (about 40
+# objects, 6 for a usage error) that the collector frees once it is back on.
+@pytest.mark.parametrize("filename, source", COLLECTOR_TEXTS, ids=[f for f, _ in COLLECTOR_TEXTS])
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, collector_off, filename, source):
+    path = tmp_path / filename
+    path.write_text(source, encoding="utf-8")
+    for form in COMMAND_FORMS:
+        main([form[0], str(path), *form[1:]])
+        assert gc.collect() == 0, form
+    capsys.readouterr()
+
+
+def test_a_golden_run_leaves_no_cyclic_garbage(collector_off):
+    assert run_corpus(None, False, out=io.StringIO()) == 0
+    assert gc.collect() == 0

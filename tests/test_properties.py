@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from minik.ast import (
     ANY,
@@ -46,6 +46,7 @@ from minik.ast import (
     Variance,
 )
 from conftest import narrowed_uses
+from minik.checker import check_variance_positions, classify_cast_baseline
 from minik.cli import build
 from minik.parser import parse
 from minik.printer import pretty_print
@@ -154,6 +155,12 @@ def subtype_chains(draw):
     """(table, s, t, u) with s <: t <: u by construction."""
     spec = draw(table_specs())
     table = build_spec_table(spec)
+    # The laws hold for the hierarchies miniK accepts. A parameter filling a
+    # supertype slot of a contradicting variance is E-VARIANCE-POSITION, and
+    # through such a supertype subtyping is not transitive: with `G1<in P>`
+    # and `G4<out P> : G1<P>`, G4<G0> <: G4<Any?> <: G1<Any?>, but G4<G0> is
+    # G1<G0> at G1, which is not below G1<Any?>.
+    assume(not any(check_variance_positions(table, e) for e in table.classes.values()))
     s = concrete_type(draw, spec, table, depth=2)
     t = widen_once(draw, table, s)
     u = widen_once(draw, table, t)
@@ -175,13 +182,14 @@ def test_subtype_reflexive_and_transitive(chain):
         if subtype(table, x, y) and subtype(table, y, x):
             assert x == y
     # Asked again, the table answers from its memo; a copy with an empty
-    # memo works each answer out afresh. All three agree.
-    fresh = replace(table, memo={})
+    # memo works each answer out afresh. All three agree, for subtyping and
+    # for the cast classification.
     for x in (s, t, u):
         for y in (s, t, u):
-            first = subtype(table, x, y)
-            assert subtype(table, x, y) is first
-            assert subtype(fresh, x, y) is first
+            for query in (subtype, classify_cast_baseline):
+                first = query(table, x, y)
+                assert query(table, x, y) is first
+                assert query(replace(table, memo={}), x, y) is first
 
 
 # The hierarchy walk as a plain recursion over the declared supertypes: the

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 from minik import corpus
-from minik.ast import CastExpr, ClassType, FunDecl, ValDecl, VarRef, walk_exprs, walk_stmts
+from minik.ast import CastExpr, ClassType, FunDecl, ValDecl, VarRef, walk_body_exprs, walk_exprs, walk_stmts
+from minik.checker import CastClassification, classify_cast_baseline
 from minik.cli import build, run_command
+from minik.diagnostics import warning
 from minik.provenance import compute_provenance, lint_function, lint_program
+from minik.typesys import program_bodies
 
 from conftest import codes
 
@@ -288,3 +293,105 @@ def test_if_join_lists_then_branch_types_then_else_only_ones():
         )
     )
     assert run_command("lint", BRANCH_WRITES, "t.mk") == (expected, 0)
+
+
+# ============================================================
+# LINT ORDER
+# ============================================================
+
+
+def reference_lint(checked, body, prov):
+    """The lint as a separate walk over the body, classifying each cast
+    afresh on a copy of the table with an empty memo."""
+    table = replace(checked.table, memo={})
+    diags = []
+    for e in walk_body_exprs(body):
+        if not isinstance(e, CastExpr):
+            continue
+        target = checked.expr_types[id(e)]
+        classification = classify_cast_baseline(table, checked.expr_types[id(e.expr)], target)
+        eligible = classification is CastClassification.UNCHECKED_SILENT or (
+            classification is CastClassification.FULLY_CHECKED and isinstance(target, ClassType) and bool(target.args)
+        )
+        history = prov.cast_snapshots[id(e)]
+        culprits = [o for o in history
+                    if classify_cast_baseline(table, o, target) is CastClassification.UNCHECKED_WARNED]
+        if eligible and culprits:
+            rendered = ", ".join(ty.render() for ty in history)
+            diags.append(warning(
+                "W-PROVENANCE-UNCHECKED-CAST",
+                e.loc,
+                f"cast to {target.render()} is unchecked for a value whose implicit-cast history is "
+                f"{{{rendered}}} (unchecked from {culprits[0].render()})",
+            ))
+    return diags
+
+
+def assert_lint_matches_reference(checked):
+    expected = []
+    for body in program_bodies(checked.table, checked.program):
+        prov = compute_provenance(checked, body.stmts, body.params)
+        want = reference_lint(checked, body.stmts, prov)
+        assert lint_function(checked, body.stmts, prov) == want
+        expected.extend(want)
+    assert lint_program(checked) == expected
+    return expected
+
+
+# A cast nested in a cast: the outer one comes first in preorder, though its
+# `as` stands to the right of the inner one's.
+NESTED_CASTS = """\
+open class B
+
+class A : B()
+
+fun f() {
+    val m = mutableListOf<A>()
+    val v: List<A> = m
+    val w: List<B> = v
+    println(w as List<A> as MutableList)
+    println(w as MutableList as MutableList)
+}
+
+f()
+"""
+
+CASTS_IN_BOTH_BRANCHES = """\
+open class B
+
+class A : B()
+
+fun g(flag: Any) {
+    val m = mutableListOf<A>()
+    val l: List<B> = m
+    if (flag is Int) {
+        println(l as MutableList)
+    } else {
+        val k: List<Any?> = l
+        println(k as MutableList)
+    }
+}
+
+g(1)
+"""
+
+
+def test_lint_lists_casts_in_preorder(check_source):
+    checked, _ = check_source(NESTED_CASTS)
+    lint = assert_lint_matches_reference(checked)
+    assert [(d.loc.line, d.loc.col) for d in lint] == [(9, 26), (10, 30), (10, 15)]
+
+
+def test_lint_lists_the_then_branch_before_the_else_branch(check_source):
+    checked, _ = check_source(CASTS_IN_BOTH_BRANCHES)
+    lint = assert_lint_matches_reference(checked)
+    assert [d.loc.line for d in lint] == [9, 12]
+
+
+def test_lint_matches_the_reference_on_the_corpus():
+    linted = 0
+    for entry in corpus.ENTRIES:
+        checked, _ = build(entry.source(), entry.filename)
+        if checked is not None and checked.ok:
+            linted += len(assert_lint_matches_reference(checked))
+    assert linted > 0

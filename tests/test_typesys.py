@@ -5,6 +5,7 @@ import pytest
 from conftest import call_deep
 from minik import corpus
 from minik.ast import ANY, ANY_NULLABLE, INT, STRING, ClassType, ParamRef, TypeRef
+from minik.checker import CastClassification, classify_cast_baseline
 from minik.cli import build_or_error, run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
@@ -254,7 +255,8 @@ def _answers(table):
         except TypeResolutionError as e:
             resolved = e.message
         rows.append((subtype(table, b, a), supertype_instantiation(table, b, "A"),
-                     resolve_type(table, box, frozenset(), loc, allow_bare=True), resolved, lub(table, b, a)))
+                     resolve_type(table, box, frozenset(), loc, allow_bare=True), resolved, lub(table, b, a),
+                     classify_cast_baseline(table, t("List", b), t("List", a))))
     assert rows[0] == rows[1]
     return rows[0]
 
@@ -263,9 +265,10 @@ def test_memoized_answers_do_not_cross_between_programs():
     # The same class names in one process: B is below A in one program and
     # not in the other, and Box is generic in one and not in the other.
     below = ("open class A\nclass B : A()\nclass Box<T>\n",
-             (True, t("A"), ClassType("Box", None), "Box expects 1 type argument(s)", t("A")))
+             (True, t("A"), ClassType("Box", None), "Box expects 1 type argument(s)", t("A"),
+              CastClassification.FULLY_CHECKED))
     apart = ("open class A\nclass B\nclass Box\n",
-             (False, None, t("Box"), t("Box"), ANY))
+             (False, None, t("Box"), t("Box"), ANY, CastClassification.UNCHECKED_WARNED))
     for order in ((below, apart), (apart, below)):
         for source, want in order:
             assert _answers(table_for(source)) == want
