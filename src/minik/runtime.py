@@ -24,18 +24,26 @@ index, where the JVM unboxes it.
 
 The checks on a value read from a variable run inside that read's `load`,
 in order, each at its own location and with its own message; an `if`
-whose condition is an `is` test is one operation that tests and jumps; and
-a call pops its arguments straight into the callee's variables, exactly as
-many as the call site passes, bound by position.
+whose condition is an `is` test is one operation that tests and jumps; a
+call pops its arguments straight into the callee's variables, bound by
+position; and a call whose value a statement drops drops it on return.
 
 Method dispatch takes the method and the bindings its body runs under from
-`typesys.find_member`, as the checker does, once per receiver runtime type,
-method name and argument count in a run.
+`typesys.find_member`, as the checker does, once per receiver runtime type
+and method name in a run. The class table admits only redeclarations with
+the same parameters, so the method found takes the arguments the call site
+was checked against.
 
 A run decides each distinct class check, reified check and `is` test once,
 by its runtime type (class name when erased) and its target, and keeps the
-verdict for the rest of that run only; every check still runs at its own
-location and with its own message.
+verdict for the rest of that run only. In front of that run-wide memo, each
+`load` with checks, `is` test and method call keeps a cache of its own, by
+the value's runtime type: the types all of the load's checks passed for,
+the test's verdicts, the call's dispatches. A type is added only once
+settled, and a miss takes the run-wide path. The checks and `is` tests of a
+reified generic body, whose targets depend on its bindings, take that path
+every time. Every check still runs at its own location and with its own
+message.
 """
 
 from __future__ import annotations
@@ -254,20 +262,25 @@ def render_value(v: Value) -> str:
 # from, and results pushed to, one value stack shared by every activation
 # record. A check is a target and a location: an erased class check when
 # the target is a class name, a reified check when it is a type. The checks
-# of a value read from a variable ride on that `load`, as a list of
+# of a value read from a variable ride on that `load`, as a tuple of
 # (target, loc) that it runs in order before it pushes the value; any other
 # check is a `check` operation after the value's operation.
 #
-#   load name checks | check target loc | store name | const value | pop
-#   print | return | is instance_check target | new value_class type
-#   prop name loc | call names sig loc type_args (empty when erased)
-#   method nargs member loc index_loc | branch target loc | jump target
-#   branch_is instance_check type target  (an `if (v is T)`: tests, then
-#   jumps to `target` when false)
+#   load name checks passed | check target loc | store name | const value
+#   pop | print | return | is instance_check target verdicts
+#   new value_class type | prop name loc | jump target
+#   call names sig loc type_args drop  (type_args empty when erased)
+#   method nargs member loc index_loc dispatched drop | branch target loc
+#   branch_is instance_check type target verdicts  (an `if (v is T)`:
+#   tests, then jumps to `target` when false)
 #
-# A call's `names` are the parameters its arguments bind, in the order the
-# arguments come off the stack (`_pop_order`). A `method` pops exactly
-# `nargs` arguments whatever the method found at run time declares.
+# `passed`, `verdicts` and `dispatched` are the site caches, keyed by the
+# value's runtime type (see the module docstring); `passed` is None on a
+# load without checks, and all three are None in a compile that only lists
+# the sites. A call's `names` are the parameters its arguments bind, in the
+# order the arguments come off the stack: the parameters reversed. A call
+# with `drop` set is an expression statement: its value is dropped when
+# the callee returns, in place of a `pop`.
 # ============================================================
 
 
@@ -281,15 +294,6 @@ def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
     return info is not None and isinstance(info.declared_return, ParamRef)
 
 
-def _pop_order(names: tuple[str, ...], nargs: int) -> tuple[str | None, ...]:
-    """The parameter each of a call's `nargs` arguments binds, last argument
-    first, the order the call pops them. The arguments bind `names` by
-    position. An argument past the last parameter gets None, a key no read
-    names: a method found at run time may declare more or fewer parameters
-    than the one the call was checked against."""
-    return (names[:nargs] + (None,) * (nargs - len(names)))[::-1]
-
-
 class _Compiler:
     def __init__(self, checked: CheckedProgram, mode: str, eager: bool,
                  sites: list[CheckcastSite] | None = None) -> None:
@@ -298,6 +302,11 @@ class _Compiler:
         self.instance_check = erased_instance_check if self.erased else reified_instance_check
         self.eager = eager
         self.sites = sites  # when given, each erased site placed is appended
+
+    def cache(self, kind: type[set] | type[dict]) -> set | dict | None:
+        """A new, empty site cache of `kind`, or None in a compile that only
+        lists the sites and runs nothing."""
+        return kind() if self.sites is None else None
 
     def body(self, stmts: tuple[Stmt, ...], return_type: TypeRef | None) -> list[tuple]:
         code: list[tuple] = []
@@ -311,7 +320,8 @@ class _Compiler:
         that left it there when there is one."""
         last = code[-1]
         if last[0] == "load":
-            last[2].append((target, loc))
+            _, name, checks, passed = last
+            code[-1] = ("load", name, checks + ((target, loc),), passed if checks else self.cache(set))
         else:
             code.append(("check", target, loc))
 
@@ -336,7 +346,11 @@ class _Compiler:
             code.append(("store", s.name))
         elif isinstance(s, ExprStmt):
             self.expr(code, s.expr)
-            code.append(("pop",))
+            last = code[-1]
+            if last[0] == "call" or last[0] == "method":
+                code[-1] = last[:-1] + (True,)
+            else:
+                code.append(("pop",))
         elif isinstance(s, Return):
             self.expr(code, s.expr)
             if self.erased:
@@ -352,7 +366,8 @@ class _Compiler:
             jump = len(code)
             code.append(("jump", None))
             if isinstance(cond, IsExpr):
-                code[branch] = ("branch_is", self.instance_check, self.checked.is_targets[id(cond)], len(code))
+                code[branch] = ("branch_is", self.instance_check, self.checked.is_targets[id(cond)], len(code),
+                                self.cache(dict))
             else:
                 code[branch] = ("branch", len(code), cond.loc)
             for inner in s.else_body or ():
@@ -363,7 +378,7 @@ class _Compiler:
 
     def expr(self, code: list[tuple], e: Expr) -> None:
         if isinstance(e, VarRef):
-            code.append(("load", e.name, []))
+            code.append(("load", e.name, (), None))
         elif isinstance(e, IntLit):
             code.append(("const", IntValue(e.value)))
         elif isinstance(e, StringLit):
@@ -379,7 +394,7 @@ class _Compiler:
                 self.check(code, target.name, e.loc)
         elif isinstance(e, IsExpr):
             self.expr(code, e.expr)
-            code.append(("is", self.instance_check, self.checked.is_targets[id(e)]))
+            code.append(("is", self.instance_check, self.checked.is_targets[id(e)], self.cache(dict)))
         else:
             self.call(code, e)
 
@@ -411,7 +426,7 @@ class _Compiler:
                         self.check(code, expected[i], a.loc)
             if kind == "fun":
                 sig = checked.table.functions[e.name]
-                code.append(("call", _pop_order(sig.param_names, len(args)), sig, e.loc, () if erased else info.type_args))
+                code.append(("call", sig.param_names[::-1], sig, e.loc, () if erased else info.type_args, False))
             elif kind == "builtin":
                 if e.name != "println":
                     raise TypeError(f"unknown builtin {e.name}")
@@ -419,7 +434,8 @@ class _Compiler:
             elif kind == "property-get":
                 code.append(("prop", info.member, e.loc))
             else:  # method
-                code.append(("method", len(args), info.member, e.loc, args[0].loc if args else e.loc))
+                code.append(("method", len(args), info.member, e.loc, args[0].loc if args else e.loc,
+                             self.cache(dict), False))
         if erased and self.eager:
             # Eager mode: verify every acquisition against its static class
             # immediately instead of waiting for a downstream site.
@@ -448,8 +464,8 @@ class _Machine:
         # shapes cannot clash.
         self.verdicts: dict[tuple, bool] = {}
         # Each method call's dispatch by (receiver's runtime type, method
-        # name, argument count): the callee's signature, its type bindings
-        # and the names its arguments bind, in pop order.
+        # name): the callee's signature, its type bindings and the names its
+        # arguments bind, in pop order.
         self.methods: dict[tuple, tuple] = {}
         self.stdout: list[str] = []
         self.oids = count(1)
@@ -496,9 +512,9 @@ class _Machine:
             if not ok:
                 raise _Stop(ClassCastException, loc, t.render(), v.type.render())
 
-    def dispatch(self, recv: Value, member: str, nargs: int, loc: SourceLoc) -> tuple:
-        """The method `member` that `recv` runs with `nargs` arguments: its
-        signature, bindings and the names the arguments bind, in pop order."""
+    def dispatch(self, recv: Value, member: str, loc: SourceLoc) -> tuple:
+        """The method `member` that `recv` runs: its signature, bindings and
+        the names the arguments bind, in pop order."""
         recv_t = recv.type
         if not isinstance(recv, ObjectValue):
             raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no methods")
@@ -506,15 +522,25 @@ class _Machine:
         if found is None or found[0].decl.body is None:
             raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no callable method {member}")
         sig, bindings = found
-        return sig, bindings, _pop_order(sig.param_names, nargs)
+        return sig, bindings, sig.param_names[::-1]
+
+    def test(self, v: Value, instance_check, target: TypeRef, bindings: dict[str, TypeRef]) -> bool:
+        """The verdict of an `is` test of `v` against `target`, decided if
+        the run lacks it."""
+        t = substitute(target, bindings) if bindings else target
+        key = (v.type, t)
+        ok = self.verdicts.get(key)
+        if ok is None:
+            ok = self.verdicts[key] = instance_check(self.table, v, t)
+        return ok
 
     def execute(self, code: list[tuple], env: dict[str, Value]) -> Value:
         """Run `code` with `env` until it returns; the value it returns."""
-        table, verdicts, codes, methods, decide = self.table, self.verdicts, self.codes, self.methods, self.decide
+        verdicts, codes, methods, decide, test = self.verdicts, self.codes, self.methods, self.decide, self.test
         erased = self.compiler.erased
         stack: list[Value] = []
         push, pop = stack.append, stack.pop
-        calls: list[tuple] = []  # the suspended callers: (code, pc, env, bindings)
+        calls: list[tuple] = []  # the suspended callers: (code, pc, env, bindings, drop)
         bindings: dict[str, TypeRef] = _NO_BINDINGS
         pc = 0
         while True:
@@ -523,42 +549,52 @@ class _Machine:
             kind = op[0]
             if kind == "load":
                 v = env[op[1]]
-                checks = op[2]
-                if checks:
-                    # A verdict already decided true is read here; any other
-                    # is decided, or fails, in `decide`. An erased run has
-                    # no bindings.
-                    actual = v.type.name if erased else v.type
-                    for target, loc in checks:
-                        if not verdicts.get((actual, substitute(target, bindings) if bindings else target)):
-                            decide(v, target, loc, bindings)
+                passed = op[3]
+                if passed is not None:
+                    # A type in the site cache passed every check here. On a
+                    # miss, a verdict already decided true is read here; any
+                    # other is decided, or fails, in `decide`. An erased run
+                    # has no bindings.
+                    t = v.type
+                    if bindings or t not in passed:
+                        actual = t.name if erased else t
+                        for target, loc in op[2]:
+                            if not verdicts.get((actual, substitute(target, bindings) if bindings else target)):
+                                decide(v, target, loc, bindings)
+                        if not bindings:
+                            passed.add(t)
                 push(v)
             elif kind == "store":
                 env[op[1]] = pop()
             elif kind == "return":
                 if not calls:
                     return pop()
-                code, pc, env, bindings = calls.pop()
-            elif kind == "pop":
-                pop()
+                code, pc, env, bindings, drop = calls.pop()
+                if drop:
+                    pop()
             elif kind == "call" or kind == "method":
                 if kind == "call":
-                    _, names, sig, loc, type_args = op
+                    _, names, sig, loc, type_args, drop = op
                     callee_bindings = _NO_BINDINGS
                     if type_args:
                         callee_bindings = {name: substitute(t, bindings) for name, t in zip(sig.type_params, type_args)}
                 else:
-                    _, nargs, member, loc, index_loc = op
+                    _, nargs, member, loc, index_loc, dispatched, drop = op
                     recv = stack[-1 - nargs]
                     if isinstance(recv, ListValue):
                         args = stack[len(stack) - nargs:]
                         del stack[len(stack) - nargs - 1:]
-                        push(_list_method(recv, member, args, loc, index_loc))
+                        result = _list_method(recv, member, args, loc, index_loc)
+                        if not drop:
+                            push(result)
                         continue
-                    key = (recv.type, member, nargs)
-                    found = methods.get(key)
+                    found = dispatched.get(recv.type)
                     if found is None:
-                        found = methods[key] = self.dispatch(recv, member, nargs, loc)
+                        key = (recv.type, member)
+                        found = methods.get(key)
+                        if found is None:
+                            found = methods[key] = self.dispatch(recv, member, loc)
+                        dispatched[recv.type] = found
                     sig, callee_bindings, names = found
                     del stack[-1 - nargs]  # the receiver
                 callee_env = {}
@@ -566,7 +602,7 @@ class _Machine:
                     callee_env[name] = pop()
                 if len(calls) >= MAX_CALL_DEPTH:
                     raise _Stop(RuntimeFault, loc, f"call depth exceeds {MAX_CALL_DEPTH}")
-                calls.append((code, pc, env, bindings))
+                calls.append((code, pc, env, bindings, drop))
                 code = codes.get(id(sig))
                 if code is None:
                     code = codes[id(sig)] = self.compiler.body(sig.decl.body, sig.return_type)
@@ -575,11 +611,12 @@ class _Machine:
                 bindings = callee_bindings
             elif kind == "branch_is":
                 v = pop()
-                t = substitute(op[2], bindings) if bindings else op[2]
-                key = (v.type, t)
-                ok = verdicts.get(key)
-                if ok is None:
-                    ok = verdicts[key] = op[1](table, v, t)
+                if bindings:
+                    ok = test(v, op[1], op[2], bindings)
+                else:
+                    ok = op[4].get(v.type)
+                    if ok is None:
+                        ok = op[4][v.type] = test(v, op[1], op[2], bindings)
                 if not ok:
                     pc = op[3]
             elif kind == "jump":
@@ -588,6 +625,8 @@ class _Machine:
                 push(op[1])
             elif kind == "check":
                 decide(stack[-1], op[1], op[2], bindings)
+            elif kind == "pop":
+                pop()
             elif kind == "new":
                 # Only a reified allocation can run under type bindings.
                 push(op[1](substitute(op[2], bindings) if bindings else op[2], next(self.oids)))
@@ -596,11 +635,12 @@ class _Machine:
                 push(UNIT_VALUE)
             elif kind == "is":
                 v = pop()
-                t = substitute(op[2], bindings) if bindings else op[2]
-                key = (v.type, t)
-                ok = verdicts.get(key)
-                if ok is None:
-                    ok = verdicts[key] = op[1](table, v, t)
+                if bindings:
+                    ok = test(v, op[1], op[2], bindings)
+                else:
+                    ok = op[3].get(v.type)
+                    if ok is None:
+                        ok = op[3][v.type] = test(v, op[1], op[2], bindings)
                 push(BoolValue(ok))
             elif kind == "branch":
                 cond = pop()

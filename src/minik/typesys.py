@@ -211,7 +211,8 @@ def build_class_table(program: Program) -> tuple[ClassTable, list[Diagnostic]]:
     """Build the class table for a program: prelude entries plus user
     declarations, rejecting duplicates, classes named after a built-in type,
     repeated parameter names, unknown/closed supertypes, arity mismatches,
-    and inheritance cycles (all as E-TABLE diagnostics)."""
+    inheritance cycles and nonconforming member redeclarations (all as
+    E-TABLE diagnostics)."""
     table = ClassTable(dict(_prelude_classes()), {sig.name: sig for sig in BUILTIN_FUNCTIONS})
     diags: list[Diagnostic] = []
     _add_declarations(table, program, diags, is_prelude=False)
@@ -238,6 +239,7 @@ def _add_declarations(table: ClassTable, program: Program, diags: list[Diagnosti
     _validate_hierarchy(table, entries, diags)
     _link_ancestors(table, entries, diags)
     _resolve_members(table, entries, diags)
+    _check_redeclarations(table, entries, diags)
 
 
 def _collect_classes(table: ClassTable, program: Program, diags: list[Diagnostic], is_prelude: bool) -> list[ClassEntry]:
@@ -398,6 +400,71 @@ def _resolve_members(table: ClassTable, entries: list[ClassEntry], diags: list[D
                     entry.properties[m.name] = PropertySig(m.name, resolve_type(table, m.type, scope, m.loc), m)
             except TypeResolutionError as e:
                 diags.append(error("E-TABLE", e.loc, e.message))
+
+
+def _seen_member(table: ClassTable, entry: ClassEntry, name: str) -> tuple[str, Signature | PropertySig] | None:
+    """The member `name` that instances of `entry` see, method or property,
+    with the class declaring it: the first up its ancestors; else None."""
+    for owner in entry.ancestor_of:
+        found = table.classes[owner]
+        sig = found.methods.get(name) or found.properties.get(name)
+        if sig is not None:
+            return owner, sig
+    return None
+
+
+def _check_redeclarations(table: ClassTable, entries: list[ClassEntry], diags: list[Diagnostic]) -> None:
+    """E-TABLE where a member a class sees disagrees with the member of that
+    name one of its direct supertypes sees. miniK has no overloading: a
+    redeclared method keeps the number and the types of its parameters and
+    may narrow its return type, and a redeclared property keeps its type.
+    Checked against every direct supertype, every class's members agree with
+    those of all its ancestors, so the method a call dispatches to takes the
+    arguments the call was checked against."""
+    for entry in entries:
+        # With one supertype, a class can disagree only by what it declares.
+        sources = [table.classes[a] for a in entry.ancestor_of] if len(entry.supertypes) > 1 else [entry]
+        for name in dict.fromkeys(n for e in sources for members in (e.methods, e.properties) for n in members):
+            owner, sig = _seen_member(table, entry, name)
+            for ref in entry.supertypes:
+                other = _seen_member(table, table.classes[ref.type.name], name)
+                if other is None or other[0] == owner:
+                    continue
+                problem = _redeclaration_error(table, entry, owner, sig, *other)
+                if problem is not None:
+                    if owner == entry.name:
+                        subject, loc = f"{owner}.{name}", sig.decl.loc
+                    else:
+                        subject, loc = f"{entry.name}.{name}, inherited from {owner},", entry.decl.loc
+                    diags.append(error("E-TABLE", loc, f"{subject} redeclares {other[0]}.{name} {problem}"))
+                    break
+
+
+def _redeclaration_error(table: ClassTable, entry: ClassEntry, owner: str, sig: Signature | PropertySig,
+                         other_owner: str, other: Signature | PropertySig) -> str | None:
+    """How `owner`'s member `sig` fails to redeclare `other_owner`'s `other`,
+    both as instances of `entry` see them; None when it conforms."""
+
+    def seen(declaring: str, t: TypeRef) -> TypeRef:
+        return substitute(t, table.classes[declaring].bindings(entry.ancestor_of[declaring].args))
+
+    if isinstance(sig, PropertySig) or isinstance(other, PropertySig):
+        if not isinstance(sig, PropertySig):
+            return "as a method"
+        if not isinstance(other, PropertySig):
+            return "as a property"
+        mine, theirs = seen(owner, sig.type), seen(other_owner, other.type)
+        return None if mine == theirs else f"with type {mine.render()} instead of {theirs.render()}"
+    if len(sig.param_types) != len(other.param_types):
+        return f"with {len(sig.param_types)} parameter(s) instead of {len(other.param_types)}"
+    for pname, p, q in zip(sig.param_names, sig.param_types, other.param_types):
+        mine, theirs = seen(owner, p), seen(other_owner, q)
+        if mine != theirs:
+            return f"with parameter {pname}: {mine.render()} instead of {theirs.render()}"
+    mine, theirs = seen(owner, sig.return_type), seen(other_owner, other.return_type)
+    if not subtype(table, mine, theirs):
+        return f"with return type {mine.render()}, not a subtype of {theirs.render()}"
+    return None
 
 
 # ============================================================

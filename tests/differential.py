@@ -118,11 +118,11 @@ println(list.get(0).secret())
 """
 
 # Two instantiations of one generic class whose method checks its argument
-# against T, an `is`-guarded `if` that runs both arms, a 3-argument call,
-# methods that a subclass redeclares with more and with fewer parameters,
-# called through the superclass, and a cast on a variable that fails. The
-# reified run stops where `Box<Leaf>` keeps a `Base`; the erased run goes on
-# to the failing cast.
+# against T, an `is`-guarded `if` that runs both arms, a 3-argument call, a
+# method that a subclass overrides, one whose return type it narrows and one
+# it inherits, each called through the superclass and on the subclass, and
+# a cast on a variable that fails. The reified run stops where `Box<Leaf>`
+# keeps a `Base`; the erased run goes on to the failing cast.
 DISPATCH_PROGRAM = """\
 open class Base {
     fun m(x: Int): Int {
@@ -131,14 +131,17 @@ open class Base {
     fun n(x: Int, y: Int): Int {
         return y
     }
+    fun me(): Base {
+        return Base()
+    }
 }
 
 class Leaf : Base() {
-    fun m(x: Int, y: Int): Int {
-        return x
-    }
-    fun n(): Int {
+    fun m(x: Int): Int {
         return 7
+    }
+    fun me(): Leaf {
+        return Leaf()
     }
 }
 
@@ -171,7 +174,9 @@ fun pair(a: Int, b: Int): Int {
 val base: Base = Leaf()
 println(pair(10, base.m(1)))
 println(pair(20, base.n(2, 3)))
-println(Leaf().m(4, 5))
+println(Leaf().n(4, 5))
+println(Base().m(6))
+println(base.me())
 val leaves = Box<Leaf>()
 val bases = Box<Base>()
 println(leaves.keep(Leaf()))

@@ -17,6 +17,7 @@ from minik.runtime import (
     RuntimeFault,
     StringValue,
     UNIT_VALUE,
+    _Compiler,
     checkcast_sites,
     class_conforms,
     erased_instance_check,
@@ -169,8 +170,9 @@ def test_a_value_carries_its_runtime_type(mode, expected):
     assert outcome.value.type == expected
 
 
+# C sees B's `m`, the first up its ancestors, whose return type narrows I's.
 DIAMOND = (
-    "interface I {\n    fun m(): Int\n}\n\n"
+    "interface I {\n    fun m(): Any\n}\n\n"
     "open class B {\n    fun m(): String {\n        return \"B\"\n    }\n}\n\n"
     "class C : B(), I\n\n"
 )
@@ -730,12 +732,11 @@ def test_a_repeated_parameter_name_is_a_table_error(mode):
 
 
 @pytest.mark.parametrize("mode", [ERASED, REIFIED])
-def test_a_redeclared_method_of_another_arity_takes_the_call_sites_arguments(mode):
-    # `a.m(1)` is checked against A's `m`, but the run dispatches to B's,
-    # which declares one parameter more (`n`: two fewer). The call still
-    # moves exactly its own arguments, by position: `x` takes the 1 and the
-    # 10 pending for `pair` stays on the stack; surplus arguments bind
-    # nothing. `B().m(5, 6)` dispatches to the same method with two.
+def test_a_redeclared_method_of_another_arity_is_a_table_error(mode):
+    # `a.m(1)` would be checked against A's `m` but dispatch to B's, which
+    # declares one parameter more (`n`: two fewer). miniK has no
+    # overloading, so the class table rejects both redeclarations, and
+    # neither run starts.
     src = (
         "open class A {\n"
         "    fun m(x: Int): Int {\n"
@@ -753,17 +754,44 @@ def test_a_redeclared_method_of_another_arity_takes_the_call_sites_arguments(mod
         "        return 7\n"
         "    }\n"
         "}\n"
-        "fun pair(a: Int, b: Int): Int {\n"
-        "    println(a)\n"
-        "    return b\n"
+        "val a: A = B()\n"
+        "println(a.m(1))\n"
+        "println(a.n(2, 3))\n"
+    )
+    assert run_command("run", src, "t.mk", mode=mode) == (
+        "error E-TABLE t.mk:10:5: B.m redeclares A.m with 2 parameter(s) instead of 1\n"
+        "error E-TABLE t.mk:13:5: B.n redeclares A.n with 0 parameter(s) instead of 2\n",
+        1,
+    )
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_a_covariant_return_redeclaration_checks_and_dispatches(mode):
+    # B's `make` narrows A's return type, which Kotlin allows: a call
+    # through A is checked against A's `make` and runs B's, and a call on a
+    # B gets the narrower type.
+    src = (
+        "open class A {\n"
+        "    fun make(x: Int): A {\n"
+        "        println(x)\n"
+        "        return A()\n"
+        "    }\n"
+        "}\n"
+        "class B : A() {\n"
+        "    fun make(x: Int): B {\n"
+        "        println(\"B\")\n"
+        "        return B()\n"
+        "    }\n"
         "}\n"
         "val a: A = B()\n"
-        "println(pair(10, a.m(1)))\n"
-        "println(pair(20, a.n(2, 3)))\n"
-        "println(pair(30, a.m(4)))\n"
-        "println(B().m(5, 6))\n"
+        "val made: A = a.make(1)\n"
+        "println(made)\n"
+        "val b: B = B().make(10)\n"
+        "println(b)\n"
+        "println(A().make(20))\n"
     )
-    assert run_program(build_src(src), mode) == Completed("10\n1\n20\n7\n30\n4\n5\n", UNIT_VALUE)
+    assert run_command("check", src, "t.mk") == ("", 0)
+    assert run_program(build_src(src), mode) == Completed("B\n<B@2>\nB\n<B@4>\n20\n<A@6>\n", UNIT_VALUE)
 
 
 def test_a_generic_function_passes_its_bindings_to_a_generic_callee():
@@ -828,3 +856,145 @@ def test_dispatch_does_not_cross_between_programs(mode):
     for order in ((inherits, overrides), (overrides, inherits)):
         for checked, stdout in order:
             assert run_program(checked, mode) == Completed(stdout, UNIT_VALUE)
+
+
+# ============================================================
+# SITE CACHES AND DROPPED RESULTS
+#
+# A `load` with checks, an `is` test and a method call each keep what they
+# settled by the value's runtime type, and a call statement drops its value
+# when the callee returns. These programs make one site see a class, then
+# another, then the first again, and leave pending arguments on the stack
+# under calls whose values are dropped.
+# ============================================================
+
+ONE_SITE_THREE_CLASSES = (
+    "open class Base {\n"
+    "    fun name(): String {\n"
+    '        return "base"\n'
+    "    }\n"
+    "}\n"
+    "open class Mid : Base()\n"
+    "class Leaf : Mid()\n"
+    "class Other : Mid() {\n"
+    "    fun name(): String {\n"
+    '        return "other"\n'
+    "    }\n"
+    "}\n"
+    "fun narrow(x: Any) {\n"
+    "    val c: Base = x as Mid\n"
+    "    println(c.name())\n"
+    "    if (x is Leaf) {\n"
+    '        println("leaf")\n'
+    "    }\n"
+    "}\n"
+    "narrow(Leaf())\n"
+    "narrow(Other())\n"
+    "narrow(Leaf())\n"
+    "narrow(Base())\n"
+)
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_one_site_sees_a_class_then_another_then_the_first_again(mode):
+    # The load of `x` carries the cast's check and the declaration's. The
+    # last call's `Base` fails the first, at the cast, so the run ends there.
+    outcome = run_program(build_src(ONE_SITE_THREE_CLASSES), mode)
+    assert outcome.stdout == "base\nleaf\nother\nbase\nleaf\n"
+    assert outcome.render() == "ClassCastException: Base cannot be cast to Mid at test.mk:14:21"
+
+
+def test_a_generic_bodys_sites_decide_under_each_binding():
+    # Under `T = Base` a `Base` passes the cast and is a `MutableList<T>`
+    # when it is one; under `T = Leaf` the same runtime types give the other
+    # verdicts. Erased, `T` has no class to check.
+    src = (
+        "open class Base\n"
+        "class Leaf : Base()\n"
+        "fun keep<T>(x: Any, l: Any) {\n"
+        "    println(l is MutableList<T>)\n"
+        "    if (l is MutableList<T>) {\n"
+        '        println("list")\n'
+        "    }\n"
+        "    val t = x as T\n"
+        "}\n"
+        "val bases = mutableListOf<Base>()\n"
+        "keep<Base>(Base(), bases)\n"
+        "keep<Leaf>(Base(), bases)\n"
+    )
+    checked = build_src(src)
+    assert run_program(checked, ERASED) == Completed("true\nlist\ntrue\nlist\n", UNIT_VALUE)
+    outcome = run_program(checked, REIFIED)
+    assert outcome.stdout == "true\nlist\nfalse\n"
+    assert outcome.render() == "ClassCastException: Base cannot be cast to Leaf at test.mk:8:15"
+
+
+DROPPED_RESULTS = (
+    "class K {\n"
+    "    fun touch(x: Int): Int {\n"
+    "        println(x)\n"
+    "        return x\n"
+    "    }\n"
+    "}\n"
+    "fun side(x: Int): Int {\n"
+    "    println(x)\n"
+    "    return x\n"
+    "}\n"
+    "fun pair(a: Int, b: Int): Int {\n"
+    "    println(a)\n"
+    "    return b\n"
+    "}\n"
+    "fun inner(k: K): Int {\n"
+    "    side(1)\n"
+    "    k.touch(2)\n"
+    "    if (k is K) {\n"
+    "        side(3)\n"
+    "        k.touch(4)\n"
+    "    }\n"
+    "    side(side(5))\n"
+    "    return side(6)\n"
+    "}\n"
+    "fun outer(k: K, list: MutableList<Int>) {\n"
+    "    pair(100, inner(k))\n"
+    "    list.add(7)\n"
+    "    k.touch(pair(200, inner(k)))\n"
+    "    side(8)\n"
+    "}\n"
+    "fun wrap(k: K, list: MutableList<Int>): Int {\n"
+    "    outer(k, list)\n"
+    "    return 9\n"
+    "}\n"
+    "val list = mutableListOf<Int>()\n"
+    "println(pair(300, wrap(K(), list)))\n"
+    "println(list.size)\n"
+)
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_dropped_call_results_leave_the_stack_balanced(mode):
+    # Each call below a pending argument drops exactly its own value, in a
+    # branch, nested and as a body's last statement, so every pending
+    # argument reaches its own parameter.
+    inner = "1\n2\n3\n4\n5\n5\n6\n"
+    expected = inner + "100\n" + inner + "200\n6\n8\n300\n9\n1\n"
+    outcome = run_program(build_src(DROPPED_RESULTS), mode)
+    assert outcome == Completed(expected, UNIT_VALUE)
+
+
+def test_listing_the_sites_allocates_no_site_cache():
+    # Every body compiled for `sites` has its cache fields empty; a run's
+    # compile of the same body has them.
+    checked = build_src(ONE_SITE_THREE_CLASSES + DROPPED_RESULTS.replace("class K", "class J").replace("K", "J"))
+    for sites, expect_cache in (([], False), (None, True)):
+        compiler = _Compiler(checked, ERASED, eager=False, sites=sites)
+        ops = [op for body in program_bodies(checked.table, checked.program)
+               for op in compiler.body(body.stmts, body.return_type)]
+        caches = [op[3] for op in ops if op[0] == "load" and op[2]]
+        caches += [op[-1] for op in ops if op[0] in ("is", "branch_is")]
+        caches += [op[5] for op in ops if op[0] == "method"]
+        assert len(caches) > 10
+        assert all((c is not None) == expect_cache for c in caches)
+        # Only a `println` statement still pops; the 14 call statements,
+        # `list.add(7)` among them, drop their own values.
+        assert ("pop",) in ops
+        assert sum(op[-1] is True for op in ops if op[0] in ("call", "method")) == 14

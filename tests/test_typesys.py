@@ -222,6 +222,58 @@ def test_member_table_errors(source, line, col, message):
     assert [(d.code, d.loc.line, d.loc.col, d.message) for d in diags] == [("E-TABLE", line, col, message)]
 
 
+_BASE = "open class A {\n    fun m(x: Int): A {\n        return A()\n    }\n    val p: Int\n}\n"
+
+
+@pytest.mark.parametrize(
+    "source, rendered",
+    [
+        (_BASE + "class B : A() {\n    fun m(x: Int, y: Int): A {\n        return A()\n    }\n}\n",
+         "8:5: B.m redeclares A.m with 2 parameter(s) instead of 1"),
+        (_BASE + "class B : A() {\n    fun m(x: String): A {\n        return A()\n    }\n}\n",
+         "8:5: B.m redeclares A.m with parameter x: String instead of Int"),
+        (_BASE + "class B : A() {\n    fun m(x: Int): Any {\n        return A()\n    }\n}\n",
+         "8:5: B.m redeclares A.m with return type Any, not a subtype of A"),
+        (_BASE + "class B : A() {\n    val p: String\n}\n",
+         "8:5: B.p redeclares A.p with type String instead of Int"),
+        (_BASE + "class B : A() {\n    val m: Int\n}\n", "8:5: B.m redeclares A.m as a property"),
+        (_BASE + "class B : A() {\n    fun p(): Int {\n        return 1\n    }\n}\n",
+         "8:5: B.p redeclares A.p as a method"),
+        # A redeclaration is compared under the supertype's instantiation.
+        ("open class Box<T> {\n    val v: T\n}\nclass IntBox : Box<Int>() {\n    val v: String\n}\n",
+         "5:5: IntBox.v redeclares Box.v with type String instead of Int"),
+        # Two supertypes that disagree: C sees A's `m`, which I's `m` does
+        # not admit, though C declares no `m` itself.
+        (_BASE + "interface I {\n    fun m(x: Int, y: Int): A\n}\nclass C : A(), I\n",
+         "10:1: C.m, inherited from A, redeclares I.m with 1 parameter(s) instead of 2"),
+        ("interface I {\n    fun m(): Int\n}\nopen class B {\n    fun m(): String {\n        return \"B\"\n    }\n}\n"
+         "class C : B(), I\n",
+         "9:1: C.m, inherited from B, redeclares I.m with return type String, not a subtype of Int"),
+    ],
+)
+def test_member_redeclaration_diagnostics(source, rendered):
+    assert run_command("check", source, "t.mk") == (f"error E-TABLE t.mk:{rendered}\n", 1)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # Identical parameters under the supertype's instantiation, and a
+        # narrower return type.
+        "open class A\nclass B : A()\n"
+        "open class Box<T> {\n    fun put(x: T): A {\n        return A()\n    }\n}\n"
+        "class IntBox : Box<Int>() {\n    fun put(x: Int): B {\n        return B()\n    }\n}\n",
+        # An interface member that a class's inherited member conforms to.
+        "interface I {\n    fun m(): Any\n}\nopen class A {\n    fun m(): A {\n        return A()\n    }\n}\n"
+        "class C : A(), I\n",
+        # The same property type, redeclared through a generic supertype.
+        "open class Box<T> {\n    val v: T\n}\nclass Sub<U> : Box<U>() {\n    val v: U\n}\n",
+    ],
+)
+def test_conforming_member_redeclarations_build(source):
+    assert run_command("check", source, "t.mk") == ("", 0)
+
+
 @pytest.mark.parametrize(
     "source, rendered",
     [
