@@ -90,6 +90,8 @@ class TypeRef:
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class ClassType(TypeRef):
+    """A class or interface type, `Name<args>`; `args=None` is a bare reference."""
+
     name: str
     args: tuple[TypeRef, ...] | None = None
 
@@ -135,6 +137,8 @@ class NullableTopType(TypeRef):
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class PrimitiveType(TypeRef):
+    """One of the built-in value types: Int, String, Unit, Boolean."""
+
     name: str  # "Int" | "String" | "Unit" | "Boolean"
 
     def __new__(cls, name: str) -> PrimitiveType:
@@ -162,23 +166,29 @@ BOOLEAN = PrimitiveType("Boolean")
 
 @dataclass(slots=True)
 class Expr:
-    pass
+    """Base of the expression nodes."""
 
 
 @dataclass(slots=True)
 class IntLit(Expr):
+    """An integer literal."""
+
     value: int
     loc: SourceLoc = field(compare=False, repr=False)
 
 
 @dataclass(slots=True)
 class StringLit(Expr):
+    """A string literal; `value` is its unescaped body."""
+
     value: str
     loc: SourceLoc = field(compare=False, repr=False)
 
 
 @dataclass(slots=True)
 class VarRef(Expr):
+    """A use of a local variable or parameter."""
+
     name: str
     loc: SourceLoc = field(compare=False, repr=False)
 
@@ -205,6 +215,8 @@ class CallExpr(Call):
 
 @dataclass(slots=True)
 class MethodCall(Call):
+    """`receiver.name(args)`: a method call."""
+
     receiver: Expr
     name: str
     args: tuple[Expr, ...]
@@ -218,6 +230,8 @@ class Index(MethodCall):
 
 @dataclass(slots=True)
 class PropertyGet(Call):
+    """`receiver.name`: a property read."""
+
     receiver: Expr
     name: str
     args: ClassVar[tuple[Expr, ...]] = ()
@@ -235,6 +249,8 @@ class CastExpr(Expr):
 
 @dataclass(slots=True)
 class IsExpr(Expr):
+    """`expr is Target`: a runtime instance test."""
+
     expr: Expr
     target: TypeRef
     loc: SourceLoc = field(compare=False, repr=False)
@@ -247,11 +263,13 @@ class IsExpr(Expr):
 
 @dataclass(slots=True)
 class Stmt:
-    pass
+    """Base of the statement nodes."""
 
 
 @dataclass(slots=True)
 class ValDecl(Stmt):
+    """`val name[: Type] = init`."""
+
     name: str
     declared_type: TypeRef | None
     init: Expr
@@ -260,18 +278,24 @@ class ValDecl(Stmt):
 
 @dataclass(slots=True)
 class ExprStmt(Stmt):
+    """An expression evaluated for its effect."""
+
     expr: Expr
     loc: SourceLoc = field(compare=False, repr=False)
 
 
 @dataclass(slots=True)
 class Return(Stmt):
+    """`return expr`."""
+
     expr: Expr
     loc: SourceLoc = field(compare=False, repr=False)
 
 
 @dataclass(slots=True)
 class If(Stmt):
+    """`if (cond) { ... } [else { ... }]`."""
+
     cond: Expr
     then_body: tuple[Stmt, ...]
     else_body: tuple[Stmt, ...] | None
@@ -285,6 +309,8 @@ class If(Stmt):
 
 @dataclass(slots=True)
 class TypeParam:
+    """A declared type parameter with its variance."""
+
     name: str
     variance: Variance
     loc: SourceLoc = field(compare=False, repr=False)
@@ -307,6 +333,8 @@ class SupertypeRef:
 
 @dataclass(slots=True)
 class Param:
+    """A value parameter of a function or method."""
+
     name: str
     type: TypeRef
     loc: SourceLoc = field(compare=False, repr=False)
@@ -314,6 +342,8 @@ class Param:
 
 @dataclass(slots=True)
 class Method:
+    """A method of a class or interface."""
+
     name: str
     params: tuple[Param, ...]
     return_type: TypeRef
@@ -323,6 +353,8 @@ class Method:
 
 @dataclass(slots=True)
 class Property:
+    """A `val` or `var` property of a class or interface."""
+
     name: str
     type: TypeRef
     mutable: bool  # var vs val
@@ -335,11 +367,13 @@ Member = Method | Property
 
 @dataclass(slots=True)
 class Decl:
-    pass
+    """Base of the top-level declarations."""
 
 
 @dataclass(slots=True)
 class ClassDecl(Decl):
+    """A class or interface declaration."""
+
     name: str
     type_params: tuple[TypeParam, ...]
     is_interface: bool
@@ -352,6 +386,8 @@ class ClassDecl(Decl):
 
 @dataclass(slots=True)
 class FunDecl(Decl):
+    """A top-level function declaration."""
+
     name: str
     type_params: tuple[str, ...]
     params: tuple[Param, ...]
@@ -362,12 +398,16 @@ class FunDecl(Decl):
 
 @dataclass(slots=True)
 class StmtDecl(Decl):
+    """A top-level statement."""
+
     stmt: Stmt
     loc: SourceLoc = field(compare=False, repr=False)
 
 
 @dataclass(slots=True)
 class Program:
+    """A source file: its declarations in order."""
+
     decls: tuple[Decl, ...]
 
 

@@ -18,7 +18,6 @@ rejected.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .ast import (
@@ -50,6 +49,7 @@ from .ast import (
     Variance,
 )
 from .diagnostics import Diagnostic, error, has_errors, warning
+from .records import Record
 from .typesys import (
     Body,
     ClassEntry,
@@ -76,31 +76,43 @@ class CastClassification(Enum):
     UNCHECKED_SILENT = "unchecked-silent"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CallInfo:
+class CallInfo(Record, hashable=True):
     """Resolution of one `Call` node (an index read is a `get`), kept for the runtime."""
 
-    kind: str  # "ctor" | "fun" | "builtin" | "method" | "property-get"
-    member: str | None
-    declared_return: TypeRef
-    type_args: tuple[TypeRef, ...] = ()  # resolved function/ctor type arguments
-    declared_params: tuple[TypeRef, ...] = ()  # as written at the declaration
-    param_types: tuple[TypeRef, ...] = ()  # substituted at this call
+    __slots__ = ("kind", "member", "declared_return", "type_args", "declared_params", "param_types")
+
+    def __init__(
+        self,
+        kind: str,  # "ctor" | "fun" | "builtin" | "method" | "property-get"
+        member: str | None,
+        declared_return: TypeRef,
+        type_args: tuple[TypeRef, ...] = (),  # resolved function/ctor type arguments
+        declared_params: tuple[TypeRef, ...] = (),  # as written at the declaration
+        param_types: tuple[TypeRef, ...] = (),  # substituted at this call
+    ) -> None:
+        self.kind = kind
+        self.member = member
+        self.declared_return = declared_return
+        self.type_args = type_args
+        self.declared_params = declared_params
+        self.param_types = param_types
 
 
-@dataclass
-class CheckedProgram:
-    program: Program
-    table: ClassTable
-    diagnostics: list[Diagnostic]
-    # id() of each expression -> its static type; a cast's is its completed
-    # target, and a narrowed variable use's is the narrowed type
-    expr_types: dict[int, TypeRef] = field(default_factory=dict)
-    call_info: dict[int, CallInfo] = field(default_factory=dict)
-    is_targets: dict[int, TypeRef] = field(default_factory=dict)
-    decl_types: dict[int, TypeRef] = field(default_factory=dict)
-    # id() of each implicitly upcast expression -> the type it is upcast to
-    coercions: dict[int, TypeRef] = field(default_factory=dict)
+class CheckedProgram(Record):
+    __slots__ = ("program", "table", "diagnostics", "expr_types", "call_info", "is_targets", "decl_types", "coercions")
+
+    def __init__(self, program: Program, table: ClassTable, diagnostics: list[Diagnostic]) -> None:
+        self.program = program
+        self.table = table
+        self.diagnostics = diagnostics
+        # id() of each expression -> its static type; a cast's is its
+        # completed target, and a narrowed variable use's is the narrowed type
+        self.expr_types: dict[int, TypeRef] = {}
+        self.call_info: dict[int, CallInfo] = {}
+        self.is_targets: dict[int, TypeRef] = {}
+        self.decl_types: dict[int, TypeRef] = {}
+        # id() of each implicitly upcast expression -> the type it is upcast to
+        self.coercions: dict[int, TypeRef] = {}
 
     @property
     def ok(self) -> bool:
@@ -224,7 +236,7 @@ def _prelude_variance_diagnostics(strict: bool) -> tuple[Diagnostic, ...]:
     """Both variance checks over the prelude's entries, once per process and
     strictness: every table shares those entries, and they refer only to
     one another."""
-    table = ClassTable(_prelude_classes())
+    table = ClassTable(_prelude_classes(), {})
     return tuple(
         d
         for entry in table.classes.values()

@@ -9,8 +9,9 @@ tests can assert placement and crash behavior independently of the goldens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+
+from ..records import Record
 
 CORPUS_DIR = Path(__file__).parent
 GOLDEN_DIR = CORPUS_DIR / "golden"
@@ -18,22 +19,32 @@ GOLDEN_DIR = CORPUS_DIR / "golden"
 COLUMNS = ("check", "check-strict", "lint", "run-erased", "run-reified", "sites")
 
 
-@dataclass(frozen=True)
-class MatrixRow:
+class MatrixRow(Record, frozen=True):
     """Expected behavior of one checkcast-placement context."""
 
-    description: str
-    line: int  # line of the context's statement in the source file
-    site_reason: str | None  # expected site reason at that line, None = no site
-    crashes: bool  # erased run ends in ClassCastException
+    __slots__ = ("description", "line", "site_reason", "crashes")
+
+    def __init__(
+        self,
+        description: str,
+        line: int,  # line of the context's statement in the source file
+        site_reason: str | None,  # expected site reason at that line, None = no site
+        crashes: bool,  # erased run ends in ClassCastException
+    ) -> None:
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "site_reason", site_reason)
+        object.__setattr__(self, "crashes", crashes)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    id: str
-    filename: str
-    title: str
-    matrix: MatrixRow | None = None
+class CorpusEntry(Record, frozen=True):
+    __slots__ = ("id", "filename", "title", "matrix")
+
+    def __init__(self, id: str, filename: str, title: str, matrix: MatrixRow | None = None) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "filename", filename)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def source_path(self) -> Path:

@@ -6,9 +6,8 @@ command; warnings never affect the exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ast import SourceLoc
+from .records import Record
 
 WARNING_CODES = {
     "W-UNCHECKED-CAST",
@@ -24,11 +23,13 @@ ERROR_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    loc: SourceLoc
-    message: str
+class Diagnostic(Record, frozen=True):
+    __slots__ = ("code", "loc", "message")
+
+    def __init__(self, code: str, loc: SourceLoc, message: str) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "loc", loc)
+        object.__setattr__(self, "message", message)
 
     @property
     def severity(self) -> str:

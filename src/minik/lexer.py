@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import NoReturn
 
 from .ast import SourceLoc
+from .records import Record
 
 KEYWORDS = {
     "open",
@@ -78,18 +78,20 @@ class LexError(Exception):
         self.loc = loc
 
 
-@dataclass(slots=True)
-class Tokens:
+class Tokens(Record):
     """The tokens of one file. Token `i` has kind `kinds[i]` ("name", "int",
     "string", "newline", "eof", "@UnsafeVariance" or one of PUNCT), text
     `texts[i]` (a string literal's unescaped body) and starts at character
     offset `starts[i]`. `line_starts` holds the offset of each line."""
 
-    kinds: list[str]
-    texts: list[str]
-    starts: list[int]
-    file: str
-    line_starts: list[int]
+    __slots__ = ("kinds", "texts", "starts", "file", "line_starts")
+
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int], file: str, line_starts: list[int]) -> None:
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.file = file
+        self.line_starts = line_starts
 
     def __len__(self) -> int:
         return len(self.kinds)

@@ -15,8 +15,6 @@ seen, and the lint stays silent on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .ast import (
     BOOLEAN,
     Call,
@@ -34,22 +32,25 @@ from .ast import (
 )
 from .checker import CastClassification, CheckedProgram, classify_cast_baseline
 from .diagnostics import Diagnostic, warning
+from .records import Record
 from .typesys import program_bodies
 
 
-@dataclass
-class ProvenanceMap:
+class ProvenanceMap(Record):
     """Per-occurrence provenance: for every expression occurrence, the
     ordered set of static types its value had held at that point (the
     current static type always included). `casts` lists the body's explicit
     casts in preorder, as `walk_body_exprs` meets them, and
     `cast_snapshots` keeps each one's operand history."""
 
-    occurrence_sets: dict[int, tuple[TypeRef, ...]] = field(default_factory=dict)
-    # Snapshot of the operand's history taken at each explicit cast, before
-    # the cast's own target type is appended.
-    cast_snapshots: dict[int, tuple[TypeRef, ...]] = field(default_factory=dict)
-    casts: list[CastExpr] = field(default_factory=list)
+    __slots__ = ("occurrence_sets", "cast_snapshots", "casts")
+
+    def __init__(self) -> None:
+        self.occurrence_sets: dict[int, tuple[TypeRef, ...]] = {}
+        # Snapshot of the operand's history taken at each explicit cast,
+        # before the cast's own target type is appended.
+        self.cast_snapshots: dict[int, tuple[TypeRef, ...]] = {}
+        self.casts: list[CastExpr] = []
 
     def at(self, e: Expr) -> tuple[TypeRef, ...]:
         return self.occurrence_sets.get(id(e), ())

@@ -48,7 +48,6 @@ message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 
 from .ast import (
@@ -77,6 +76,7 @@ from .ast import (
     VarRef,
 )
 from .checker import CheckedProgram
+from .records import Record
 from .typesys import (
     ClassTable,
     class_conforms,
@@ -98,11 +98,18 @@ MAX_CALL_DEPTH = 1000
 # ============================================================
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CheckcastSite:
-    loc: SourceLoc
-    expected_class: str
-    reason: str  # explicit-decl | implicit-decl | call-arg | receiver | return-value
+class CheckcastSite(Record, hashable=True):
+    __slots__ = ("loc", "expected_class", "reason")
+
+    def __init__(
+        self,
+        loc: SourceLoc,
+        expected_class: str,
+        reason: str,  # explicit-decl | implicit-decl | call-arg | receiver | return-value
+    ) -> None:
+        self.loc = loc
+        self.expected_class = expected_class
+        self.reason = reason
 
     def render(self) -> str:
         return f"{self.loc} CHECKCAST {self.expected_class} ({self.reason})"
@@ -130,51 +137,62 @@ def checkcast_sites(checked: CheckedProgram) -> list[CheckcastSite]:
 # ============================================================
 
 
-@dataclass
-class Value:
+class Value(Record):
     """A runtime value; its `type` is the type the runtime keeps for it."""
 
+    __slots__ = ()
 
-@dataclass
+
 class IntValue(Value):
-    value: int
+    __slots__ = ("value",)
     type = INT
 
+    def __init__(self, value: int) -> None:
+        self.value = value
 
-@dataclass
+
 class StringValue(Value):
-    value: str
+    __slots__ = ("value",)
     type = STRING
 
+    def __init__(self, value: str) -> None:
+        self.value = value
 
-@dataclass
+
 class BoolValue(Value):
-    value: bool
+    __slots__ = ("value",)
     type = BOOLEAN
 
+    def __init__(self, value: bool) -> None:
+        self.value = value
 
-@dataclass
+
 class UnitValue(Value):
+    __slots__ = ()
     type = UNIT
 
 
 UNIT_VALUE = UnitValue()
 
 
-@dataclass
 class ObjectValue(Value):
-    type: ClassType  # bare when erased; fully instantiated when reified
-    oid: int
+    __slots__ = ("type", "oid")
+
+    def __init__(self, type: ClassType, oid: int) -> None:
+        self.type = type  # bare when erased; fully instantiated when reified
+        self.oid = oid
 
 
-@dataclass
 class ListValue(Value):
     """Growable list; elements are shared references, so aliases observe
     each other's mutations."""
 
-    type: ClassType
-    oid: int
-    elements: list[Value] = field(default_factory=list)
+    __slots__ = ("type", "oid", "elements")
+
+    def __init__(self, type: ClassType, oid: int, elements: list[Value] | None = None) -> None:
+        self.type = type
+        self.oid = oid
+        self.elements = [] if elements is None else elements
 
 
 # ============================================================
@@ -182,39 +200,50 @@ class ListValue(Value):
 # ============================================================
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    stdout: str
+class RunOutcome(Record, frozen=True):
+    __slots__ = ("stdout",)
+
+    def __init__(self, stdout: str) -> None:
+        object.__setattr__(self, "stdout", stdout)
 
     def render(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Completed(RunOutcome):
-    value: Value | None = None  # value of the last top-level expression statement
+    __slots__ = ("value",)
+
+    def __init__(self, stdout: str, value: Value | None = None) -> None:
+        object.__setattr__(self, "stdout", stdout)
+        object.__setattr__(self, "value", value)  # value of the last top-level expression statement
 
     def render(self) -> str:
         return "completed"
 
 
-@dataclass(frozen=True)
 class ClassCastException(RunOutcome):
-    loc: SourceLoc
-    expected: str
-    actual: str
+    __slots__ = ("loc", "expected", "actual")
+
+    def __init__(self, stdout: str, loc: SourceLoc, expected: str, actual: str) -> None:
+        object.__setattr__(self, "stdout", stdout)
+        object.__setattr__(self, "loc", loc)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
     def render(self) -> str:
         return f"ClassCastException: {self.actual} cannot be cast to {self.expected} at {self.loc}"
 
 
-@dataclass(frozen=True)
 class RuntimeFault(RunOutcome):
     """Host-level fault for operations the language leaves undefined
     (out-of-range reads, uninitialized properties, calls nested too deep)."""
 
-    loc: SourceLoc
-    message: str
+    __slots__ = ("loc", "message")
+
+    def __init__(self, stdout: str, loc: SourceLoc, message: str) -> None:
+        object.__setattr__(self, "stdout", stdout)
+        object.__setattr__(self, "loc", loc)
+        object.__setattr__(self, "message", message)
 
     def render(self) -> str:
         return f"RuntimeFault: {self.message} at {self.loc}"

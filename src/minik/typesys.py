@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .ast import (
     ANY,
@@ -40,6 +39,7 @@ from .ast import (
 )
 from .diagnostics import Diagnostic, error
 from .parser import parse
+from .records import Record
 
 PRELUDE_FILE = "<prelude>"
 
@@ -63,44 +63,84 @@ class ArrayList<T> : MutableList<T>
 """
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record, frozen=True):
     """A function's or a method's signature, with its declaration. A method
     has no type parameters of its own; a builtin has no declaration."""
 
-    name: str
-    type_params: tuple[str, ...]
-    param_types: tuple[TypeRef, ...]
-    param_names: tuple[str, ...]
-    return_type: TypeRef
-    decl: FunDecl | Method | None
+    __slots__ = ("name", "type_params", "param_types", "param_names", "return_type", "decl")
+
+    def __init__(
+        self,
+        name: str,
+        type_params: tuple[str, ...],
+        param_types: tuple[TypeRef, ...],
+        param_names: tuple[str, ...],
+        return_type: TypeRef,
+        decl: FunDecl | Method | None,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "type_params", type_params)
+        object.__setattr__(self, "param_types", param_types)
+        object.__setattr__(self, "param_names", param_names)
+        object.__setattr__(self, "return_type", return_type)
+        object.__setattr__(self, "decl", decl)
 
 
-@dataclass(frozen=True)
-class PropertySig:
-    name: str
-    type: TypeRef
-    decl: Property
+class PropertySig(Record, frozen=True):
+    __slots__ = ("name", "type", "decl")
+
+    def __init__(self, name: str, type: TypeRef, decl: Property) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "decl", decl)
 
 
-@dataclass
-class ClassEntry:
-    name: str
-    type_params: tuple[TypeParam, ...]
-    is_interface: bool
-    is_open: bool
-    ctor_private: bool
-    supertypes: tuple[SupertypeRef, ...]  # types resolved (ParamRefs bound)
-    methods: dict[str, Signature]
-    properties: dict[str, PropertySig]
-    decl: ClassDecl
-    is_prelude: bool = False
-    # The class's ancestors, itself first, as instantiations over its own
-    # type parameters, in preorder over the declared supertypes with
-    # duplicates dropped. `ancestor_of` keeps the first one of each class,
-    # the one subtyping and member lookup see. Set by `_link_ancestors`.
-    ancestors: tuple[ClassType, ...] = ()
-    ancestor_of: dict[str, ClassType] = field(default_factory=dict)
+class ClassEntry(Record):
+    __slots__ = (
+        "name",
+        "type_params",
+        "is_interface",
+        "is_open",
+        "ctor_private",
+        "supertypes",
+        "methods",
+        "properties",
+        "decl",
+        "is_prelude",
+        "ancestors",
+        "ancestor_of",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        type_params: tuple[TypeParam, ...],
+        is_interface: bool,
+        is_open: bool,
+        ctor_private: bool,
+        supertypes: tuple[SupertypeRef, ...],  # types resolved (ParamRefs bound)
+        methods: dict[str, Signature],
+        properties: dict[str, PropertySig],
+        decl: ClassDecl,
+        is_prelude: bool = False,
+    ) -> None:
+        self.name = name
+        self.type_params = type_params
+        self.is_interface = is_interface
+        self.is_open = is_open
+        self.ctor_private = ctor_private
+        self.supertypes = supertypes
+        self.methods = methods
+        self.properties = properties
+        self.decl = decl
+        self.is_prelude = is_prelude
+        # The class's ancestors, itself first, as instantiations over its
+        # own type parameters, in preorder over the declared supertypes with
+        # duplicates dropped. `ancestor_of` keeps the first one of each
+        # class, the one subtyping and member lookup see. Set by
+        # `_link_ancestors`.
+        self.ancestors: tuple[ClassType, ...] = ()
+        self.ancestor_of: dict[str, ClassType] = {}
 
     @property
     def is_variant(self) -> bool:
@@ -110,19 +150,22 @@ class ClassEntry:
         return {p.name: a for p, a in zip(self.type_params, args)}
 
 
-@dataclass
-class ClassTable:
-    classes: dict[str, ClassEntry] = field(default_factory=dict)
-    functions: dict[str, Signature] = field(default_factory=dict)
-    # Answers to type questions on this table, keyed by the query's name and
-    # its arguments: ("subtype", s, t) for two class types, ("supinst", t,
-    # ancestor) including None answers, ("resolve", t, scope, allow_bare)
-    # for successful resolutions only, ("lub", s, t), and the checker's
-    # ("cast", source, target) for completed targets. Types are interned,
-    # so a key hashes and compares in O(1). Valid as long as the table: the
-    # class names and arities that resolution reads are fixed once the
-    # classes are collected, and the rest once the table is built.
-    memo: dict[tuple, object] = field(default_factory=dict, repr=False, compare=False)
+class ClassTable(Record, hidden=("memo",)):
+    __slots__ = ("classes", "functions", "memo")
+
+    def __init__(self, classes: dict[str, ClassEntry], functions: dict[str, Signature]) -> None:
+        self.classes = classes
+        self.functions = functions
+        # Answers to type questions on this table, keyed by the query's name
+        # and its arguments: ("subtype", s, t) for two class types,
+        # ("supinst", t, ancestor) including None answers, ("resolve", t,
+        # scope, allow_bare) for successful resolutions only, ("lub", s, t),
+        # and the checker's ("cast", source, target) for completed targets.
+        # Types are interned, so a key hashes and compares in O(1). Valid as
+        # long as the table: the class names and arities that resolution
+        # reads are fixed once the classes are collected, and the rest once
+        # the table is built. Neither compared nor shown.
+        self.memo: dict[tuple, object] = {}
 
     def entry(self, name: str) -> ClassEntry:
         return self.classes[name]
@@ -224,7 +267,7 @@ def _prelude_classes() -> dict[str, ClassEntry]:
     """The prelude's entries, built once per process in a table of their
     own. Every table starts from a copy of this dict and only reads the
     entries, and keeps its own memo."""
-    table = ClassTable()
+    table = ClassTable({}, {})
     diags: list[Diagnostic] = []
     _add_declarations(table, parse(PRELUDE_SOURCE, PRELUDE_FILE), diags, is_prelude=True)
     assert not diags, diags
@@ -472,17 +515,27 @@ def _redeclaration_error(table: ClassTable, entry: ClassEntry, owner: str, sig: 
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Body:
+class Body(Record, frozen=True):
     """One statement sequence: a function, a method with a body, or the
     top level."""
 
-    decl: FunDecl | Method | None  # None at the top level
-    owner: str | None  # the class declaring a method
-    type_params: frozenset[str]  # type parameters in scope
-    params: tuple[tuple[str, TypeRef], ...]  # (name, declared type)
-    return_type: TypeRef | None  # None at the top level
-    stmts: tuple[Stmt, ...]
+    __slots__ = ("decl", "owner", "type_params", "params", "return_type", "stmts")
+
+    def __init__(
+        self,
+        decl: FunDecl | Method | None,  # None at the top level
+        owner: str | None,  # the class declaring a method
+        type_params: frozenset[str],  # type parameters in scope
+        params: tuple[tuple[str, TypeRef], ...],  # (name, declared type)
+        return_type: TypeRef | None,  # None at the top level
+        stmts: tuple[Stmt, ...],
+    ) -> None:
+        object.__setattr__(self, "decl", decl)
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "type_params", type_params)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "return_type", return_type)
+        object.__setattr__(self, "stmts", stmts)
 
 
 def program_bodies(table: ClassTable, program: Program) -> Iterator[Body]:

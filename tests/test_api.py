@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import minik
-from minik import diagnostics
-from minik.ast import INT, SourceLoc
-from minik.checker import CallInfo
-from minik.runtime import CheckcastSite
+from minik import corpus, diagnostics, runtime
+from minik.ast import INT, STRING, ClassType, SourceLoc
+from minik.checker import CallInfo, CheckedProgram
+from minik.diagnostics import Diagnostic
+from minik.lexer import Tokens
+from minik.provenance import ProvenanceMap
+from minik.runtime import CheckcastSite, ClassCastException, Completed, RunOutcome, RuntimeFault
+from minik.typesys import Body, ClassEntry, ClassTable, PropertySig, Signature
 
 
 def test_public_api_is_pinned():
@@ -163,17 +170,197 @@ def test_a_location_is_a_value():
 
 
 _LOC = SourceLoc("a.mk", 1, 2)
+_A = ClassType("A")
+_LIST = ClassType("MutableList")
+
+
+def _provenance_with_one_occurrence() -> ProvenanceMap:
+    prov = ProvenanceMap()
+    prov.occurrence_sets[0] = (INT,)
+    return prov
+
+
+# Each record with the constructor arguments of one instance, an unequal
+# instance, and the `repr` text it had as a dataclass. Every record outside
+# the syntax tree keeps its dataclass's equality, hashing, `repr` and
+# frozenness.
 RECORDS = [
-    (SourceLoc, ("a.mk", 1, 2), ("a.mk", 2, 1)),
-    (CallInfo, ("method", "get", INT), ("method", "size", INT)),
-    (CheckcastSite, (_LOC, "A", "receiver"), (_LOC, "A", "call-arg")),
+    (SourceLoc, ("a.mk", 1, 2), SourceLoc("a.mk", 2, 1), "SourceLoc(file='a.mk', line=1, col=2)"),
+    (
+        CallInfo,
+        ("method", "get", INT),
+        CallInfo("method", "size", INT),
+        "CallInfo(kind='method', member='get', declared_return=PrimitiveType(name='Int'), type_args=(),"
+        " declared_params=(), param_types=())",
+    ),
+    (
+        CheckcastSite,
+        (_LOC, "A", "receiver"),
+        CheckcastSite(_LOC, "A", "call-arg"),
+        "CheckcastSite(loc=SourceLoc(file='a.mk', line=1, col=2), expected_class='A', reason='receiver')",
+    ),
+    (
+        Signature,
+        ("f", ("T",), (INT,), ("x",), INT, None),
+        Signature("g", ("T",), (INT,), ("x",), INT, None),
+        "Signature(name='f', type_params=('T',), param_types=(PrimitiveType(name='Int'),), param_names=('x',),"
+        " return_type=PrimitiveType(name='Int'), decl=None)",
+    ),
+    (
+        PropertySig,
+        ("p", INT, None),
+        PropertySig("p", STRING, None),
+        "PropertySig(name='p', type=PrimitiveType(name='Int'), decl=None)",
+    ),
+    (
+        ClassEntry,
+        ("A", (), False, True, False, (), {}, {}, None),
+        ClassEntry("B", (), False, True, False, (), {}, {}, None),
+        "ClassEntry(name='A', type_params=(), is_interface=False, is_open=True, ctor_private=False, supertypes=(),"
+        " methods={}, properties={}, decl=None, is_prelude=False, ancestors=(), ancestor_of={})",
+    ),
+    (ClassTable, ({}, {}), ClassTable({"A": None}, {}), "ClassTable(classes={}, functions={})"),
+    (
+        Body,
+        (None, None, frozenset(), (), None, ()),
+        Body(None, "A", frozenset(), (), None, ()),
+        "Body(decl=None, owner=None, type_params=frozenset(), params=(), return_type=None, stmts=())",
+    ),
+    (
+        CheckedProgram,
+        (None, None, []),
+        CheckedProgram(None, None, [None]),
+        "CheckedProgram(program=None, table=None, diagnostics=[], expr_types={}, call_info={}, is_targets={},"
+        " decl_types={}, coercions={})",
+    ),
+    (
+        Diagnostic,
+        ("E-TYPE", _LOC, "m"),
+        Diagnostic("E-TYPE", _LOC, "n"),
+        "Diagnostic(code='E-TYPE', loc=SourceLoc(file='a.mk', line=1, col=2), message='m')",
+    ),
+    (
+        Tokens,
+        (["eof"], [""], [0], "a.mk", [0]),
+        Tokens(["eof"], [""], [0], "b.mk", [0]),
+        "Tokens(kinds=['eof'], texts=[''], starts=[0], file='a.mk', line_starts=[0])",
+    ),
+    (
+        ProvenanceMap,
+        (),
+        _provenance_with_one_occurrence(),
+        "ProvenanceMap(occurrence_sets={}, cast_snapshots={}, casts=[])",
+    ),
+    (runtime.Value, (), runtime.UnitValue(), "Value()"),
+    (runtime.IntValue, (1,), runtime.IntValue(2), "IntValue(value=1)"),
+    (runtime.StringValue, ("s",), runtime.StringValue("t"), "StringValue(value='s')"),
+    (runtime.BoolValue, (True,), runtime.BoolValue(False), "BoolValue(value=True)"),
+    (runtime.UnitValue, (), runtime.IntValue(0), "UnitValue()"),  # the class has one value
+    (
+        runtime.ObjectValue,
+        (_A, 1),
+        runtime.ObjectValue(_A, 2),
+        "ObjectValue(type=ClassType(name='A', args=None), oid=1)",
+    ),
+    (
+        runtime.ListValue,
+        (_LIST, 2),
+        runtime.ListValue(_LIST, 2, [runtime.IntValue(1)]),
+        "ListValue(type=ClassType(name='MutableList', args=None), oid=2, elements=[])",
+    ),
+    (RunOutcome, ("x",), RunOutcome("y"), "RunOutcome(stdout='x')"),
+    (Completed, ("out", None), Completed("out", runtime.UNIT_VALUE), "Completed(stdout='out', value=None)"),
+    (
+        ClassCastException,
+        ("", _LOC, "A", "B"),
+        ClassCastException("", _LOC, "B", "A"),
+        "ClassCastException(stdout='', loc=SourceLoc(file='a.mk', line=1, col=2), expected='A', actual='B')",
+    ),
+    (
+        RuntimeFault,
+        ("", _LOC, "boom"),
+        RuntimeFault("", _LOC, "bang"),
+        "RuntimeFault(stdout='', loc=SourceLoc(file='a.mk', line=1, col=2), message='boom')",
+    ),
+    (
+        corpus.MatrixRow,
+        ("d", 3, None, False),
+        corpus.MatrixRow("d", 3, None, True),
+        "MatrixRow(description='d', line=3, site_reason=None, crashes=False)",
+    ),
+    (
+        corpus.CorpusEntry,
+        ("P1", "P1.mk", "t"),
+        corpus.CorpusEntry("P2", "P2.mk", "t"),
+        "CorpusEntry(id='P1', filename='P1.mk', title='t', matrix=None)",
+    ),
 ]
+UNHASHABLE = {
+    ClassEntry,
+    ClassTable,
+    CheckedProgram,
+    Tokens,
+    ProvenanceMap,
+    runtime.Value,
+    runtime.IntValue,
+    runtime.StringValue,
+    runtime.BoolValue,
+    runtime.UnitValue,
+    runtime.ObjectValue,
+    runtime.ListValue,
+}
+FROZEN = {
+    Signature,
+    PropertySig,
+    Body,
+    Diagnostic,
+    RunOutcome,
+    Completed,
+    ClassCastException,
+    RuntimeFault,
+    corpus.MatrixRow,
+    corpus.CorpusEntry,
+}
 
 
-@pytest.mark.parametrize("record, fields, other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
-def test_per_node_records_are_slotted_values(record, fields, other):
+@pytest.mark.parametrize("record, fields, other, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_slotted_values(record, fields, other, text):
     assert "__slots__" in vars(record)
     value = record(*fields)
     assert not hasattr(value, "__dict__")
-    assert value == record(*fields) and hash(value) == hash(record(*fields))
-    assert value != record(*other)
+    assert value == record(*fields) and value != other
+    assert repr(value) == text
+    if record in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(record(*fields))
+    if record in FROZEN:
+        name = record.__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert repr(value) == text
+
+
+def test_a_tables_memo_neither_compares_nor_shows():
+    table = ClassTable({}, {})
+    table.memo[("subtype", INT, INT)] = True
+    assert table == ClassTable({}, {})
+    assert repr(table) == "ClassTable(classes={}, functions={})"
+
+
+def test_only_the_syntax_tree_is_made_of_dataclasses():
+    # A dataclass generates and compiles its methods when its module is
+    # imported, which every CLI invocation pays; a plain record does not.
+    import minik.cli  # noqa: F401
+
+    defined = Counter(
+        name
+        for name, module in list(sys.modules.items())
+        if name == "minik" or name.startswith("minik.")
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == name and dataclasses.is_dataclass(value)
+    )
+    assert defined == {"minik.ast": 33}

@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 from minik import corpus
 from minik.ast import CastExpr, ClassType, FunDecl, ValDecl, VarRef, walk_body_exprs, walk_exprs, walk_stmts
 from minik.checker import CastClassification, classify_cast_baseline
 from minik.cli import build, run_command
 from minik.diagnostics import warning
 from minik.provenance import compute_provenance, lint_function, lint_program
-from minik.typesys import program_bodies
+from minik.typesys import ClassTable, program_bodies
 
 from conftest import codes
 
@@ -303,7 +301,7 @@ def test_if_join_lists_then_branch_types_then_else_only_ones():
 def reference_lint(checked, body, prov):
     """The lint as a separate walk over the body, classifying each cast
     afresh on a copy of the table with an empty memo."""
-    table = replace(checked.table, memo={})
+    table = ClassTable(checked.table.classes, checked.table.functions)
     diags = []
     for e in walk_body_exprs(body):
         if not isinstance(e, CastExpr):
