@@ -22,11 +22,15 @@ immediately and variance-aware, by `subtype` on the value's own type. In
 both modes a value of the wrong class fails at an `if` condition or a list
 index, where the JVM unboxes it.
 
-The checks on a value read from a variable run inside that read's `load`,
-in order, each at its own location and with its own message; an `if`
-whose condition is an `is` test is one operation that tests and jumps; a
-call pops its arguments straight into the callee's variables, bound by
-position; and a call whose value a statement drops drops it on return.
+The checks on a value read from a variable run inside the operation that
+reads it, in order, each at its own location and with its own message, in
+one place in the loop. That operation is a `load` that pushes the value,
+or, where a `load` would have pushed it for the next operation to pop, the
+next operation itself: a `val` copy, a `return`, an `if (v is T)` or a
+call's last argument. An `if` whose condition is an `is` test is one
+operation that tests and jumps; a call binds its arguments straight to the
+callee's variables, by position; and a call whose value a statement drops
+drops it on return.
 
 Method dispatch takes the method and the bindings its body runs under from
 `typesys.find_member`, as the checker does, once per receiver runtime type
@@ -37,9 +41,9 @@ was checked against.
 A run decides each distinct class check, reified check and `is` test once,
 by its runtime type (class name when erased) and its target, and keeps the
 verdict for the rest of that run only. In front of that run-wide memo, each
-`load` with checks, `is` test and method call keeps a cache of its own, by
-the value's runtime type: the types all of the load's checks passed for,
-the test's verdicts, the call's dispatches. A type is added only once
+variable read with checks, `is` test and method call keeps a cache of its
+own, by the value's runtime type: the types all of the read's checks passed
+for, the test's verdicts, the call's dispatches. A type is added only once
 settled, and a miss takes the run-wide path. The checks and `is` tests of a
 reified generic body, whose targets depend on its bindings, take that path
 every time. Every check still runs at its own location and with its own
@@ -287,30 +291,42 @@ def render_value(v: Value) -> str:
 # ============================================================
 # THE COMPILER
 #
-# An operation is a tuple whose first field names it. Operands are popped
-# from, and results pushed to, one value stack shared by every activation
-# record. A check is a target and a location: an erased class check when
-# the target is a class name, a reified check when it is a type. The checks
-# of a value read from a variable ride on that `load`, as a tuple of
-# (target, loc) that it runs in order before it pushes the value; any other
-# check is a `check` operation after the value's operation.
+# An operation is a tuple whose first field names it and whose second is
+# its read operand: the name of the variable it reads, or None. Operands
+# are otherwise popped from, and results pushed to, one value stack shared
+# by every activation record. A check is a target and a location: an
+# erased class check when the target is a class name, a reified check when
+# it is a type. An operation that reads a variable runs that read's checks,
+# a tuple of (target, loc), in order before anything else; `load` then
+# pushes the value. `store`, `return`, `branch_is` and `call` (for its last
+# argument) read a variable themselves where a `load` would have pushed it
+# just before them, and otherwise pop the value, with `name` None, `checks`
+# empty and `passed` None. Any other check is a `check` operation after the
+# value's operation. `-` marks a read operand that is always None.
 #
-#   load name checks passed | check target loc | store name | const value
-#   pop | print | return | is instance_check target verdicts
-#   new value_class type | prop name loc | jump target
-#   call names sig loc type_args drop  (type_args empty when erased)
-#   method nargs member loc index_loc dispatched drop | branch target loc
-#   branch_is instance_check type target verdicts  (an `if (v is T)`:
-#   tests, then jumps to `target` when false)
+#   load name checks passed | store name checks passed target
+#   return name checks passed
+#   branch_is name checks passed instance_check type target verdicts
+#     (an `if (v is T)`: tests, then jumps to `target` when false)
+#   call name checks passed arg names sig loc type_args drop
+#     (type_args empty when erased)
+#   check - target loc | const - value | pop - | print - | jump - target
+#   is - instance_check target verdicts | new - value_class type
+#   prop - name loc | branch - target loc
+#   method - nargs member loc index_loc dispatched drop
 #
 # `passed`, `verdicts` and `dispatched` are the site caches, keyed by the
 # value's runtime type (see the module docstring); `passed` is None on a
-# load without checks, and all three are None in a compile that only lists
-# the sites. A call's `names` are the parameters its arguments bind, in the
-# order the arguments come off the stack: the parameters reversed. A call
-# with `drop` set is an expression statement: its value is dropped when
-# the callee returns, in place of a `pop`.
+# read without checks, and all three are None in a compile that only lists
+# the sites. A call binds its read operand, if any, to the parameter `arg`,
+# then pops its other arguments into `names`, in the order they come off
+# the stack: the parameters reversed. A call with `drop` set is an
+# expression statement: its value is dropped when the callee returns, in
+# place of a `pop`.
 # ============================================================
+
+_POP = (None, (), None)  # the read operand, checks and cache of an operation that pops its value
+_END = (("const", None, UNIT_VALUE), ("return",) + _POP)  # the end of every body
 
 
 def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
@@ -341,8 +357,14 @@ class _Compiler:
         code: list[tuple] = []
         for s in stmts:
             self.stmt(code, s, return_type)
-        code += (("const", UNIT_VALUE), ("return",))
+        code += _END
         return code
+
+    def operand(self, code: list[tuple]) -> tuple:
+        """The read operand, checks and site cache of an operation about to
+        consume the value on top of the stack: those of the `load` that left
+        it there, which this takes off `code`, or `_POP` when no load did."""
+        return code.pop()[1:] if code[-1][0] == "load" else _POP
 
     def check(self, code: list[tuple], target: str | TypeRef, loc: SourceLoc) -> None:
         """The check of the value on top of the stack, folded into the `load`
@@ -352,7 +374,7 @@ class _Compiler:
             _, name, checks, passed = last
             code[-1] = ("load", name, checks + ((target, loc),), passed if checks else self.cache(set))
         else:
-            code.append(("check", target, loc))
+            code.append(("check", None, target, loc))
 
     def site(self, code: list[tuple], e: Expr | None, t: TypeRef | None, loc: SourceLoc, reason: str) -> None:
         """Erased: the checkcast site verifying that the value of `e` (or of a
@@ -372,36 +394,40 @@ class _Compiler:
                 self.site(code, s.init, bound, s.loc, reason)
             else:
                 self.check(code, bound, s.loc)
-            code.append(("store", s.name))
+            code.append(("store",) + self.operand(code) + (s.name,))
         elif isinstance(s, ExprStmt):
             self.expr(code, s.expr)
             last = code[-1]
             if last[0] == "call" or last[0] == "method":
                 code[-1] = last[:-1] + (True,)
             else:
-                code.append(("pop",))
+                code.append(("pop", None))
         elif isinstance(s, Return):
             self.expr(code, s.expr)
             if self.erased:
                 self.site(code, s.expr, return_type, s.loc, "return-value")
-            code.append(("return",))
+            code.append(("return",) + self.operand(code))
         elif isinstance(s, If):
             cond = s.cond
-            self.expr(code, cond.expr if isinstance(cond, IsExpr) else cond)
+            if isinstance(cond, IsExpr):
+                self.expr(code, cond.expr)
+                read = self.operand(code)
+            else:
+                self.expr(code, cond)
             branch = len(code)
-            code.append(("jump", None))  # patched below, as is the jump
+            code.append(None)  # patched below, as is the jump
             for inner in s.then_body:
                 self.stmt(code, inner, return_type)
             jump = len(code)
-            code.append(("jump", None))
+            code.append(None)
             if isinstance(cond, IsExpr):
-                code[branch] = ("branch_is", self.instance_check, self.checked.is_targets[id(cond)], len(code),
-                                self.cache(dict))
+                code[branch] = ("branch_is",) + read + (self.instance_check, self.checked.is_targets[id(cond)],
+                                                        len(code), self.cache(dict))
             else:
-                code[branch] = ("branch", len(code), cond.loc)
+                code[branch] = ("branch", None, len(code), cond.loc)
             for inner in s.else_body or ():
                 self.stmt(code, inner, return_type)
-            code[jump] = ("jump", len(code))
+            code[jump] = ("jump", None, len(code))
         else:
             raise TypeError(f"unknown statement {s!r}")
 
@@ -409,9 +435,9 @@ class _Compiler:
         if isinstance(e, VarRef):
             code.append(("load", e.name, (), None))
         elif isinstance(e, IntLit):
-            code.append(("const", IntValue(e.value)))
+            code.append(("const", None, IntValue(e.value)))
         elif isinstance(e, StringLit):
-            code.append(("const", StringValue(e.value)))
+            code.append(("const", None, StringValue(e.value)))
         elif isinstance(e, CastExpr):
             self.expr(code, e.expr)
             target = self.checked.expr_types[id(e)]  # the completed cast target
@@ -423,7 +449,7 @@ class _Compiler:
                 self.check(code, target.name, e.loc)
         elif isinstance(e, IsExpr):
             self.expr(code, e.expr)
-            code.append(("is", self.instance_check, self.checked.is_targets[id(e)], self.cache(dict)))
+            code.append(("is", None, self.instance_check, self.checked.is_targets[id(e)], self.cache(dict)))
         else:
             self.call(code, e)
 
@@ -443,7 +469,7 @@ class _Compiler:
             # The checker admits no value arguments here.
             name = e.name if kind == "ctor" else "MutableList"
             value_class = ListValue if class_conforms(checked.table, name, "List") else ObjectValue
-            code.append(("new", value_class, ClassType(name, None if erased else info.type_args)))
+            code.append(("new", None, value_class, ClassType(name, None if erased else info.type_args)))
         else:
             expected = info.declared_params if erased else info.param_types
             for i, a in enumerate(args):
@@ -455,15 +481,21 @@ class _Compiler:
                         self.check(code, expected[i], a.loc)
             if kind == "fun":
                 sig = checked.table.functions[e.name]
-                code.append(("call", sig.param_names[::-1], sig, e.loc, () if erased else info.type_args, False))
+                names, arg = sig.param_names[::-1], None
+                # The call reads its last argument itself when that is a
+                # variable; a call without arguments reads nothing.
+                read = self.operand(code) if args else _POP
+                if read is not _POP:
+                    arg, names = names[0], names[1:]
+                code.append(("call",) + read + (arg, names, sig, e.loc, () if erased else info.type_args, False))
             elif kind == "builtin":
                 if e.name != "println":
                     raise TypeError(f"unknown builtin {e.name}")
-                code.append(("print",))
+                code.append(("print", None))
             elif kind == "property-get":
-                code.append(("prop", info.member, e.loc))
+                code.append(("prop", None, info.member, e.loc))
             else:  # method
-                code.append(("method", len(args), info.member, e.loc, args[0].loc if args else e.loc,
+                code.append(("method", None, len(args), info.member, e.loc, args[0].loc if args else e.loc,
                              self.cache(dict), False))
         if erased and self.eager:
             # Eager mode: verify every acquisition against its static class
@@ -511,10 +543,12 @@ class _Machine:
                 code: list[tuple] = []
                 if isinstance(d.stmt, ExprStmt):
                     self.compiler.expr(code, d.stmt.expr)
-                    last = self.execute(code + [("return",)], top_env)
+                    code.append(("return",) + self.compiler.operand(code))
+                    last = self.execute(code, top_env)
                 else:
                     self.compiler.stmt(code, d.stmt, None)
-                    self.execute(code + [("const", UNIT_VALUE), ("return",)], top_env)
+                    code += _END
+                    self.execute(code, top_env)
         except _Stop as stop:
             outcome, *fields = stop.args
             return outcome("".join(self.stdout), *fields)
@@ -575,40 +609,36 @@ class _Machine:
         while True:
             op = code[pc]
             pc += 1
-            kind = op[0]
-            if kind == "load":
-                v = env[op[1]]
+            name = op[1]
+            if name is not None:
+                # The operation reads variable `name`, whose checks run
+                # first. A type in the site cache passed every check here.
+                # On a miss, a verdict already decided true is read here;
+                # any other is decided, or fails, in `decide`. An erased run
+                # has no bindings.
+                v = env[name]
                 passed = op[3]
                 if passed is not None:
-                    # A type in the site cache passed every check here. On a
-                    # miss, a verdict already decided true is read here; any
-                    # other is decided, or fails, in `decide`. An erased run
-                    # has no bindings.
                     t = v.type
                     if bindings or t not in passed:
                         actual = t.name if erased else t
-                        for target, loc in op[2]:
+                        for target, at in op[2]:
                             if not verdicts.get((actual, substitute(target, bindings) if bindings else target)):
-                                decide(v, target, loc, bindings)
+                                decide(v, target, at, bindings)
                         if not bindings:
                             passed.add(t)
-                push(v)
-            elif kind == "store":
-                env[op[1]] = pop()
-            elif kind == "return":
-                if not calls:
-                    return pop()
-                code, pc, env, bindings, drop = calls.pop()
-                if drop:
-                    pop()
+            kind = op[0]
+            if kind == "store":
+                env[op[4]] = pop() if name is None else v
             elif kind == "call" or kind == "method":
                 if kind == "call":
-                    _, names, sig, loc, type_args, drop = op
+                    _, _, _, _, arg, names, sig, loc, type_args, drop = op
+                    callee_env = {} if name is None else {arg: v}
                     callee_bindings = _NO_BINDINGS
                     if type_args:
-                        callee_bindings = {name: substitute(t, bindings) for name, t in zip(sig.type_params, type_args)}
+                        callee_bindings = {p: substitute(t, bindings) for p, t in zip(sig.type_params, type_args)}
                 else:
-                    _, nargs, member, loc, index_loc, dispatched, drop = op
+                    _, _, nargs, member, loc, index_loc, dispatched, drop = op
                     recv = stack[-1 - nargs]
                     if isinstance(recv, ListValue):
                         args = stack[len(stack) - nargs:]
@@ -626,9 +656,9 @@ class _Machine:
                         dispatched[recv.type] = found
                     sig, callee_bindings, names = found
                     del stack[-1 - nargs]  # the receiver
-                callee_env = {}
-                for name in names:
-                    callee_env[name] = pop()
+                    callee_env = {}
+                for p in names:
+                    callee_env[p] = pop()
                 if len(calls) >= MAX_CALL_DEPTH:
                     raise _Stop(RuntimeFault, loc, f"call depth exceeds {MAX_CALL_DEPTH}")
                 calls.append((code, pc, env, bindings, drop))
@@ -639,52 +669,63 @@ class _Machine:
                 env = callee_env
                 bindings = callee_bindings
             elif kind == "branch_is":
-                v = pop()
+                if name is None:
+                    v = pop()
                 if bindings:
-                    ok = test(v, op[1], op[2], bindings)
+                    ok = test(v, op[4], op[5], bindings)
                 else:
-                    ok = op[4].get(v.type)
+                    ok = op[7].get(v.type)
                     if ok is None:
-                        ok = op[4][v.type] = test(v, op[1], op[2], bindings)
+                        ok = op[7][v.type] = test(v, op[4], op[5], bindings)
                 if not ok:
-                    pc = op[3]
+                    pc = op[6]
             elif kind == "jump":
-                pc = op[1]
+                pc = op[2]
+            elif kind == "return":
+                if name is None:
+                    v = pop()
+                if not calls:
+                    return v
+                code, pc, env, bindings, drop = calls.pop()
+                if not drop:
+                    push(v)
+            elif kind == "load":
+                push(v)
             elif kind == "const":
-                push(op[1])
+                push(op[2])
             elif kind == "check":
-                decide(stack[-1], op[1], op[2], bindings)
+                decide(stack[-1], op[2], op[3], bindings)
             elif kind == "pop":
                 pop()
             elif kind == "new":
                 # Only a reified allocation can run under type bindings.
-                push(op[1](substitute(op[2], bindings) if bindings else op[2], next(self.oids)))
+                push(op[2](substitute(op[3], bindings) if bindings else op[3], next(self.oids)))
             elif kind == "print":
                 self.stdout.append(render_value(pop()) + "\n")
                 push(UNIT_VALUE)
             elif kind == "is":
                 v = pop()
                 if bindings:
-                    ok = test(v, op[1], op[2], bindings)
+                    ok = test(v, op[2], op[3], bindings)
                 else:
-                    ok = op[3].get(v.type)
+                    ok = op[4].get(v.type)
                     if ok is None:
-                        ok = op[3][v.type] = test(v, op[1], op[2], bindings)
+                        ok = op[4][v.type] = test(v, op[2], op[3], bindings)
                 push(BoolValue(ok))
             elif kind == "branch":
                 cond = pop()
                 if not isinstance(cond, BoolValue):
-                    raise _Stop(ClassCastException, op[2], "Boolean", cond.type.name)
+                    raise _Stop(ClassCastException, op[3], "Boolean", cond.type.name)
                 if not cond.value:
-                    pc = op[1]
+                    pc = op[2]
             elif kind == "prop":
                 recv = pop()
-                if isinstance(recv, ListValue) and op[1] == "size":
+                if isinstance(recv, ListValue) and op[2] == "size":
                     push(IntValue(len(recv.elements)))
                 elif isinstance(recv, ObjectValue):
-                    raise _Stop(RuntimeFault, op[2], f"property {op[1]} was never initialized")
+                    raise _Stop(RuntimeFault, op[3], f"property {op[2]} was never initialized")
                 else:
-                    raise _Stop(RuntimeFault, op[2], f"{recv.type.name} has no property {op[1]}")
+                    raise _Stop(RuntimeFault, op[3], f"{recv.type.name} has no property {op[2]}")
             else:
                 raise TypeError(f"unknown operation {op!r}")
 

@@ -497,7 +497,11 @@ def _redeclaration_error(table: ClassTable, entry: ClassEntry, owner: str, sig: 
         if not isinstance(other, PropertySig):
             return "as a property"
         mine, theirs = seen(owner, sig.type), seen(other_owner, other.type)
-        return None if mine == theirs else f"with type {mine.render()} instead of {theirs.render()}"
+        if mine != theirs:
+            return f"with type {mine.render()} instead of {theirs.render()}"
+        # A `val` may become a `var`, but a `var` stays one: its setter is
+        # part of the supertype's contract.
+        return "as a val" if other.decl.mutable and not sig.decl.mutable else None
     if len(sig.param_types) != len(other.param_types):
         return f"with {len(sig.param_types)} parameter(s) instead of {len(other.param_types)}"
     for pname, p, q in zip(sig.param_names, sig.param_types, other.param_types):

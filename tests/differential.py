@@ -10,9 +10,11 @@ parent tree can be made without touching the repository's `.git`:
 
 The texts are the corpus programs, one program built around index reads and
 `get` calls, one that launders a list and calls methods on its element, one
-that calls a generic method under two instantiations, `--count` seeded
-character, line and identifier mutations of those, and small `launder` and
-`calltree` programs from `minik_bench/gen.py` (loaded by path, unchanged).
+that calls a generic method under two instantiations, one that copies,
+returns, passes and tests a laundered element held in a variable,
+`--count` seeded character, line and identifier mutations of those, and
+small `launder` and `calltree` programs from `minik_bench/gen.py` (loaded
+by path, unchanged).
 Each tree runs every text through the seven command forms in `FORMS`, in
 one subprocess per tree. A Python exception escaping a command is a host
 exception: its type and message become that result, and its innermost
@@ -188,6 +190,69 @@ val z = y as Leaf
 println(z)
 """
 
+# P1's chain launders a `B` into a `MutableList<A>`, and its element is then
+# copied into a checked `val`, returned, passed as an argument and tested by
+# `if (e as A is A)`: each a variable read that the operation consuming it
+# makes itself, with the read's checks. Each form runs first on the honest
+# element and then, after the chain, on the laundered one, so the erased run
+# fails at the first form it reaches (mutations reorder or drop them); the
+# reified run stops at the chain's downcast.
+LAUNDERED_READS_PROGRAM = """\
+open class B
+
+class A : B() {
+    fun name(): String {
+        return "A"
+    }
+}
+
+fun launder(list: MutableList<A>) {
+    val upcast: List<A> = list
+    val covariance: List<B> = upcast
+    val downcast: MutableList<B> = covariance as MutableList
+    downcast.add(B())
+}
+
+fun copy(list: MutableList<A>, i: Int) {
+    val e = list[i]
+    val c: A = e
+    println(c.name())
+}
+
+fun back(list: MutableList<A>, i: Int): A {
+    val e = list[i]
+    return e
+}
+
+fun take(a: A) {
+    println(a.name())
+}
+
+fun pass(list: MutableList<A>, i: Int) {
+    val e = list[i]
+    take(e)
+}
+
+fun branch(list: MutableList<A>, i: Int) {
+    val e = list[i]
+    if (e as A is A) {
+        println("A")
+    }
+}
+
+val list = mutableListOf<A>()
+list.add(A())
+copy(list, 0)
+println(back(list, 0).name())
+pass(list, 0)
+branch(list, 0)
+launder(list)
+copy(list, 1)
+println(back(list, 1).name())
+pass(list, 1)
+branch(list, 1)
+"""
+
 _SNIPPETS = ("[0]", ".get(0)", ".size", ".m()", " as Any", " as MutableList", " is A", "<B>")
 _CHARS = "abAB01 \n()[]<>{}.,:=\"?"
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -240,6 +305,7 @@ def make_texts(seed: int, count: int) -> list[tuple[str, str]]:
     bases.append(("index.mk", INDEX_PROGRAM))
     bases.append(("receiver.mk", RECEIVER_PROGRAM))
     bases.append(("dispatch.mk", DISPATCH_PROGRAM))
+    bases.append(("reads.mk", LAUNDERED_READS_PROGRAM))
     texts = list(bases)
     rng = random.Random(f"differential:{seed}")
     for _ in range(count):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import differential
 from conftest import call_deep
 from minik import corpus
 from minik.ast import CastExpr, ClassType, PrimitiveType, walk_body_exprs
@@ -23,7 +24,7 @@ from minik.runtime import (
     erased_instance_check,
     run_program,
 )
-from minik.typesys import build_class_table, program_bodies
+from minik.typesys import Signature, build_class_table, program_bodies
 from minik.parser import parse
 
 
@@ -983,18 +984,204 @@ def test_dropped_call_results_leave_the_stack_balanced(mode):
 
 def test_listing_the_sites_allocates_no_site_cache():
     # Every body compiled for `sites` has its cache fields empty; a run's
-    # compile of the same body has them.
+    # compile of the same body has them. An operation's second field names
+    # the variable it reads, and a read with checks keeps its cache in the
+    # fourth, on a `load` and on each operation that reads for itself.
     checked = build_src(ONE_SITE_THREE_CLASSES + DROPPED_RESULTS.replace("class K", "class J").replace("K", "J"))
     for sites, expect_cache in (([], False), (None, True)):
         compiler = _Compiler(checked, ERASED, eager=False, sites=sites)
         ops = [op for body in program_bodies(checked.table, checked.program)
                for op in compiler.body(body.stmts, body.return_type)]
-        caches = [op[3] for op in ops if op[0] == "load" and op[2]]
+        reads = [op for op in ops if op[1] is not None and op[2]]
+        assert {op[0] for op in reads} >= {"store", "call"}  # `val c: Base = x as Mid`, `outer(k, list)`
+        caches = [op[3] for op in reads]
         caches += [op[-1] for op in ops if op[0] in ("is", "branch_is")]
-        caches += [op[5] for op in ops if op[0] == "method"]
+        caches += [op[6] for op in ops if op[0] == "method"]
         assert len(caches) > 10
         assert all((c is not None) == expect_cache for c in caches)
         # Only a `println` statement still pops; the 14 call statements,
         # `list.add(7)` among them, drop their own values.
-        assert ("pop",) in ops
+        assert ("pop", None) in ops
         assert sum(op[-1] is True for op in ops if op[0] in ("call", "method")) == 14
+
+
+# ============================================================
+# READS FOLDED INTO THE OPERATION THAT CONSUMES THEM
+# ============================================================
+
+# Each program reads a variable where a `val` copies it, a `return` returns
+# it, a call takes it as its last argument and an `if (v as T is U)` tests
+# it, so the read's checks run inside that operation, not in a `load`.
+# `f` runs with values that pass before one that fails. The outcomes are
+# those of the runtime that ran each read as a `load` of its own.
+_CAST_HEAD = (
+    "open class A {\n"
+    "    fun name(): String {\n"
+    '        return "A"\n'
+    "    }\n"
+    "}\n"
+    "class Leaf : A()\n"
+    "class B\n"
+    "fun take(a: A) {\n"
+    "    println(a.name())\n"
+    "}\n"
+)
+_CAST_TAIL = "f(Leaf())\nf(A())\nf(B())\nf(A())\n"
+
+# P1's chain launders a `B` into a `MutableList<A>`; its reads are
+# deferred, so the erased run fails where the variable holding it is
+# copied, returned or passed with a class check. Reified, the chain's
+# downcast fails first.
+_LAUNDER_HEAD = (
+    "open class B\n"
+    "class A : B() {\n"
+    "    fun name(): String {\n"
+    '        return "A"\n'
+    "    }\n"
+    "}\n"
+    "fun take(a: A) {\n"
+    "    println(a.name())\n"
+    "}\n"
+    "fun launder(list: MutableList<A>) {\n"
+    "    val upcast: List<A> = list\n"
+    "    val covariance: List<B> = upcast\n"
+    "    val downcast: MutableList<B> = covariance as MutableList\n"
+    "    downcast.add(B())\n"
+    "}\n"
+)
+_LAUNDER_TAIL = "val list = mutableListOf<A>()\nlist.add(A())\nlaunder(list)\nf(list, 0)\nf(list, 1)\n"
+_LAUNDER_REIFIED = ("", "ClassCastException: MutableList<A> cannot be cast to MutableList<B> at t.mk:13:47")
+
+# A reified generic body checks against its bindings, so its reads skip the
+# site caches: the `Base` that passed under `T = Base` fails under
+# `T = Leaf`. Erased, `T` has no class to check.
+_GENERIC_HEAD = "open class Base\nclass Leaf : Base()\nfun sink(x: Any?) {\n    println(\"sunk\")\n}\n"
+_GENERIC_TAIL = "f<Base>(Base())\nf<Base>(Leaf())\nf<Leaf>(Leaf())\nf<Leaf>(Base())\n"
+
+# (source, the kind of the operation that holds the failing check, its
+# location, {mode: (stdout, outcome)})
+FUSED_READS = {
+    "cast-copy": (
+        _CAST_HEAD + "fun f(x: Any) {\n    val y = x as A\n    println(y.name())\n}\n" + _CAST_TAIL,
+        "store", (12, 15), {mode: ("A\nA\n", "ClassCastException: B cannot be cast to A at t.mk:12:15")
+                            for mode in (ERASED, REIFIED)}),
+    "cast-return": (
+        _CAST_HEAD + "fun g(x: Any): A {\n    return x as A\n}\nfun f(x: Any) {\n    println(g(x).name())\n}\n"
+        + _CAST_TAIL,
+        "return", (12, 14), {mode: ("A\nA\n", "ClassCastException: B cannot be cast to A at t.mk:12:14")
+                             for mode in (ERASED, REIFIED)}),
+    "cast-argument": (
+        _CAST_HEAD + "fun f(x: Any) {\n    take(x as A)\n}\n" + _CAST_TAIL,
+        "call", (12, 12), {mode: ("A\nA\n", "ClassCastException: B cannot be cast to A at t.mk:12:12")
+                           for mode in (ERASED, REIFIED)}),
+    "cast-is-branch": (
+        _CAST_HEAD + 'fun f(x: Any) {\n    if (x as A is Leaf) {\n        println("leaf")\n    } else {\n'
+        '        println("other")\n    }\n}\n' + _CAST_TAIL,
+        "branch_is", (12, 11), {mode: ("leaf\nother\n", "ClassCastException: B cannot be cast to A at t.mk:12:11")
+                                for mode in (ERASED, REIFIED)}),
+    "launder-copy": (
+        _LAUNDER_HEAD + "fun f(list: MutableList<A>, i: Int) {\n    val e = list[i]\n    val c: A = e\n"
+        "    println(c.name())\n}\n" + _LAUNDER_TAIL,
+        "store", (18, 5), {ERASED: ("A\n", "ClassCastException: B cannot be cast to A at t.mk:18:5"),
+                           REIFIED: _LAUNDER_REIFIED}),
+    "launder-return": (
+        _LAUNDER_HEAD + "fun g(list: MutableList<A>, i: Int): A {\n    val e = list[i]\n    return e\n}\n"
+        "fun f(list: MutableList<A>, i: Int) {\n    println(g(list, i).name())\n}\n" + _LAUNDER_TAIL,
+        "return", (18, 5), {ERASED: ("A\n", "ClassCastException: B cannot be cast to A at t.mk:18:5"),
+                            REIFIED: _LAUNDER_REIFIED}),
+    "launder-argument": (
+        _LAUNDER_HEAD + "fun f(list: MutableList<A>, i: Int) {\n    val e = list[i]\n    take(e)\n}\n" + _LAUNDER_TAIL,
+        "call", (18, 10), {ERASED: ("A\n", "ClassCastException: B cannot be cast to A at t.mk:18:10"),
+                           REIFIED: _LAUNDER_REIFIED}),
+    "launder-is-branch": (
+        _LAUNDER_HEAD + "fun f(list: MutableList<A>, i: Int) {\n    val e = list[i]\n    if (e as A is A) {\n"
+        '        println("A")\n    }\n}\n' + _LAUNDER_TAIL,
+        "branch_is", (18, 11), {ERASED: ("A\n", "ClassCastException: B cannot be cast to A at t.mk:18:11"),
+                                REIFIED: _LAUNDER_REIFIED}),
+    "generic-copy": (
+        _GENERIC_HEAD + 'fun f<T>(x: Any) {\n    val t = x as T\n    println("kept")\n}\n' + _GENERIC_TAIL,
+        "store", (7, 15), {ERASED: ("kept\n" * 4, "completed"),
+                           REIFIED: ("kept\n" * 3, "ClassCastException: Base cannot be cast to Leaf at t.mk:7:15")}),
+    "generic-return": (
+        _GENERIC_HEAD + "fun g<T>(x: Any): T {\n    return x as T\n}\nfun f<T>(x: Any) {\n    println(g<T>(x))\n}\n"
+        + _GENERIC_TAIL,
+        "return", (7, 14), {ERASED: ("<Base@1>\n<Leaf@2>\n<Leaf@3>\n<Base@4>\n", "completed"),
+                            REIFIED: ("<Base@1>\n<Leaf@2>\n<Leaf@3>\n",
+                                      "ClassCastException: Base cannot be cast to Leaf at t.mk:7:14")}),
+    "generic-argument": (
+        _GENERIC_HEAD + "fun f<T>(x: Any) {\n    sink(x as T)\n}\n" + _GENERIC_TAIL,
+        "call", (7, 12), {ERASED: ("sunk\n" * 4, "completed"),
+                          REIFIED: ("sunk\n" * 3, "ClassCastException: Base cannot be cast to Leaf at t.mk:7:12")}),
+    "generic-is-branch": (
+        _GENERIC_HEAD + 'fun f<T>(x: Any) {\n    if (x as T is Leaf) {\n        println("leaf")\n    } else {\n'
+        '        println("base")\n    }\n}\n' + _GENERIC_TAIL,
+        "branch_is", (7, 11), {ERASED: ("base\nleaf\nleaf\nbase\n", "completed"),
+                               REIFIED: ("base\nleaf\nleaf\n",
+                                         "ClassCastException: Base cannot be cast to Leaf at t.mk:7:11")}),
+}
+
+
+def _compiled(checked, mode: str, eager: bool = False) -> list[tuple]:
+    compiler = _Compiler(checked, mode, eager)
+    return [op for body in program_bodies(checked.table, checked.program)
+            for op in compiler.body(body.stmts, body.return_type)]
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+@pytest.mark.parametrize("case", sorted(FUSED_READS))
+def test_a_read_folded_into_its_consumer_fails_where_its_load_did(case, mode):
+    source, kind, loc, expected = FUSED_READS[case]
+    checked = build_src(source, "t.mk")
+    outcome = run_program(checked, mode)
+    assert (outcome.stdout, outcome.render()) == expected[mode]
+    # Where the run fails at the folded read, the failing check rides on the
+    # consuming operation, which reads the variable itself.
+    if outcome.render().endswith(f" at t.mk:{loc[0]}:{loc[1]}"):
+        holders = {op[0] for op in _compiled(checked, mode)
+                   if op[1] is not None for _, at in op[2] if (at.line, at.col) == loc}
+        assert holders == {kind}
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_deep_recursion_through_a_checked_argument_faults_at_the_call(mode):
+    # `x` is checked against `A` at 3:17 inside the call; the depth fault
+    # is reported at the call, 3:12.
+    checked = build_src("open class A\nfun down(x: A): Int {\n    return down(x)\n}\ndown(A())\n", "t.mk")
+    assert any(op[0] == "call" and op[2] for op in _compiled(checked, mode))
+    outcome = run_program(checked, mode)
+    assert outcome.render() == f"RuntimeFault: call depth exceeds {MAX_CALL_DEPTH} at t.mk:3:12"
+
+
+def _bodies_in_every_compile():
+    """Every compiled body of the corpus and of small generated `launder`
+    and `calltree` programs, in every mode."""
+    gen = differential._load_gen()
+    sources = [(e.filename, e.source()) for e in corpus.ENTRIES]
+    sources += [(g.filename, g.source) for g in (gen.launder(1, functions=3), gen.calltree(1, levels=4))]
+    for filename, source in sources:
+        checked, _ = build(source, filename)
+        if checked is None or not checked.ok:
+            continue
+        for mode, eager in ((ERASED, False), (ERASED, True), (REIFIED, False)):
+            compiler = _Compiler(checked, mode, eager)
+            for body in program_bodies(checked.table, checked.program):
+                yield filename, compiler.body(body.stmts, body.return_type)
+
+
+def test_no_load_is_left_for_an_operation_that_reads_for_itself():
+    # A `store`, `return` or `if (v is T)` never follows a `load`, and a
+    # call follows one only when the load is another argument: the call
+    # then reads its last argument itself (an operation's second field is
+    # the variable it reads), or takes none (the load belongs to an
+    # enclosing call). A call's signature is found by its type.
+    seen = 0
+    for filename, code in _bodies_in_every_compile():
+        for op, after in zip(code, code[1:]):
+            if op[0] != "load":
+                continue
+            assert after[0] not in ("store", "return", "branch_is"), (filename, op, after)
+            if after[0] == "call" and after[1] is None:
+                (sig,) = [f for f in after if isinstance(f, Signature)]
+                assert not sig.param_names, (filename, op, after)
+        seen += 1
+    assert seen > 100

@@ -249,6 +249,9 @@ _BASE = "open class A {\n    fun m(x: Int): A {\n        return A()\n    }\n    
         ("interface I {\n    fun m(): Int\n}\nopen class B {\n    fun m(): String {\n        return \"B\"\n    }\n}\n"
          "class C : B(), I\n",
          "9:1: C.m, inherited from B, redeclares I.m with return type String, not a subtype of Int"),
+        # A `var` redeclared as a `val` loses its setter.
+        ("open class A {\n    var item: Int\n}\nclass B : A() {\n    val item: Int\n}\n",
+         "5:5: B.item redeclares A.item as a val"),
     ],
 )
 def test_member_redeclaration_diagnostics(source, rendered):
@@ -268,6 +271,8 @@ def test_member_redeclaration_diagnostics(source, rendered):
         "class C : A(), I\n",
         # The same property type, redeclared through a generic supertype.
         "open class Box<T> {\n    val v: T\n}\nclass Sub<U> : Box<U>() {\n    val v: U\n}\n",
+        # A `val` redeclared as a `var`, as Kotlin allows.
+        "open class A {\n    val item: Int\n}\nclass B : A() {\n    var item: Int\n}\n",
     ],
 )
 def test_conforming_member_redeclarations_build(source):
