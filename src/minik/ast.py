@@ -100,9 +100,26 @@ class ClassType(TypeRef):
         return _TYPES.get(key) or _intern(key, name=name, args=args)
 
     def render(self) -> str:
-        if self.args is None or not self.args:
+        if not self.args:
             return self.name
-        return f"{self.name}<{', '.join(a.render() for a in self.args)}>"
+        # Without recursion, so a deeply nested type renders at any depth:
+        # `todo` holds the types and text still to write, next on top.
+        parts: list[str] = []
+        todo: list[TypeRef | str] = [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                parts.append(t)
+            elif isinstance(t, ClassType) and t.args:
+                parts.append(t.name + "<")
+                todo.append(">")
+                for i in range(len(t.args) - 1, 0, -1):
+                    todo.append(t.args[i])
+                    todo.append(", ")
+                todo.append(t.args[0])
+            else:
+                parts.append(t.render())
+        return "".join(parts)
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)

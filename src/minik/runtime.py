@@ -26,11 +26,14 @@ The checks on a value read from a variable run inside the operation that
 reads it, in order, each at its own location and with its own message, in
 one place in the loop. That operation is a `load` that pushes the value,
 or, where a `load` would have pushed it for the next operation to pop, the
-next operation itself: a `val` copy, a `return`, an `if (v is T)` or a
-call's last argument. An `if` whose condition is an `is` test is one
-operation that tests and jumps; a call binds its arguments straight to the
-callee's variables, by position; and a call whose value a statement drops
-drops it on return.
+next operation itself: a `val` copy, a `return`, an `if (v is T)`, a
+call's last argument or the receiver of a method call without arguments.
+A `return` of a constant carries it, so a body without a `return` of its
+own ends in one operation, and a jump that lands on a `return` is a copy
+of that `return`, checks and site cache included. An `if` whose condition
+is an `is` test is one operation that tests and jumps; a call binds its
+arguments straight to the callee's variables, by position; and a call
+whose value a statement drops drops it on return.
 
 Method dispatch takes the method and the bindings its body runs under from
 `typesys.find_member`, as the checker does, once per receiver runtime type
@@ -298,22 +301,25 @@ def render_value(v: Value) -> str:
 # erased class check when the target is a class name, a reified check when
 # it is a type. An operation that reads a variable runs that read's checks,
 # a tuple of (target, loc), in order before anything else; `load` then
-# pushes the value. `store`, `return`, `branch_is` and `call` (for its last
-# argument) read a variable themselves where a `load` would have pushed it
-# just before them, and otherwise pop the value, with `name` None, `checks`
+# pushes the value. `store`, `return`, `branch_is`, `call` (for its last
+# argument) and `method` (for its receiver, when it takes no arguments)
+# read a variable themselves where a `load` would have pushed it just
+# before them, and otherwise pop the value, with `name` None, `checks`
 # empty and `passed` None. Any other check is a `check` operation after the
 # value's operation. `-` marks a read operand that is always None.
 #
 #   load name checks passed | store name checks passed target
-#   return name checks passed
+#   return name checks passed value
+#     (`value` is the constant it returns in place of a `const` before it,
+#     or None)
 #   branch_is name checks passed instance_check type target verdicts
 #     (an `if (v is T)`: tests, then jumps to `target` when false)
 #   call name checks passed arg names sig loc type_args drop
 #     (type_args empty when erased)
+#   method name checks passed nargs member loc index_loc dispatched drop
 #   check - target loc | const - value | pop - | print - | jump - target
 #   is - instance_check target verdicts | new - value_class type
 #   prop - name loc | branch - target loc
-#   method - nargs member loc index_loc dispatched drop
 #
 # `passed`, `verdicts` and `dispatched` are the site caches, keyed by the
 # value's runtime type (see the module docstring); `passed` is None on a
@@ -322,11 +328,12 @@ def render_value(v: Value) -> str:
 # then pops its other arguments into `names`, in the order they come off
 # the stack: the parameters reversed. A call with `drop` set is an
 # expression statement: its value is dropped when the callee returns, in
-# place of a `pop`.
+# place of a `pop`. An `if` without an `else` has no jump, and no jump
+# lands on a `return` or on another jump (see `_Compiler.end`).
 # ============================================================
 
 _POP = (None, (), None)  # the read operand, checks and cache of an operation that pops its value
-_END = (("const", None, UNIT_VALUE), ("return",) + _POP)  # the end of every body
+_RETURN_UNIT = ("return",) + _POP + (UNIT_VALUE,)  # the end of every body
 
 
 def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
@@ -347,6 +354,7 @@ class _Compiler:
         self.instance_check = erased_instance_check if self.erased else reified_instance_check
         self.eager = eager
         self.sites = sites  # when given, each erased site placed is appended
+        self.jumps: list[int] = []  # the index of each jump in the code being compiled, in order
 
     def cache(self, kind: type[set] | type[dict]) -> set | dict | None:
         """A new, empty site cache of `kind`, or None in a compile that only
@@ -357,7 +365,22 @@ class _Compiler:
         code: list[tuple] = []
         for s in stmts:
             self.stmt(code, s, return_type)
-        code += _END
+        return self.end(code)
+
+    def end(self, code: list[tuple]) -> list[tuple]:
+        """`code` closed by the return of Unit, with its jumps threaded: a
+        jump that lands on a `return` becomes that `return`, the same tuple,
+        so it runs the same checks at the same locations with the same site
+        cache and places no site of its own; one that lands on a jump
+        becomes that jump. Every target lies ahead, so one backward pass
+        over the jumps sees each target final."""
+        code.append(_RETURN_UNIT)
+        jumps = self.jumps
+        for i in reversed(jumps):
+            target = code[code[i][2]]
+            if target[0] == "return" or target[0] == "jump":
+                code[i] = target
+        jumps.clear()
         return code
 
     def operand(self, code: list[tuple]) -> tuple:
@@ -365,6 +388,16 @@ class _Compiler:
         consume the value on top of the stack: those of the `load` that left
         it there, which this takes off `code`, or `_POP` when no load did."""
         return code.pop()[1:] if code[-1][0] == "load" else _POP
+
+    def ret(self, code: list[tuple]) -> None:
+        """The `return` of the value on top of the stack. It carries the
+        constant a `const` just before it would have pushed, in that
+        operation's place, or reads the variable a `load` would have."""
+        last = code[-1]
+        if last[0] == "const":
+            code[-1] = ("return",) + _POP + (last[2],)
+        else:
+            code.append(("return",) + self.operand(code) + (None,))
 
     def check(self, code: list[tuple], target: str | TypeRef, loc: SourceLoc) -> None:
         """The check of the value on top of the stack, folded into the `load`
@@ -406,7 +439,7 @@ class _Compiler:
             self.expr(code, s.expr)
             if self.erased:
                 self.site(code, s.expr, return_type, s.loc, "return-value")
-            code.append(("return",) + self.operand(code))
+            self.ret(code)
         elif isinstance(s, If):
             cond = s.cond
             if isinstance(cond, IsExpr):
@@ -418,16 +451,19 @@ class _Compiler:
             code.append(None)  # patched below, as is the jump
             for inner in s.then_body:
                 self.stmt(code, inner, return_type)
-            jump = len(code)
-            code.append(None)
+            if s.else_body:
+                jump = len(code)
+                code.append(None)
+                self.jumps.append(jump)
             if isinstance(cond, IsExpr):
                 code[branch] = ("branch_is",) + read + (self.instance_check, self.checked.is_targets[id(cond)],
                                                         len(code), self.cache(dict))
             else:
                 code[branch] = ("branch", None, len(code), cond.loc)
-            for inner in s.else_body or ():
-                self.stmt(code, inner, return_type)
-            code[jump] = ("jump", None, len(code))
+            if s.else_body:
+                for inner in s.else_body:
+                    self.stmt(code, inner, return_type)
+                code[jump] = ("jump", None, len(code))
         else:
             raise TypeError(f"unknown statement {s!r}")
 
@@ -495,8 +531,10 @@ class _Compiler:
             elif kind == "property-get":
                 code.append(("prop", None, info.member, e.loc))
             else:  # method
-                code.append(("method", None, len(args), info.member, e.loc, args[0].loc if args else e.loc,
-                             self.cache(dict), False))
+                # A method call without arguments reads its receiver itself.
+                read = _POP if args else self.operand(code)
+                code.append(("method",) + read + (len(args), info.member, e.loc, args[0].loc if args else e.loc,
+                                                  self.cache(dict), False))
         if erased and self.eager:
             # Eager mode: verify every acquisition against its static class
             # immediately instead of waiting for a downstream site.
@@ -543,12 +581,11 @@ class _Machine:
                 code: list[tuple] = []
                 if isinstance(d.stmt, ExprStmt):
                     self.compiler.expr(code, d.stmt.expr)
-                    code.append(("return",) + self.compiler.operand(code))
+                    self.compiler.ret(code)
                     last = self.execute(code, top_env)
                 else:
                     self.compiler.stmt(code, d.stmt, None)
-                    code += _END
-                    self.execute(code, top_env)
+                    self.execute(self.compiler.end(code), top_env)
         except _Stop as stop:
             outcome, *fields = stop.args
             return outcome("".join(self.stdout), *fields)
@@ -638,24 +675,22 @@ class _Machine:
                     if type_args:
                         callee_bindings = {p: substitute(t, bindings) for p, t in zip(sig.type_params, type_args)}
                 else:
-                    _, _, nargs, member, loc, index_loc, dispatched, drop = op
-                    recv = stack[-1 - nargs]
-                    if isinstance(recv, ListValue):
-                        args = stack[len(stack) - nargs:]
-                        del stack[len(stack) - nargs - 1:]
-                        result = _list_method(recv, member, args, loc, index_loc)
+                    _, _, _, _, nargs, member, loc, index_loc, dispatched, drop = op
+                    if name is None:
+                        v = stack.pop(-1 - nargs)  # the receiver, below the arguments
+                    if isinstance(v, ListValue):
+                        result = _list_method(v, member, pop, loc, index_loc)
                         if not drop:
                             push(result)
                         continue
-                    found = dispatched.get(recv.type)
+                    found = dispatched.get(v.type)
                     if found is None:
-                        key = (recv.type, member)
+                        key = (v.type, member)
                         found = methods.get(key)
                         if found is None:
-                            found = methods[key] = self.dispatch(recv, member, loc)
-                        dispatched[recv.type] = found
+                            found = methods[key] = self.dispatch(v, member, loc)
+                        dispatched[v.type] = found
                     sig, callee_bindings, names = found
-                    del stack[-1 - nargs]  # the receiver
                     callee_env = {}
                 for p in names:
                     callee_env[p] = pop()
@@ -668,6 +703,16 @@ class _Machine:
                 pc = 0
                 env = callee_env
                 bindings = callee_bindings
+            elif kind == "return":
+                if name is None:
+                    v = op[4]
+                    if v is None:
+                        v = pop()
+                if not calls:
+                    return v
+                code, pc, env, bindings, drop = calls.pop()
+                if not drop:
+                    push(v)
             elif kind == "branch_is":
                 if name is None:
                     v = pop()
@@ -681,14 +726,6 @@ class _Machine:
                     pc = op[6]
             elif kind == "jump":
                 pc = op[2]
-            elif kind == "return":
-                if name is None:
-                    v = pop()
-                if not calls:
-                    return v
-                code, pc, env, bindings, drop = calls.pop()
-                if not drop:
-                    push(v)
             elif kind == "load":
                 push(v)
             elif kind == "const":
@@ -730,12 +767,15 @@ class _Machine:
                 raise TypeError(f"unknown operation {op!r}")
 
 
-def _list_method(recv: ListValue, member: str, args: list[Value], loc: SourceLoc, index_loc: SourceLoc) -> Value:
+def _list_method(recv: ListValue, member: str, pop, loc: SourceLoc, index_loc: SourceLoc) -> Value:
+    """Runs list method `member` on `recv`, taking its arguments off the
+    value stack with `pop`."""
     if member == "add":
-        recv.elements.append(args[0])
+        recv.elements.append(pop())
         return UNIT_VALUE
     if member == "get" or member == "set":
-        idx = args[0]
+        value = pop() if member == "set" else None
+        idx = pop()
         if not isinstance(idx, IntValue):
             # The index is unboxed here, which is where the JVM checks it.
             raise _Stop(ClassCastException, index_loc, "Int", idx.type.name)
@@ -743,7 +783,7 @@ def _list_method(recv: ListValue, member: str, args: list[Value], loc: SourceLoc
             raise _Stop(RuntimeFault, loc, f"index {idx.value} out of bounds for length {len(recv.elements)}")
         if member == "get":
             return recv.elements[idx.value]
-        recv.elements[idx.value] = args[1]
+        recv.elements[idx.value] = value
         return UNIT_VALUE
     raise _Stop(RuntimeFault, loc, f"list has no method {member}")
 

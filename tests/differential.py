@@ -11,7 +11,8 @@ parent tree can be made without touching the repository's `.git`:
 The texts are the corpus programs, one program built around index reads and
 `get` calls, one that launders a list and calls methods on its element, one
 that calls a generic method under two instantiations, one that copies,
-returns, passes and tests a laundered element held in a variable,
+returns, passes and tests a laundered element held in a variable, one
+whose jumps land on returns and whose methods take a laundered receiver,
 `--count` seeded character, line and identifier mutations of those, and
 small `launder` and `calltree` programs from `minik_bench/gen.py` (loaded
 by path, unchanged).
@@ -253,6 +254,69 @@ pass(list, 1)
 branch(list, 1)
 """
 
+# Bodies whose jumps land on returns. In `pick`, both arms of the inner
+# `if` end right before the outer then-branch's end, which ends right
+# before `return e`: a chain of jumps to a return whose class check fails
+# only on that path, once `e` is laundered; the else-path returns the
+# honest `first`. `greet` is a Unit body whose last statement is an `if`,
+# and each arm calls a method without arguments on the laundered `e`.
+# Every call runs once on honest values first, so the reified run, which
+# stops at the chain's downcast, takes every path.
+THREADED_PROGRAM = """\
+open class B
+
+class A : B() {
+    fun name(): String {
+        return "A"
+    }
+}
+
+fun launder(list: MutableList<A>) {
+    val upcast: List<A> = list
+    val covariance: List<B> = upcast
+    val downcast: MutableList<B> = covariance as MutableList
+    downcast.add(B())
+}
+
+fun pick(list: MutableList<A>, i: Int, x: Any): A {
+    val e = list[i]
+    val first = list[0]
+    if (x is B) {
+        if (x is A) {
+            println("A")
+        } else {
+            println("B")
+        }
+    } else {
+        println("other")
+        return first
+    }
+    return e
+}
+
+fun greet(list: MutableList<A>, i: Int, x: Any) {
+    val e = list[i]
+    if (x is A) {
+        println(e.name())
+    } else {
+        e.name()
+    }
+}
+
+val list = mutableListOf<A>()
+list.add(A())
+println(pick(list, 0, A()).name())
+println(pick(list, 0, B()).name())
+println(pick(list, 0, "s").name())
+greet(list, 0, A())
+greet(list, 0, "s")
+launder(list)
+println(pick(list, 1, "s").name())
+println(pick(list, 1, A()).name())
+greet(list, 1, A())
+greet(list, 1, "s")
+"""
+
 _SNIPPETS = ("[0]", ".get(0)", ".size", ".m()", " as Any", " as MutableList", " is A", "<B>")
 _CHARS = "abAB01 \n()[]<>{}.,:=\"?"
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -306,6 +370,7 @@ def make_texts(seed: int, count: int) -> list[tuple[str, str]]:
     bases.append(("receiver.mk", RECEIVER_PROGRAM))
     bases.append(("dispatch.mk", DISPATCH_PROGRAM))
     bases.append(("reads.mk", LAUNDERED_READS_PROGRAM))
+    bases.append(("threaded.mk", THREADED_PROGRAM))
     texts = list(bases)
     rng = random.Random(f"differential:{seed}")
     for _ in range(count):

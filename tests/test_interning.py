@@ -6,10 +6,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import threading
 
 import pytest
 
-from minik import ast
+from minik import ast, cli
 from minik.ast import ANY, ANY_NULLABLE, INT, ClassType, NullableTopType, ParamRef, PrimitiveType, TopType
 from minik.cli import build, run_command
 from minik.parser import parse
@@ -107,6 +108,28 @@ def test_5000_deep_equal_types_are_one_object():
     assert a == b and hash(a) == hash(b)
     table, _ = build_class_table(parse("", "t.mk"))
     assert subtype(table, a, b)
+
+
+def test_a_5000_deep_type_renders_without_recursion():
+    assert nested_list(5000).render() == "List<" * 5000 + "Int" + ">" * 5000
+    pair = ClassType("Pair", (nested_list(2), ClassType("Box", (INT, ClassType("A", None)))))
+    assert pair.render() == "Pair<List<List<Int>>, Box<Int, A>>"
+
+
+def test_a_diagnostic_on_a_480_deep_type_is_printed(tmp_path, capsys):
+    # Rendering the declared type for the message recursed once per level
+    # and raised RecursionError at about 330 deep. The parser still recurses
+    # per level, up to 490 deep from a shallow caller, so `main` runs in a
+    # thread of its own, whose Python stack starts empty.
+    inner = "List<" * 480 + "Int" + ">" * 480
+    path = tmp_path / "t.mk"
+    path.write_text(f"val x: {inner} = 1\n", encoding="utf-8")
+    exits = []
+    thread = threading.Thread(target=lambda: exits.append(cli.main(["check", str(path)])))
+    thread.start()
+    thread.join()
+    assert exits == [1]
+    assert capsys.readouterr().out == f"error E-TYPE t.mk:1:1: Int is not a subtype of declared type {inner}\n"
 
 
 @pytest.mark.parametrize("depth", [250, 400])

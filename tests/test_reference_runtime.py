@@ -1,0 +1,143 @@
+"""The runtime against the reference interpreter in `reference_runtime.py`.
+
+Every corpus entry, every fixed text of `differential.py`, its small
+generated programs and its mutated texts that check clean run through both,
+in erased, eager and reified modes, and must give the same stdout, outcome,
+location and message. Then one mutant of each mechanism that makes the
+runtime fast is planted by rewriting one line of its source, and the
+reference must tell the mutated runtime apart.
+"""
+
+from __future__ import annotations
+
+import __future__
+import inspect
+import textwrap
+
+import pytest
+
+import differential
+from minik import runtime
+from minik.cli import build
+from minik.runtime import ERASED, REIFIED, Completed, RunOutcome, run_program
+from reference_runtime import reference_run, render
+
+MODES = {"erased": (ERASED, False), "eager": (ERASED, True), "reified": (REIFIED, False)}
+
+
+def _seen(outcome: RunOutcome) -> tuple:
+    """What a run shows: stdout, the outcome line, with the failing location
+    and message, and the value a completed run ends on."""
+    value = render(outcome.value) if isinstance(outcome, Completed) and outcome.value is not None else None
+    return outcome.stdout, outcome.render(), value
+
+
+def _programs(texts: list[tuple[str, str]]) -> list[tuple[str, object]]:
+    programs = []
+    for filename, source in texts:
+        try:
+            checked, _ = build(source, filename)
+        except Exception:  # a parse error: nothing to run
+            continue
+        if checked is not None and checked.ok:
+            programs.append((filename, checked))
+    return programs
+
+
+# The corpus entries that check clean (all but P3a), the runner's five
+# fixed texts and its four small generated programs.
+FIXED = _programs(differential.make_texts(0, 0))
+# The mutated texts of one seed that check clean, about one in twelve.
+MUTATED = _programs(differential.make_texts(7, 1000)[len(differential.make_texts(7, 0)) - 4:-4])
+
+
+def _disagreements(programs, modes=MODES) -> list[tuple]:
+    found = []
+    for filename, checked in programs:
+        for name in modes:
+            mode, eager = MODES[name]
+            ours, reference = _seen(run_program(checked, mode, eager)), _seen(reference_run(checked, mode, eager))
+            if ours != reference:
+                found.append((filename, name, ours, reference))
+    return found
+
+
+def test_the_fixed_texts_cover_the_corpus_and_every_runner_program():
+    names = [filename for filename, _ in FIXED]
+    assert len(names) == 14 + 5 + 4
+    assert {"index.mk", "receiver.mk", "dispatch.mk", "reads.mk", "threaded.mk"} <= set(names)
+
+
+@pytest.mark.parametrize("name", sorted(MODES))
+def test_the_runtime_agrees_with_the_reference_on_the_fixed_texts(name):
+    assert _disagreements(FIXED, [name]) == []
+
+
+def test_the_runtime_agrees_with_the_reference_on_mutated_texts():
+    assert len(MUTATED) > 60
+    assert _disagreements(MUTATED) == []
+
+
+# ============================================================
+# PLANTED MUTANTS
+#
+# Each rewrites one line of a runtime function, recompiled in the module's
+# namespace, and must make the runtime disagree with the reference on the
+# program named beside it.
+# ============================================================
+
+# A laundered `B` reaches a method call without arguments on a variable: the
+# receiver's class check is what stops the erased run.
+LAUNDERED_RECEIVER = differential.THREADED_PROGRAM.replace(
+    'println(pick(list, 1, "s").name())\nprintln(pick(list, 1, A()).name())\n', "")
+
+# A call whose last argument is a variable, to a function of two parameters.
+LAST_ARGUMENT = (
+    "fun pair(a: Int, b: Int): Int {\n"
+    "    println(a)\n"
+    "    return b\n"
+    "}\n"
+    "val x = 2\n"
+    "println(pair(1, x))\n"
+)
+
+# (the class and function mutated, its (old, new) line edits, and the
+# program and mode that must tell it apart)
+MUTANTS = {
+    "a threaded return drops its checks": (
+        runtime._Compiler, "end",
+        [("code[i] = target", "code[i] = target[:2] + ((), None) + target[4:] if target[0] == 'return' else target")],
+        "threaded.mk", differential.THREADED_PROGRAM, "erased"),
+    "a fused receiver read skips the receiver check": (
+        runtime._Compiler, "call",
+        [("read = _POP if args else self.operand(code)", "read = _POP if args else self.operand(code)[:1] + ((), None)")],
+        "receiver.mk", LAUNDERED_RECEIVER, "erased"),
+    "the read cache is used under bindings": (
+        runtime._Machine, "execute",
+        [("if bindings or t not in passed:", "if t not in passed:"), ("if not bindings:", "if True:")],
+        "dispatch.mk", differential.DISPATCH_PROGRAM, "reified"),
+    "the last argument is bound to the wrong parameter": (
+        runtime._Compiler, "call",
+        [("arg, names = names[0], names[1:]", "arg, names = names[-1], names[:-1]")],
+        "pair.mk", LAST_ARGUMENT, "erased"),
+}
+
+
+def _plant(monkeypatch, owner: type, name: str, edits: list[tuple[str, str]]) -> None:
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    for old, new in edits:
+        assert source.count(old) == 1, f"{owner.__name__}.{name} no longer holds {old!r} once"
+        source = source.replace(old, new)
+    namespace: dict = {}
+    code = compile(source, runtime.__file__, "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, vars(runtime), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_the_reference_catches_a_planted_mutant(mutant, monkeypatch):
+    owner, name, edits, filename, source, mode = MUTANTS[mutant]
+    program = _programs([(filename, source)])
+    assert _disagreements(program, [mode]) == []
+    _plant(monkeypatch, owner, name, edits)
+    assert _disagreements(program, [mode]) != []

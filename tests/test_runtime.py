@@ -996,7 +996,7 @@ def test_listing_the_sites_allocates_no_site_cache():
         assert {op[0] for op in reads} >= {"store", "call"}  # `val c: Base = x as Mid`, `outer(k, list)`
         caches = [op[3] for op in reads]
         caches += [op[-1] for op in ops if op[0] in ("is", "branch_is")]
-        caches += [op[6] for op in ops if op[0] == "method"]
+        caches += [op[8] for op in ops if op[0] == "method"]
         assert len(caches) > 10
         assert all((c is not None) == expect_cache for c in caches)
         # Only a `println` statement still pops; the 14 call statements,
@@ -1169,19 +1169,80 @@ def _bodies_in_every_compile():
 
 
 def test_no_load_is_left_for_an_operation_that_reads_for_itself():
-    # A `store`, `return` or `if (v is T)` never follows a `load`, and a
-    # call follows one only when the load is another argument: the call
-    # then reads its last argument itself (an operation's second field is
-    # the variable it reads), or takes none (the load belongs to an
-    # enclosing call). A call's signature is found by its type.
-    seen = 0
+    # A `store`, `return`, `if (v is T)` or method call without arguments
+    # never follows a `load`, and a call follows one only when the load is
+    # another argument: the call then reads its last argument itself (an
+    # operation's second field is the variable it reads), or takes none
+    # (the load belongs to an enclosing call). A call's signature is found
+    # by its type.
+    seen = receivers = 0
     for filename, code in _bodies_in_every_compile():
         for op, after in zip(code, code[1:]):
+            receivers += after[0] == "method" and after[1] is not None
             if op[0] != "load":
                 continue
             assert after[0] not in ("store", "return", "branch_is"), (filename, op, after)
+            assert not (after[0] == "method" and after[4] == 0), (filename, op, after)
             if after[0] == "call" and after[1] is None:
                 (sig,) = [f for f in after if isinstance(f, Signature)]
                 assert not sig.param_names, (filename, op, after)
         seen += 1
-    assert seen > 100
+    assert seen > 100 and receivers > 5
+
+
+# ============================================================
+# BODIES END IN ONE OPERATION
+#
+# A `return` carries the constant a `const` would have pushed, a jump that
+# lands on a `return` is that `return`, and a method call without
+# arguments reads its receiver itself.
+# ============================================================
+
+
+def test_no_jump_lands_on_a_return_or_a_jump():
+    jumps = threaded = 0
+    for filename, code in _bodies_in_every_compile():
+        for op in code:
+            if op[0] == "jump":
+                jumps += 1
+                assert code[op[2]][0] not in ("return", "jump"), (filename, op, code[op[2]])
+        # A threaded jump is the very `return` it landed on, with its cache.
+        returns = [op for op in code if op[0] == "return"]
+        threaded += len(returns) - len({id(op) for op in returns})
+    assert jumps > 5 and threaded > 10
+
+
+def test_a_body_ends_in_one_return_of_unit_and_no_const_precedes_a_return():
+    for filename, code in _bodies_in_every_compile():
+        assert code[-1] == ("return", None, (), None, UNIT_VALUE), filename
+        for op, after in zip(code, code[1:]):
+            assert not (op[0] == "const" and after[0] == "return"), (filename, op, after)
+
+
+def _path(code: list[tuple], taken: bool) -> list[str]:
+    """The kinds of the operations one call of `code` runs, up to its first
+    `return`, with every `if (v is T)` taken, or every one not taken."""
+    kinds, pc = [], 0
+    while True:
+        op = code[pc]
+        kinds.append(op[0])
+        if op[0] == "return":
+            return kinds
+        pc = op[2] if op[0] == "jump" else op[6] if op[0] == "branch_is" and not taken else pc + 1
+
+
+@pytest.mark.parametrize("mode", [ERASED, REIFIED])
+def test_a_calltree_call_runs_six_operations_and_a_leaf_five(mode):
+    g = differential._load_gen().calltree(1, levels=3)
+    checked = build_src(g.source, g.filename)
+    compiler = _Compiler(checked, mode, False)
+    codes = {body.decl.name: compiler.body(body.stmts, body.return_type)
+             for body in program_bodies(checked.table, checked.program) if body.decl is not None}
+    for taken in (True, False):
+        assert _path(codes["n0"], taken) == ["store", "store", "branch_is", "call", "call", "return"]
+        assert _path(codes["n2"], taken) == ["store", "store", "branch_is", "method", "return"]
+    (method,) = [name for name in codes if name not in ("n0", "n1", "n2", "same", "spare")]
+    assert codes[method] == [("return", None, (), None, UNIT_VALUE)]
+    # The leaf's method call reads its receiver, with the receiver's check.
+    (call,) = [op for op in codes["n2"] if op[0] == "method" and op[1] == "m"]
+    assert [at.col for _, at in call[2]] == [9]
