@@ -36,21 +36,21 @@ arguments straight to the callee's variables, by position; and a call
 whose value a statement drops drops it on return.
 
 Method dispatch takes the method and the bindings its body runs under from
-`typesys.find_member`, as the checker does, once per receiver runtime type
-and method name in a run. The class table admits only redeclarations with
-the same parameters, so the method found takes the arguments the call site
-was checked against.
+`typesys.find_member`, as the checker does. The class table admits only
+redeclarations with the same parameters, so the method found takes the
+arguments the call site was checked against.
 
-A run decides each distinct class check, reified check and `is` test once,
-by its runtime type (class name when erased) and its target, and keeps the
-verdict for the rest of that run only. In front of that run-wide memo, each
+Every check and `is` test has one shape: a target `TypeRef`, decided by the
+run mode's instance test, `erased_instance_check` on a class type without
+type arguments or a primitive when erased and `reified_instance_check` when
+reified. Each
 variable read with checks, `is` test and method call keeps a cache of its
-own, by the value's runtime type: the types all of the read's checks passed
-for, the test's verdicts, the call's dispatches. A type is added only once
-settled, and a miss takes the run-wide path. The checks and `is` tests of a
-reified generic body, whose targets depend on its bindings, take that path
-every time. Every check still runs at its own location and with its own
-message.
+own (an inline cache), by the value's runtime type: the types all of the
+read's checks passed for, the test's verdicts, the call's dispatches. A type
+is added only once settled, and a miss decides afresh: `class_conforms` is
+one lookup, and `subtype` is memoized on the class table. The checks and `is` tests of a reified generic body, whose
+targets depend on its bindings, skip those caches. Every check still runs at
+its own location and with its own message.
 """
 
 from __future__ import annotations
@@ -297,28 +297,29 @@ def render_value(v: Value) -> str:
 # An operation is a tuple whose first field names it and whose second is
 # its read operand: the name of the variable it reads, or None. Operands
 # are otherwise popped from, and results pushed to, one value stack shared
-# by every activation record. A check is a target and a location: an
-# erased class check when the target is a class name, a reified check when
-# it is a type. An operation that reads a variable runs that read's checks,
-# a tuple of (target, loc), in order before anything else; `load` then
-# pushes the value. `store`, `return`, `branch_is`, `call` (for its last
-# argument) and `method` (for its receiver, when it takes no arguments)
-# read a variable themselves where a `load` would have pushed it just
-# before them, and otherwise pop the value, with `name` None, `checks`
+# by every activation record. A check is a target type and a location,
+# decided by the mode's instance test; when erased, the target is a class
+# type without type arguments or a primitive. An operation that reads a variable runs that
+# read's checks, a tuple of (target, loc), in order before anything else;
+# `load` then pushes the value. `store`, `return`, `branch_is`, `call` (for
+# its last argument) and `method` (for its receiver, when it takes no
+# arguments) read a variable themselves where a `load` would have pushed it
+# just before them, and otherwise pop the value, with `name` None, `checks`
 # empty and `passed` None. Any other check is a `check` operation after the
-# value's operation. `-` marks a read operand that is always None.
+# value's operation. `is` and `branch_is` test against `type`, by the same
+# instance test. `-` marks a read operand that is always None.
 #
 #   load name checks passed | store name checks passed target
 #   return name checks passed value
 #     (`value` is the constant it returns in place of a `const` before it,
 #     or None)
-#   branch_is name checks passed instance_check type target verdicts
+#   branch_is name checks passed type target verdicts
 #     (an `if (v is T)`: tests, then jumps to `target` when false)
 #   call name checks passed arg names sig loc type_args drop
 #     (type_args empty when erased)
 #   method name checks passed nargs member loc index_loc dispatched drop
 #   check - target loc | const - value | pop - | print - | jump - target
-#   is - instance_check target verdicts | new - value_class type
+#   is - type verdicts | new - value_class type
 #   prop - name loc | branch - target loc
 #
 # `passed`, `verdicts` and `dispatched` are the site caches, keyed by the
@@ -334,6 +335,11 @@ def render_value(v: Value) -> str:
 
 _POP = (None, (), None)  # the read operand, checks and cache of an operation that pops its value
 _RETURN_UNIT = ("return",) + _POP + (UNIT_VALUE,)  # the end of every body
+
+
+def _erase(t: TypeRef) -> TypeRef:
+    """The target of an erased check of `t`: `t` without its type arguments."""
+    return ClassType(t.name) if isinstance(t, ClassType) and t.args else t
 
 
 def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
@@ -399,7 +405,7 @@ class _Compiler:
         else:
             code.append(("return",) + self.operand(code) + (None,))
 
-    def check(self, code: list[tuple], target: str | TypeRef, loc: SourceLoc) -> None:
+    def check(self, code: list[tuple], target: TypeRef, loc: SourceLoc) -> None:
         """The check of the value on top of the stack, folded into the `load`
         that left it there when there is one."""
         last = code[-1]
@@ -416,7 +422,7 @@ class _Compiler:
         if isinstance(t, ClassType) and (e is None or not _is_deferred_read(self.checked, e)):
             if self.sites is not None:
                 self.sites.append(CheckcastSite(loc, t.name, reason))
-            self.check(code, t.name, loc)
+            self.check(code, _erase(t), loc)
 
     def stmt(self, code: list[tuple], s: Stmt, return_type: TypeRef | None) -> None:
         if isinstance(s, ValDecl):
@@ -456,8 +462,7 @@ class _Compiler:
                 code.append(None)
                 self.jumps.append(jump)
             if isinstance(cond, IsExpr):
-                code[branch] = ("branch_is",) + read + (self.instance_check, self.checked.is_targets[id(cond)],
-                                                        len(code), self.cache(dict))
+                code[branch] = ("branch_is",) + read + (self.checked.is_targets[id(cond)], len(code), self.cache(dict))
             else:
                 code[branch] = ("branch", None, len(code), cond.loc)
             if s.else_body:
@@ -482,10 +487,10 @@ class _Compiler:
             # An explicit cast always verifies the class portion, even in
             # value-discarding positions; the type arguments are gone.
             elif isinstance(target, (ClassType, PrimitiveType)):
-                self.check(code, target.name, e.loc)
+                self.check(code, _erase(target), e.loc)
         elif isinstance(e, IsExpr):
             self.expr(code, e.expr)
-            code.append(("is", None, self.instance_check, self.checked.is_targets[id(e)], self.cache(dict)))
+            code.append(("is", None, self.checked.is_targets[id(e)], self.cache(dict)))
         else:
             self.call(code, e)
 
@@ -540,7 +545,7 @@ class _Compiler:
             # immediately instead of waiting for a downstream site.
             t = checked.expr_types.get(id(e))
             if isinstance(t, ClassType):
-                self.check(code, t.name, e.loc)
+                self.check(code, _erase(t), e.loc)
 
 
 # ============================================================
@@ -555,17 +560,6 @@ class _Machine:
         self.table = checked.table
         self.compiler = _Compiler(checked, mode, eager_checkcast)
         self.codes: dict[int, list[tuple]] = {}  # id() of a function's or method's Signature -> its code
-        # Each check's verdict by (actual class name, expected class name) for
-        # a class check and by (runtime type, target after substitution) for
-        # a reified check and `is`. Types are interned, so those keys hash and
-        # compare by identity, at any nesting depth. Runs with reified checks
-        # are reified, where `is` decides by the same `subtype`, so the key
-        # shapes cannot clash.
-        self.verdicts: dict[tuple, bool] = {}
-        # Each method call's dispatch by (receiver's runtime type, method
-        # name): the callee's signature, its type bindings and the names its
-        # arguments bind, in pop order.
-        self.methods: dict[tuple, tuple] = {}
         self.stdout: list[str] = []
         self.oids = count(1)
 
@@ -591,26 +585,15 @@ class _Machine:
             return outcome("".join(self.stdout), *fields)
         return Completed("".join(self.stdout), last)
 
-    def decide(self, v: Value, target: str | TypeRef, loc: SourceLoc, bindings: dict[str, TypeRef]) -> None:
-        """Runs the check of `v` against `target`, deciding its verdict if
-        the run lacks it; a failure ends the run at `loc`."""
-        table, verdicts = self.table, self.verdicts
-        if isinstance(target, str):
-            actual = v.type.name
-            key = (actual, target)
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = verdicts[key] = class_conforms(table, actual, target)
-            if not ok:
-                raise _Stop(ClassCastException, loc, target, actual)
-        else:
+    def test(self, v: Value, target: TypeRef, bindings: dict[str, TypeRef]) -> bool:
+        """Whether `v` passes the mode's instance test against `target`."""
+        return self.compiler.instance_check(self.table, v, substitute(target, bindings) if bindings else target)
+
+    def decide(self, v: Value, target: TypeRef, loc: SourceLoc, bindings: dict[str, TypeRef]) -> None:
+        """Runs the check of `v` against `target`; a failure ends the run at `loc`."""
+        if not self.test(v, target, bindings):
             t = substitute(target, bindings) if bindings else target
-            key = (v.type, t)
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = verdicts[key] = subtype(table, v.type, t)
-            if not ok:
-                raise _Stop(ClassCastException, loc, t.render(), v.type.render())
+            raise _Stop(ClassCastException, loc, t.render(), v.type.render())
 
     def dispatch(self, recv: Value, member: str, loc: SourceLoc) -> tuple:
         """The method `member` that `recv` runs: its signature, bindings and
@@ -624,20 +607,9 @@ class _Machine:
         sig, bindings = found
         return sig, bindings, sig.param_names[::-1]
 
-    def test(self, v: Value, instance_check, target: TypeRef, bindings: dict[str, TypeRef]) -> bool:
-        """The verdict of an `is` test of `v` against `target`, decided if
-        the run lacks it."""
-        t = substitute(target, bindings) if bindings else target
-        key = (v.type, t)
-        ok = self.verdicts.get(key)
-        if ok is None:
-            ok = self.verdicts[key] = instance_check(self.table, v, t)
-        return ok
-
     def execute(self, code: list[tuple], env: dict[str, Value]) -> Value:
         """Run `code` with `env` until it returns; the value it returns."""
-        verdicts, codes, methods, decide, test = self.verdicts, self.codes, self.methods, self.decide, self.test
-        erased = self.compiler.erased
+        codes, decide, test = self.codes, self.decide, self.test
         stack: list[Value] = []
         push, pop = stack.append, stack.pop
         calls: list[tuple] = []  # the suspended callers: (code, pc, env, bindings, drop)
@@ -649,19 +621,15 @@ class _Machine:
             name = op[1]
             if name is not None:
                 # The operation reads variable `name`, whose checks run
-                # first. A type in the site cache passed every check here.
-                # On a miss, a verdict already decided true is read here;
-                # any other is decided, or fails, in `decide`. An erased run
-                # has no bindings.
+                # first. A type in the site cache passed every check here;
+                # on a miss, each is decided, or fails, in `decide`.
                 v = env[name]
                 passed = op[3]
                 if passed is not None:
                     t = v.type
                     if bindings or t not in passed:
-                        actual = t.name if erased else t
                         for target, at in op[2]:
-                            if not verdicts.get((actual, substitute(target, bindings) if bindings else target)):
-                                decide(v, target, at, bindings)
+                            decide(v, target, at, bindings)
                         if not bindings:
                             passed.add(t)
             kind = op[0]
@@ -685,11 +653,7 @@ class _Machine:
                         continue
                     found = dispatched.get(v.type)
                     if found is None:
-                        key = (v.type, member)
-                        found = methods.get(key)
-                        if found is None:
-                            found = methods[key] = self.dispatch(v, member, loc)
-                        dispatched[v.type] = found
+                        found = dispatched[v.type] = self.dispatch(v, member, loc)
                     sig, callee_bindings, names = found
                     callee_env = {}
                 for p in names:
@@ -717,13 +681,13 @@ class _Machine:
                 if name is None:
                     v = pop()
                 if bindings:
-                    ok = test(v, op[4], op[5], bindings)
+                    ok = test(v, op[4], bindings)
                 else:
-                    ok = op[7].get(v.type)
+                    ok = op[6].get(v.type)
                     if ok is None:
-                        ok = op[7][v.type] = test(v, op[4], op[5], bindings)
+                        ok = op[6][v.type] = test(v, op[4], bindings)
                 if not ok:
-                    pc = op[6]
+                    pc = op[5]
             elif kind == "jump":
                 pc = op[2]
             elif kind == "load":
@@ -743,11 +707,11 @@ class _Machine:
             elif kind == "is":
                 v = pop()
                 if bindings:
-                    ok = test(v, op[2], op[3], bindings)
+                    ok = test(v, op[2], bindings)
                 else:
-                    ok = op[4].get(v.type)
+                    ok = op[3].get(v.type)
                     if ok is None:
-                        ok = op[4][v.type] = test(v, op[2], op[3], bindings)
+                        ok = op[3][v.type] = test(v, op[2], bindings)
                 push(BoolValue(ok))
             elif kind == "branch":
                 cond = pop()

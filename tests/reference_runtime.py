@@ -4,7 +4,7 @@ It walks a checked program's syntax tree directly, statement by statement
 and expression by expression, and applies the runtime rules that README.md
 states. It has no compile step, no caches and no memo, so it shares none of
 the mechanisms that make `minik.runtime` fast: flat operations, reads fused
-into their consumers, threaded jumps, site caches or the run-wide verdicts.
+into their consumers, threaded jumps or site caches.
 It only shares the value classes, the outcome classes and the type system
 (`class_conforms`, `subtype`, `substitute`, `find_member`), which define
 what a check means rather than how the loop runs it.

@@ -84,13 +84,15 @@ def _load_gen(monkeypatch):
 
 
 def test_runtime_checks_decided_do_not_grow_with_the_calls_run(tmp_path, capsys, monkeypatch):
-    # A run decides each distinct check once, so the checks it computes stay
-    # fixed while a calltree of 9 levels makes 16 times the calls of 5 levels.
+    # Each check site decides a runtime type once and caches the verdict, so
+    # the checks a run computes grow by a fixed number per function, none per
+    # call: four levels more add the same count at 5, 9 and 13 levels, while
+    # the calls go from 31 to 511 to 8,191.
     gen, tracer = _load_gen(monkeypatch), _load_spans().Tracer()
     counts = {}
     tracer.install()
     try:
-        for levels in (5, 9):
+        for levels in (5, 9, 13):
             program = gen.calltree(1, levels)
             path = tmp_path / f"{levels}-{program.filename}"
             path.write_text(program.source)
@@ -103,7 +105,7 @@ def test_runtime_checks_decided_do_not_grow_with_the_calls_run(tmp_path, capsys,
     finally:
         tracer.uninstall()
     for mode in ("reified", "erased"):
-        assert counts[9, mode] == counts[5, mode] > 0, counts
+        assert counts[13, mode] - counts[9, mode] == counts[9, mode] - counts[5, mode] > 0, counts
 
 
 def test_front_end_counters_keep_their_definition():

@@ -4,8 +4,9 @@ Every corpus entry, every fixed text of `differential.py`, its small
 generated programs and its mutated texts that check clean run through both,
 in erased, eager and reified modes, and must give the same stdout, outcome,
 location and message. Then one mutant of each mechanism that makes the
-runtime fast is planted by rewriting one line of its source, and the
-reference must tell the mutated runtime apart.
+runtime fast, and one of the erased mode's instance test, is planted by
+rewriting its source, and the reference must tell the mutated runtime
+apart.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import textwrap
 import pytest
 
 import differential
-from minik import runtime
+from minik import corpus, runtime
 from minik.cli import build
 from minik.runtime import ERASED, REIFIED, Completed, RunOutcome, run_program
 from reference_runtime import reference_run, render
@@ -78,6 +79,29 @@ def test_the_runtime_agrees_with_the_reference_on_mutated_texts():
     assert _disagreements(MUTATED) == []
 
 
+# An erased check's message names classes without type arguments, whatever
+# the target was written with: (the failing cast, the message it fails with),
+# by what it casts.
+ERASED_FAILURES = {
+    "to a class": ("x as A", "B cannot be cast to A at t.mk:6:11"),
+    "to a generic class written with arguments": ("x as MutableList<B>", "B cannot be cast to MutableList at t.mk:6:11"),
+    "a list to a class": ("list as A", "MutableList cannot be cast to A at t.mk:6:14"),
+    "to a primitive": ("s as Int", "String cannot be cast to Int at t.mk:6:11"),
+}
+
+
+@pytest.mark.parametrize("name", ["erased", "eager"])
+@pytest.mark.parametrize("shape", sorted(ERASED_FAILURES))
+def test_an_erased_failed_check_renders_bare_classes(shape, name):
+    cast, message = ERASED_FAILURES[shape]
+    source = f'open class A\nclass B\nval x: Any = B()\nval list: Any = mutableListOf<B>()\nval s: Any = "s"\nval y = {cast}\n'
+    ((_, checked),) = _programs([("t.mk", source)])
+    mode, eager = MODES[name]
+    outcome = run_program(checked, mode, eager)
+    assert outcome.render() == f"ClassCastException: {message}"
+    assert _seen(outcome) == _seen(reference_run(checked, mode, eager))
+
+
 # ============================================================
 # PLANTED MUTANTS
 #
@@ -101,6 +125,28 @@ LAST_ARGUMENT = (
     "println(pair(1, x))\n"
 )
 
+# One method call site whose receiver is a `Base` on one call and a `Leaf`,
+# which overrides the method, on the next.
+TWO_RECEIVERS = (
+    "open class Base {\n"
+    "    fun name(): String {\n"
+    "        return \"base\"\n"
+    "    }\n"
+    "}\n"
+    "class Leaf : Base() {\n"
+    "    fun name(): String {\n"
+    "        return \"leaf\"\n"
+    "    }\n"
+    "}\n"
+    "fun show(x: Base) {\n"
+    "    println(x.name())\n"
+    "}\n"
+    "show(Base())\n"
+    "show(Leaf())\n"
+)
+
+P1 = corpus.BY_ID["P1"].source_path
+
 # (the class and function mutated, its (old, new) line edits, and the
 # program and mode that must tell it apart)
 MUTANTS = {
@@ -120,6 +166,14 @@ MUTANTS = {
         runtime._Compiler, "call",
         [("arg, names = names[0], names[1:]", "arg, names = names[-1], names[:-1]")],
         "pair.mk", LAST_ARGUMENT, "erased"),
+    "erased checks are decided by the reified test": (
+        runtime._Compiler, "__init__",
+        [("erased_instance_check if self.erased else reified_instance_check", "reified_instance_check")],
+        P1.name, P1.read_text(), "erased"),
+    "a method site's dispatch cache ignores the receiver type": (
+        runtime._Machine, "execute",
+        [("dispatched.get(v.type)", "dispatched.get(None)"), ("dispatched[v.type]", "dispatched[None]")],
+        "receivers.mk", TWO_RECEIVERS, "erased"),
 }
 
 

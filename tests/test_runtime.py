@@ -1228,7 +1228,7 @@ def _path(code: list[tuple], taken: bool) -> list[str]:
         kinds.append(op[0])
         if op[0] == "return":
             return kinds
-        pc = op[2] if op[0] == "jump" else op[6] if op[0] == "branch_is" and not taken else pc + 1
+        pc = op[2] if op[0] == "jump" else op[5] if op[0] == "branch_is" and not taken else pc + 1
 
 
 @pytest.mark.parametrize("mode", [ERASED, REIFIED])
