@@ -38,19 +38,19 @@ whose value a statement drops drops it on return.
 Method dispatch takes the method and the bindings its body runs under from
 `typesys.find_member`, as the checker does. The class table admits only
 redeclarations with the same parameters, so the method found takes the
-arguments the call site was checked against.
+arguments the call site was checked against. A body is compiled once per
+instantiation, under its type parameters' bindings (Kennedy & Syme 2001).
 
 Every check and `is` test has one shape: a target `TypeRef`, decided by the
 run mode's instance test, `erased_instance_check` on a class type without
 type arguments or a primitive when erased and `reified_instance_check` when
-reified. Each
-variable read with checks, `is` test and method call keeps a cache of its
-own (an inline cache), by the value's runtime type: the types all of the
-read's checks passed for, the test's verdicts, the call's dispatches. A type
-is added only once settled, and a miss decides afresh: `class_conforms` is
-one lookup, and `subtype` is memoized on the class table. The checks and `is` tests of a reified generic body, whose
-targets depend on its bindings, skip those caches. Every check still runs at
-its own location and with its own message.
+reified. Each variable read with checks, `is` test and method call keeps a
+cache of its own (an inline cache), by the value's runtime type: the types
+all of the read's checks passed for, the test's verdicts, the call's
+dispatches, in every instantiation of a generic body. A type is added only
+once settled, and a miss decides afresh: `class_conforms` is one lookup, and
+`subtype` is memoized on the class table. Every check still runs at its own
+location and with its own message.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ from .checker import CheckedProgram
 from .records import Record
 from .typesys import (
     ClassTable,
+    Signature,
     class_conforms,
     find_member,
     program_bodies,
@@ -315,8 +316,8 @@ def render_value(v: Value) -> str:
 #     or None)
 #   branch_is name checks passed type target verdicts
 #     (an `if (v is T)`: tests, then jumps to `target` when false)
-#   call name checks passed arg names sig loc type_args drop
-#     (type_args empty when erased)
+#   call name checks passed arg names sig loc instance key drop
+#     (`instance` the callee's bindings, empty when erased; `key` its code's key in `codes`)
 #   method name checks passed nargs member loc index_loc dispatched drop
 #   check - target loc | const - value | pop - | print - | jump - target
 #   is - type verdicts | new - value_class type
@@ -333,6 +334,7 @@ def render_value(v: Value) -> str:
 # lands on a `return` or on another jump (see `_Compiler.end`).
 # ============================================================
 
+_NO_BINDINGS: dict[str, TypeRef] = {}  # those of every body without type arguments; never written
 _POP = (None, (), None)  # the read operand, checks and cache of an operation that pops its value
 _RETURN_UNIT = ("return",) + _POP + (UNIT_VALUE,)  # the end of every body
 
@@ -340,6 +342,11 @@ _RETURN_UNIT = ("return",) + _POP + (UNIT_VALUE,)  # the end of every body
 def _erase(t: TypeRef) -> TypeRef:
     """The target of an erased check of `t`: `t` without its type arguments."""
     return ClassType(t.name) if isinstance(t, ClassType) and t.args else t
+
+
+def _code_key(sig: Signature, bindings: dict[str, TypeRef]) -> object:
+    """`_Machine.codes`' key of `sig` under `bindings`: `id(sig)` when there are none."""
+    return (id(sig), *bindings.values()) if bindings else id(sig)
 
 
 def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
@@ -361,16 +368,24 @@ class _Compiler:
         self.eager = eager
         self.sites = sites  # when given, each erased site placed is appended
         self.jumps: list[int] = []  # the index of each jump in the code being compiled, in order
+        self.bindings = _NO_BINDINGS  # those of the body being compiled
 
     def cache(self, kind: type[set] | type[dict]) -> set | dict | None:
         """A new, empty site cache of `kind`, or None in a compile that only
         lists the sites and runs nothing."""
         return kind() if self.sites is None else None
 
-    def body(self, stmts: tuple[Stmt, ...], return_type: TypeRef | None) -> list[tuple]:
+    def bound(self, t: TypeRef) -> TypeRef:
+        """`t` under the bindings of the body being compiled."""
+        return substitute(t, self.bindings) if self.bindings else t
+
+    def body(self, stmts: tuple[Stmt, ...], return_type: TypeRef | None, bindings=_NO_BINDINGS) -> list[tuple]:
+        """The code of a body that runs under `bindings`."""
+        self.bindings = bindings
         code: list[tuple] = []
         for s in stmts:
             self.stmt(code, s, return_type)
+        self.bindings = _NO_BINDINGS  # the top level compiles statement by statement
         return self.end(code)
 
     def end(self, code: list[tuple]) -> list[tuple]:
@@ -408,6 +423,8 @@ class _Compiler:
     def check(self, code: list[tuple], target: TypeRef, loc: SourceLoc) -> None:
         """The check of the value on top of the stack, folded into the `load`
         that left it there when there is one."""
+        if self.bindings:  # `bound`, without a call per check of a body that has no bindings
+            target = substitute(target, self.bindings)
         last = code[-1]
         if last[0] == "load":
             _, name, checks, passed = last
@@ -450,7 +467,7 @@ class _Compiler:
             cond = s.cond
             if isinstance(cond, IsExpr):
                 self.expr(code, cond.expr)
-                read = self.operand(code)
+                read = self.operand(code) + (self.bound(self.checked.is_targets[id(cond)]),)
             else:
                 self.expr(code, cond)
             branch = len(code)
@@ -462,7 +479,7 @@ class _Compiler:
                 code.append(None)
                 self.jumps.append(jump)
             if isinstance(cond, IsExpr):
-                code[branch] = ("branch_is",) + read + (self.checked.is_targets[id(cond)], len(code), self.cache(dict))
+                code[branch] = ("branch_is",) + read + (len(code), self.cache(dict))
             else:
                 code[branch] = ("branch", None, len(code), cond.loc)
             if s.else_body:
@@ -490,7 +507,7 @@ class _Compiler:
                 self.check(code, _erase(target), e.loc)
         elif isinstance(e, IsExpr):
             self.expr(code, e.expr)
-            code.append(("is", None, self.checked.is_targets[id(e)], self.cache(dict)))
+            code.append(("is", None, self.bound(self.checked.is_targets[id(e)]), self.cache(dict)))
         else:
             self.call(code, e)
 
@@ -510,7 +527,7 @@ class _Compiler:
             # The checker admits no value arguments here.
             name = e.name if kind == "ctor" else "MutableList"
             value_class = ListValue if class_conforms(checked.table, name, "List") else ObjectValue
-            code.append(("new", None, value_class, ClassType(name, None if erased else info.type_args)))
+            code.append(("new", None, value_class, self.bound(ClassType(name, None if erased else info.type_args))))
         else:
             expected = info.declared_params if erased else info.param_types
             for i, a in enumerate(args):
@@ -528,7 +545,9 @@ class _Compiler:
                 read = self.operand(code) if args else _POP
                 if read is not _POP:
                     arg, names = names[0], names[1:]
-                code.append(("call",) + read + (arg, names, sig, e.loc, () if erased else info.type_args, False))
+                instance = _NO_BINDINGS if erased or not info.type_args else {
+                    p: self.bound(t) for p, t in zip(sig.type_params, info.type_args)}
+                code.append(("call",) + read + (arg, names, sig, e.loc, instance, _code_key(sig, instance), False))
             elif kind == "builtin":
                 if e.name != "println":
                     raise TypeError(f"unknown builtin {e.name}")
@@ -552,14 +571,11 @@ class _Compiler:
 # THE LOOP
 # ============================================================
 
-_NO_BINDINGS: dict[str, TypeRef] = {}  # shared by every call without type arguments; never written
-
-
 class _Machine:
     def __init__(self, checked: CheckedProgram, mode: str, eager_checkcast: bool) -> None:
         self.table = checked.table
         self.compiler = _Compiler(checked, mode, eager_checkcast)
-        self.codes: dict[int, list[tuple]] = {}  # id() of a function's or method's Signature -> its code
+        self.codes: dict[object, list[tuple]] = {}  # `_code_key` of a Signature and its bindings -> code
         self.stdout: list[str] = []
         self.oids = count(1)
 
@@ -585,35 +601,33 @@ class _Machine:
             return outcome("".join(self.stdout), *fields)
         return Completed("".join(self.stdout), last)
 
-    def test(self, v: Value, target: TypeRef, bindings: dict[str, TypeRef]) -> bool:
+    def test(self, v: Value, target: TypeRef) -> bool:
         """Whether `v` passes the mode's instance test against `target`."""
-        return self.compiler.instance_check(self.table, v, substitute(target, bindings) if bindings else target)
+        return self.compiler.instance_check(self.table, v, target)
 
-    def decide(self, v: Value, target: TypeRef, loc: SourceLoc, bindings: dict[str, TypeRef]) -> None:
+    def decide(self, v: Value, target: TypeRef, loc: SourceLoc) -> None:
         """Runs the check of `v` against `target`; a failure ends the run at `loc`."""
-        if not self.test(v, target, bindings):
-            t = substitute(target, bindings) if bindings else target
-            raise _Stop(ClassCastException, loc, t.render(), v.type.render())
+        if not self.test(v, target):
+            raise _Stop(ClassCastException, loc, target.render(), v.type.render())
 
     def dispatch(self, recv: Value, member: str, loc: SourceLoc) -> tuple:
-        """The method `member` that `recv` runs: its signature, bindings and
-        the names the arguments bind, in pop order."""
+        """The method `member` that `recv` runs: its signature, bindings, code
+        key and the names the arguments bind, in pop order."""
         recv_t = recv.type
         if not isinstance(recv, ObjectValue):
             raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no methods")
         found = find_member(self.table, recv_t, member, "method")
         if found is None or found[0].decl.body is None:
             raise _Stop(RuntimeFault, loc, f"{recv_t.name} has no callable method {member}")
-        sig, bindings = found
-        return sig, bindings, sig.param_names[::-1]
+        sig, instance = found
+        return sig, instance, _code_key(sig, instance), sig.param_names[::-1]
 
     def execute(self, code: list[tuple], env: dict[str, Value]) -> Value:
         """Run `code` with `env` until it returns; the value it returns."""
         codes, decide, test = self.codes, self.decide, self.test
         stack: list[Value] = []
         push, pop = stack.append, stack.pop
-        calls: list[tuple] = []  # the suspended callers: (code, pc, env, bindings, drop)
-        bindings: dict[str, TypeRef] = _NO_BINDINGS
+        calls: list[tuple] = []  # the suspended callers: (code, pc, env, drop)
         pc = 0
         while True:
             op = code[pc]
@@ -625,23 +639,17 @@ class _Machine:
                 # on a miss, each is decided, or fails, in `decide`.
                 v = env[name]
                 passed = op[3]
-                if passed is not None:
-                    t = v.type
-                    if bindings or t not in passed:
-                        for target, at in op[2]:
-                            decide(v, target, at, bindings)
-                        if not bindings:
-                            passed.add(t)
+                if passed is not None and v.type not in passed:
+                    for target, at in op[2]:
+                        decide(v, target, at)
+                    passed.add(v.type)
             kind = op[0]
             if kind == "store":
                 env[op[4]] = pop() if name is None else v
             elif kind == "call" or kind == "method":
                 if kind == "call":
-                    _, _, _, _, arg, names, sig, loc, type_args, drop = op
+                    _, _, _, _, arg, names, sig, loc, instance, key, drop = op
                     callee_env = {} if name is None else {arg: v}
-                    callee_bindings = _NO_BINDINGS
-                    if type_args:
-                        callee_bindings = {p: substitute(t, bindings) for p, t in zip(sig.type_params, type_args)}
                 else:
                     _, _, _, _, nargs, member, loc, index_loc, dispatched, drop = op
                     if name is None:
@@ -654,19 +662,18 @@ class _Machine:
                     found = dispatched.get(v.type)
                     if found is None:
                         found = dispatched[v.type] = self.dispatch(v, member, loc)
-                    sig, callee_bindings, names = found
+                    sig, instance, key, names = found
                     callee_env = {}
                 for p in names:
                     callee_env[p] = pop()
                 if len(calls) >= MAX_CALL_DEPTH:
                     raise _Stop(RuntimeFault, loc, f"call depth exceeds {MAX_CALL_DEPTH}")
-                calls.append((code, pc, env, bindings, drop))
-                code = codes.get(id(sig))
+                calls.append((code, pc, env, drop))
+                code = codes.get(key)
                 if code is None:
-                    code = codes[id(sig)] = self.compiler.body(sig.decl.body, sig.return_type)
+                    code = codes[key] = self.compiler.body(sig.decl.body, sig.return_type, instance)
                 pc = 0
                 env = callee_env
-                bindings = callee_bindings
             elif kind == "return":
                 if name is None:
                     v = op[4]
@@ -674,18 +681,15 @@ class _Machine:
                         v = pop()
                 if not calls:
                     return v
-                code, pc, env, bindings, drop = calls.pop()
+                code, pc, env, drop = calls.pop()
                 if not drop:
                     push(v)
             elif kind == "branch_is":
                 if name is None:
                     v = pop()
-                if bindings:
-                    ok = test(v, op[4], bindings)
-                else:
-                    ok = op[6].get(v.type)
-                    if ok is None:
-                        ok = op[6][v.type] = test(v, op[4], bindings)
+                ok = op[6].get(v.type)
+                if ok is None:
+                    ok = op[6][v.type] = test(v, op[4])
                 if not ok:
                     pc = op[5]
             elif kind == "jump":
@@ -695,23 +699,19 @@ class _Machine:
             elif kind == "const":
                 push(op[2])
             elif kind == "check":
-                decide(stack[-1], op[2], op[3], bindings)
+                decide(stack[-1], op[2], op[3])
             elif kind == "pop":
                 pop()
             elif kind == "new":
-                # Only a reified allocation can run under type bindings.
-                push(op[2](substitute(op[3], bindings) if bindings else op[3], next(self.oids)))
+                push(op[2](op[3], next(self.oids)))
             elif kind == "print":
                 self.stdout.append(render_value(pop()) + "\n")
                 push(UNIT_VALUE)
             elif kind == "is":
                 v = pop()
-                if bindings:
-                    ok = test(v, op[2], bindings)
-                else:
-                    ok = op[3].get(v.type)
-                    if ok is None:
-                        ok = op[3][v.type] = test(v, op[2], bindings)
+                ok = op[3].get(v.type)
+                if ok is None:
+                    ok = op[3][v.type] = test(v, op[2])
                 push(BoolValue(ok))
             elif kind == "branch":
                 cond = pop()

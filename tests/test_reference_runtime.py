@@ -20,7 +20,7 @@ import pytest
 import differential
 from minik import corpus, runtime
 from minik.cli import build
-from minik.runtime import ERASED, REIFIED, Completed, RunOutcome, run_program
+from minik.runtime import ERASED, MAX_CALL_DEPTH, REIFIED, Completed, RunOutcome, run_program
 from reference_runtime import reference_run, render
 
 MODES = {"erased": (ERASED, False), "eager": (ERASED, True), "reified": (REIFIED, False)}
@@ -102,12 +102,37 @@ def test_an_erased_failed_check_renders_bare_classes(shape, name):
     assert _seen(outcome) == _seen(reference_run(checked, mode, eager))
 
 
+# `f<T>` calls `f<List<T>>` through a read check and an `is` test, so each
+# call runs under a deeper binding than its caller: the runtime compiles a
+# body per level, until the depth limit ends the run at the recursive call.
+POLYMORPHIC_RECURSION = (
+    "fun f<T>(x: Any, l: Any) {\n"
+    "    val y: Any = x\n"
+    "    if (l is List<T>) {\n"
+    '        println("list")\n'
+    "    }\n"
+    "    f<List<T>>(y, l)\n"
+    "}\n"
+    "val l: Any = mutableListOf<Int>()\n"
+    "f<Int>(l, l)\n"
+)
+
+
+@pytest.mark.parametrize("name", sorted(MODES))
+def test_polymorphic_recursion_faults_where_the_reference_does(name):
+    ((_, checked),) = _programs([("poly.mk", POLYMORPHIC_RECURSION)])
+    mode, eager = MODES[name]
+    outcome = run_program(checked, mode, eager)
+    assert outcome.render() == f"RuntimeFault: call depth exceeds {MAX_CALL_DEPTH} at poly.mk:6:5"
+    assert _seen(outcome) == _seen(reference_run(checked, mode, eager))
+
+
 # ============================================================
 # PLANTED MUTANTS
 #
-# Each rewrites one line of a runtime function, recompiled in the module's
-# namespace, and must make the runtime disagree with the reference on the
-# program named beside it.
+# Each rewrites one line of a runtime function or method, recompiled in the
+# module's namespace, and must make the runtime disagree with the reference
+# on the program named beside it.
 # ============================================================
 
 # A laundered `B` reaches a method call without arguments on a variable: the
@@ -158,9 +183,9 @@ MUTANTS = {
         runtime._Compiler, "call",
         [("read = _POP if args else self.operand(code)", "read = _POP if args else self.operand(code)[:1] + ((), None)")],
         "receiver.mk", LAUNDERED_RECEIVER, "erased"),
-    "the read cache is used under bindings": (
-        runtime._Machine, "execute",
-        [("if bindings or t not in passed:", "if t not in passed:"), ("if not bindings:", "if True:")],
+    "a generic body's code is shared across its instantiations": (
+        runtime, "_code_key",
+        [("(id(sig), *bindings.values()) if bindings else id(sig)", "id(sig)")],
         "dispatch.mk", differential.DISPATCH_PROGRAM, "reified"),
     "the last argument is bound to the wrong parameter": (
         runtime._Compiler, "call",
@@ -177,8 +202,14 @@ MUTANTS = {
 }
 
 
-def _plant(monkeypatch, owner: type, name: str, edits: list[tuple[str, str]]) -> None:
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+# Each mutated function's source, read once at import, so that an edit to
+# `runtime.py` while the tests run cannot change what is planted.
+SOURCES = {(owner, name): textwrap.dedent(inspect.getsource(getattr(owner, name)))
+           for owner, name, *_ in MUTANTS.values()}
+
+
+def _plant(monkeypatch, owner, name: str, edits: list[tuple[str, str]]) -> None:
+    source = SOURCES[owner, name]
     for old, new in edits:
         assert source.count(old) == 1, f"{owner.__name__}.{name} no longer holds {old!r} once"
         source = source.replace(old, new)

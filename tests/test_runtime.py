@@ -4,8 +4,8 @@ import pytest
 
 import differential
 from conftest import call_deep
-from minik import corpus
-from minik.ast import CastExpr, ClassType, PrimitiveType, walk_body_exprs
+from minik import corpus, runtime
+from minik.ast import ANY, CastExpr, ClassType, PrimitiveType, walk_body_exprs
 from minik.cli import build, run_command
 from minik.runtime import (
     ERASED,
@@ -928,6 +928,55 @@ def test_a_generic_bodys_sites_decide_under_each_binding():
     outcome = run_program(checked, REIFIED)
     assert outcome.stdout == "true\nlist\nfalse\n"
     assert outcome.render() == "ClassCastException: Base cannot be cast to Leaf at test.mk:8:15"
+
+
+def generic_call_tree(levels: int) -> str:
+    """`f<T>` reads and tests its arguments against `T` only, and `g<T>`
+    returns an `is` test; `c{levels}` calls `f` 2^levels times, and the top
+    level calls it under `T = Base` and under `T = Leaf`. Every other check
+    is against `Any`."""
+    src = (
+        "open class Base\n"
+        "class Leaf : Base()\n"
+        "fun g<T>(l: Any): Any {\n"
+        "    return l is MutableList<T>\n"
+        "}\n"
+        "fun f<T>(x: Any, l: Any) {\n"
+        "    val t = x as T\n"
+        "    if (l is MutableList<T>) {\n"
+        "        val u = l as MutableList<T>\n"
+        "    }\n"
+        "    g<T>(l)\n"
+        "}\n"
+        "fun c0<T>(x: Any, l: Any) {\n"
+        "    f<T>(x, l)\n"
+        "}\n"
+    )
+    for k in range(1, levels + 1):
+        src += f"fun c{k}<T>(x: Any, l: Any) {{\n    c{k - 1}<T>(x, l)\n    c{k - 1}<T>(x, l)\n}}\n"
+    return src + f"val x: Any = Leaf()\nval l: Any = mutableListOf<Leaf>()\nc{levels}<Base>(x, l)\nc{levels}<Leaf>(x, l)\n"
+
+
+def test_a_reified_generic_body_decides_each_check_once_per_instantiation(monkeypatch):
+    # Each instantiation of `f` and `g` has its own code, so its reads and
+    # `is` tests keep their site caches: 2 calls of `f` and 64 decide the
+    # same 10 checks against `T`'s bindings (2 + 2 under `Base`, where the
+    # branch is not taken, and 2 + 4 under `Leaf`).
+    decided = {}
+    for levels in (0, 5):
+        targets = []
+
+        def counted(table, s, t, subtype=runtime.subtype):
+            if t is not ANY:
+                targets.append(t.render())
+            return subtype(table, s, t)
+
+        monkeypatch.setattr(runtime, "subtype", counted)
+        assert run_program(build_src(generic_call_tree(levels)), REIFIED) == Completed("", UNIT_VALUE)
+        monkeypatch.undo()
+        decided[levels] = sorted(targets)
+    assert decided[0] == decided[5]
+    assert len(decided[5]) == 10
 
 
 DROPPED_RESULTS = (
