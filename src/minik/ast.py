@@ -171,8 +171,8 @@ ANY_NULLABLE = NullableTopType()
 INT = PrimitiveType("Int")
 STRING = PrimitiveType("String")
 UNIT = PrimitiveType("Unit")
-# `Boolean` is the static type of `is` expressions. It is not nameable in
-# the surface grammar; it only arises from checking.
+# `Boolean` is the static type of `is` expressions, and the only way to
+# make a value of it; declarations may name it like the other built-ins.
 BOOLEAN = PrimitiveType("Boolean")
 
 

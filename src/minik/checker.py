@@ -119,6 +119,13 @@ class CheckedProgram(Record):
         return not has_errors(self.diagnostics)
 
 
+# The two runtime modes a checked program runs in (`runtime.run_program`),
+# named here so that the command line can offer them without loading the
+# runtime.
+ERASED = "erased"
+REIFIED = "reified"
+
+
 # ============================================================
 # VARIANCE POSITION CHECKING
 # ============================================================

@@ -15,16 +15,41 @@ import functools
 import gc
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import corpus as corpus_pkg
-from .checker import CheckedProgram, check_program
+from .checker import ERASED, REIFIED, CheckedProgram, check_program
 from .diagnostics import Diagnostic, has_errors, render_diagnostics
 from .parser import ParseError, parse
-from .provenance import lint_program
-from .runtime import ERASED, REIFIED, checkcast_sites, run_program
 from .typesys import build_class_table
 
+if TYPE_CHECKING:
+    from .corpus import CorpusEntry
+    from .runtime import CheckcastSite, RunOutcome
+
 BLOCKED_MARKER = "<blocked by errors>"
+
+
+# The stages after a build load their modules on their first call, so that a
+# `check` compiles neither the lint nor the runtime. `run_command` calls them
+# through these module globals, where tools that wrap a stage replace them.
+
+
+def lint_program(checked: CheckedProgram) -> list[Diagnostic]:
+    from . import provenance
+
+    return provenance.lint_program(checked)
+
+
+def checkcast_sites(checked: CheckedProgram) -> list[CheckcastSite]:
+    from . import runtime
+
+    return runtime.checkcast_sites(checked)
+
+
+def run_program(checked: CheckedProgram, mode: str, eager_checkcast: bool = False) -> RunOutcome:
+    from . import runtime
+
+    return runtime.run_program(checked, mode, eager_checkcast)
 
 
 def build(source: str, filename: str, strict: bool = False) -> tuple[CheckedProgram | None, list[Diagnostic]]:
@@ -100,7 +125,9 @@ def _entry_builds(source: str, filename: str) -> dict[bool, Built]:
 def _column_output(source: str, filename: str, column: str, builds: dict[bool, Built]) -> str:
     """The exact text a golden records for one driver column: the command's
     stdout, marked where errors blocked a run or a site listing."""
-    if column not in corpus_pkg.COLUMNS:
+    from .corpus import COLUMNS
+
+    if column not in COLUMNS:
         raise ValueError(f"unknown column {column}")
     command, _, variant = column.partition("-")  # check-strict, run-erased, run-reified
     strict = variant == "strict"
@@ -115,11 +142,13 @@ def _column_output(source: str, filename: str, column: str, builds: dict[bool, B
 # ============================================================
 
 
-def _golden_render(entry: corpus_pkg.CorpusEntry) -> str:
+def _golden_render(entry: CorpusEntry) -> str:
+    from .corpus import COLUMNS
+
     lines = [f"# {entry.id}: {entry.title}"]
     source = entry.source()
     builds = _entry_builds(source, entry.filename)
-    for column in corpus_pkg.COLUMNS:
+    for column in COLUMNS:
         lines.append(f"== {column} ==")
         out = _column_output(source, entry.filename, column, builds)
         lines.extend(out.splitlines())
@@ -161,6 +190,8 @@ def _collector_paused():
 
 
 def run_corpus(filter_prefix: str | None, bless: bool, out=None) -> int:
+    from . import corpus as corpus_pkg
+
     with _collector_paused():
         out = out if out is not None else sys.stdout
         entries = corpus_pkg.select(filter_prefix)

@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from .ast import (
     ANY,
     ANY_NULLABLE,
+    BOOLEAN,
     INT,
     STRING,
     UNIT,
@@ -53,7 +54,7 @@ from .ast import (
 )
 from .lexer import KEYWORDS, LexError, Tokens, tokenize
 
-_BUILTIN_TYPES = {"Int": INT, "String": STRING, "Unit": UNIT}
+_BUILTIN_TYPES = {"Int": INT, "String": STRING, "Unit": UNIT, "Boolean": BOOLEAN}
 
 
 class ParseError(Exception):

@@ -82,7 +82,7 @@ from .ast import (
     ValDecl,
     VarRef,
 )
-from .checker import CheckedProgram
+from .checker import ERASED, REIFIED, CheckedProgram
 from .records import Record
 from .typesys import (
     ClassTable,
@@ -93,9 +93,6 @@ from .typesys import (
     substitute,
     subtype,
 )
-
-ERASED = "erased"
-REIFIED = "reified"
 
 # Deeper calls end the run in a RuntimeFault at the call.
 MAX_CALL_DEPTH = 1000

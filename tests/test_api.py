@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -60,6 +62,27 @@ def test_public_api_is_pinned():
     ]
     for name in minik.__all__:
         assert hasattr(minik, name), name
+
+
+def test_the_names_loaded_on_first_use_resolve_like_the_others():
+    assert minik.run_program is minik.runtime.run_program
+    assert minik.pretty_print is minik.printer.pretty_print
+    assert minik.lint_program is minik.provenance.lint_program
+    assert minik.ERASED is runtime.ERASED
+    bound: dict = {}
+    exec("from minik import *", bound)
+    assert sorted(bound.keys() - {"__builtins__"}) == sorted(minik.__all__)
+    assert len(minik.__all__) == 35
+    assert set(minik.__all__) <= set(dir(minik))
+    with pytest.raises(AttributeError, match="module 'minik' has no attribute 'no_such_name'"):
+        minik.no_such_name
+
+
+def test_a_submodule_loaded_on_first_use_resolves_before_anything_imports_it():
+    probe = "import sys, minik; assert 'minik.runtime' not in sys.modules; print(minik.runtime.__name__)"
+    env = dict(os.environ, PYTHONPATH=str(Path(minik.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "minik.runtime\n", "")
 
 
 SOURCES = sorted(Path(minik.__file__).parent.glob("*.py"))
@@ -354,7 +377,13 @@ def test_a_tables_memo_neither_compares_nor_shows():
 def test_only_the_syntax_tree_is_made_of_dataclasses():
     # A dataclass generates and compiles its methods when its module is
     # imported, which every CLI invocation pays; a plain record does not.
+    # The modules loaded on first use are imported here, so that they are
+    # inspected whatever ran before.
     import minik.cli  # noqa: F401
+    import minik.corpus  # noqa: F401
+    import minik.printer  # noqa: F401
+    import minik.provenance  # noqa: F401
+    import minik.runtime  # noqa: F401
 
     defined = Counter(
         name

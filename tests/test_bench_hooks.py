@@ -10,6 +10,9 @@ test runs every driver command under the tracer and fails instead.
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +62,39 @@ def test_tracer_counts_every_layer(capsys):
     capsys.readouterr()
     for counter in COUNTERS:
         assert tracer.counts[counter] > 0, counter
+
+
+# The same, in an interpreter that has imported only the command line when
+# the tracer installs, so that no stage has loaded its modules yet.
+FRESH_TRACE = """
+import contextlib, importlib.util, io, json, sys
+import minik.cli
+spans_path, source_path, commands, counters = sys.argv[1], sys.argv[2], *map(json.loads, sys.argv[3:])
+spec = importlib.util.spec_from_file_location("minik_bench_spans", spans_path)
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in commands:
+        minik.cli.main(command + [source_path])
+    minik.cli.run_corpus("P1", False)
+spanned = sorted({tracer.names[tracer.spans[4 * i]] for i in range(tracer.span_count())})
+print(json.dumps([{counter: tracer.counts[counter] for counter in counters}, spanned]))
+"""
+# The spans of the stages `cli` calls through the globals the tracer
+# replaces; their counters above come from inside the stages' own modules.
+STAGE_SPANS = {"provenance.lint", "runtime.sites", "runtime.erased", "runtime.reified"}
+
+
+def test_tracer_counts_every_layer_in_a_fresh_interpreter():
+    argv = [str(_SPANS), str(corpus.BY_ID["P1"].source_path), json.dumps(COMMANDS), json.dumps(COUNTERS)]
+    env = dict(os.environ, PYTHONPATH=str(Path(minik.cli.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", FRESH_TRACE, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    counts, spanned = json.loads(done.stdout)
+    assert [counter for counter in COUNTERS if not counts[counter]] == []
+    assert STAGE_SPANS <= set(spanned), spanned
 
 
 def test_tracer_counts_the_front_end_of_a_golden_run_alone(capsys):

@@ -3,7 +3,11 @@ from __future__ import annotations
 import argparse
 import gc
 import io
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,52 @@ def corpus_file():
         return str(corpus_pkg.BY_ID[entry_id].source_path)
 
     return _path
+
+
+# What each command loads, in a fresh interpreter that imports only the
+# command line: a build needs the front end alone, and each later stage
+# loads its own modules on first use.
+BUILD_MODULES = {"ast", "records", "diagnostics", "lexer", "parser", "typesys", "checker", "cli"}
+LOADED_BY = """
+import contextlib, io, sys
+import minik.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = minik.cli.main(sys.argv[1:])
+print(code, *sorted(name[len("minik."):] for name in sys.modules if name.startswith("minik.")))
+"""
+
+
+def _loaded_by(argv: list[str]) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", LOADED_BY, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, *modules = done.stdout.split()
+    assert code == "0", argv
+    return set(modules)
+
+
+@pytest.mark.parametrize("command", ["check", "check --strict"])
+def test_check_loads_only_the_modules_a_build_runs(command, corpus_file):
+    assert _loaded_by(command.split() + [corpus_file("P1")]) == BUILD_MODULES
+
+
+# command -> (the modules it loads besides the build's, modules it leaves out)
+LATER_STAGES = {
+    "lint": ({"provenance"}, {"runtime", "printer", "corpus"}),
+    "sites": ({"runtime"}, {"provenance", "printer", "corpus"}),
+    "run --mode erased": ({"runtime"}, {"provenance", "printer", "corpus"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LATER_STAGES))
+def test_each_later_stage_loads_its_own_modules(command, corpus_file):
+    loads, skips = LATER_STAGES[command]
+    loaded = _loaded_by(command.split() + [corpus_file("P1")])
+    assert BUILD_MODULES | loads <= loaded and not loaded & skips
+
+
+def test_a_golden_run_loads_the_corpus():
+    assert "corpus" in _loaded_by(["corpus", "--filter", "P1"])
 
 
 def test_corpus_covers_the_full_id_set():

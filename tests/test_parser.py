@@ -7,6 +7,7 @@ import pytest
 import minik.ast
 from minik import corpus
 from minik.ast import (
+    BOOLEAN,
     CastExpr,
     ClassDecl,
     ClassType,
@@ -231,6 +232,13 @@ def test_method_call_chain_and_index():
     assert render_expr(first) == "getA().secretMethod()"
     assert render_expr(second) == "xs[0]"
     assert isinstance(second.receiver, VarRef)
+
+
+def test_a_boolean_annotation_round_trips():
+    src = "fun g(l: Any): Boolean {\n    return l is List<Boolean>\n}\nval b: Boolean = g(1)\n"
+    p = parse(src)
+    assert p.decls[1].stmt.declared_type == BOOLEAN
+    assert parse(pretty_print(p)) == p
 
 
 def test_string_escapes_round_trip():

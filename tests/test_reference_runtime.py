@@ -102,6 +102,35 @@ def test_an_erased_failed_check_renders_bare_classes(shape, name):
     assert _seen(outcome) == _seen(reference_run(checked, mode, eager))
 
 
+# Declarations may name `Boolean`: a Boolean `val`, a Boolean return tested
+# by an `if`, and a cast to it, which fails on an Int in every mode.
+BOOLEANS = (
+    "open class A\n"
+    "class B : A()\n"
+    "fun isA(l: Any): Boolean {\n"
+    "    return l is A\n"
+    "}\n"
+    "val x: Any = 1\n"
+    "val b: Boolean = x is A\n"
+    "if (isA(B())) {\n"
+    '    println("A")\n'
+    "}\n"
+    "println(b)\n"
+    "val y = x as Boolean\n"
+)
+
+
+@pytest.mark.parametrize("name", sorted(MODES))
+def test_a_program_naming_boolean_runs_as_the_reference_does(name):
+    ((_, checked),) = _programs([("bool.mk", BOOLEANS)])
+    assert checked.diagnostics == []
+    mode, eager = MODES[name]
+    outcome = run_program(checked, mode, eager)
+    assert outcome.stdout == "A\nfalse\n"
+    assert outcome.render() == "ClassCastException: Int cannot be cast to Boolean at bool.mk:12:11"
+    assert _seen(outcome) == _seen(reference_run(checked, mode, eager))
+
+
 # `f<T>` calls `f<List<T>>` through a read check and an `is` test, so each
 # call runs under a deeper binding than its caller: the runtime compiles a
 # body per level, until the depth limit ends the run at the recursive call.
