@@ -1,7 +1,8 @@
 """miniK abstract syntax tree.
 
-Every node carries a 1-based source location. Locations are excluded from
-structural equality so that parse/pretty-print round trips compare cleanly.
+Every node carries a 1-based source location. Syntax nodes compare and hash
+by identity, so each node is its own key in the per-node tables of the
+checker, the lint and the runtime; only types and locations are values.
 Every node class has `__slots__`: a parse makes tens of thousands of nodes,
 and no code sets attributes on them beyond their fields.
 
@@ -181,41 +182,41 @@ BOOLEAN = PrimitiveType("Boolean")
 # ============================================================
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Expr:
     """Base of the expression nodes."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class IntLit(Expr):
     """An integer literal."""
 
     value: int
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class StringLit(Expr):
     """A string literal; `value` is its unescaped body."""
 
     value: str
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class VarRef(Expr):
     """A use of a local variable or parameter."""
 
     name: str
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Call(Expr):
     """Base of the call nodes; each has a `receiver` and `args`."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class CallExpr(Call):
     """`name[<T,...>](args)`: a function call or a constructor call.
 
@@ -227,50 +228,50 @@ class CallExpr(Call):
     name: str
     type_args: tuple[TypeRef, ...] | None
     args: tuple[Expr, ...]
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class MethodCall(Call):
     """`receiver.name(args)`: a method call."""
 
     receiver: Expr
     name: str
     args: tuple[Expr, ...]
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Index(MethodCall):
     """`receiver[index]`, built as `receiver.get(index)`."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PropertyGet(Call):
     """`receiver.name`: a property read."""
 
     receiver: Expr
     name: str
     args: ClassVar[tuple[Expr, ...]] = ()
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class CastExpr(Expr):
     """`expr as Target`; `target` may be a bare generic class reference."""
 
     expr: Expr
     target: TypeRef
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class IsExpr(Expr):
     """`expr is Target`: a runtime instance test."""
 
     expr: Expr
     target: TypeRef
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
 # ============================================================
@@ -278,45 +279,45 @@ class IsExpr(Expr):
 # ============================================================
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Stmt:
     """Base of the statement nodes."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ValDecl(Stmt):
     """`val name[: Type] = init`."""
 
     name: str
     declared_type: TypeRef | None
     init: Expr
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ExprStmt(Stmt):
     """An expression evaluated for its effect."""
 
     expr: Expr
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Return(Stmt):
     """`return expr`."""
 
     expr: Expr
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class If(Stmt):
     """`if (cond) { ... } [else { ... }]`."""
 
     cond: Expr
     then_body: tuple[Stmt, ...]
     else_body: tuple[Stmt, ...] | None
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
 # ============================================================
@@ -324,16 +325,16 @@ class If(Stmt):
 # ============================================================
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class TypeParam:
     """A declared type parameter with its variance."""
 
     name: str
     variance: Variance
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class SupertypeRef:
     """One entry of a declaration's supertype list.
 
@@ -345,19 +346,19 @@ class SupertypeRef:
     type: TypeRef
     has_ctor_call: bool
     unsafe_variance: bool
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Param:
     """A value parameter of a function or method."""
 
     name: str
     type: TypeRef
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Method:
     """A method of a class or interface."""
 
@@ -365,10 +366,10 @@ class Method:
     params: tuple[Param, ...]
     return_type: TypeRef
     body: tuple[Stmt, ...] | None  # None = abstract (interface member)
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Property:
     """A `val` or `var` property of a class or interface."""
 
@@ -376,18 +377,18 @@ class Property:
     type: TypeRef
     mutable: bool  # var vs val
     unsafe_variance: bool  # @UnsafeVariance on the property type
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
 Member = Method | Property
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Decl:
     """Base of the top-level declarations."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ClassDecl(Decl):
     """A class or interface declaration."""
 
@@ -398,10 +399,10 @@ class ClassDecl(Decl):
     ctor_private: bool
     supertypes: tuple[SupertypeRef, ...]
     members: tuple[Member, ...]
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class FunDecl(Decl):
     """A top-level function declaration."""
 
@@ -410,18 +411,18 @@ class FunDecl(Decl):
     params: tuple[Param, ...]
     return_type: TypeRef
     body: tuple[Stmt, ...]
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class StmtDecl(Decl):
     """A top-level statement."""
 
     stmt: Stmt
-    loc: SourceLoc = field(compare=False, repr=False)
+    loc: SourceLoc = field(repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Program:
     """A source file: its declarations in order."""
 

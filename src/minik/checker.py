@@ -105,14 +105,14 @@ class CheckedProgram(Record):
         self.program = program
         self.table = table
         self.diagnostics = diagnostics
-        # id() of each expression -> its static type; a cast's is its
+        # Keyed by node. Each expression -> its static type; a cast's is its
         # completed target, and a narrowed variable use's is the narrowed type
-        self.expr_types: dict[int, TypeRef] = {}
-        self.call_info: dict[int, CallInfo] = {}
-        self.is_targets: dict[int, TypeRef] = {}
-        self.decl_types: dict[int, TypeRef] = {}
-        # id() of each implicitly upcast expression -> the type it is upcast to
-        self.coercions: dict[int, TypeRef] = {}
+        self.expr_types: dict[Expr, TypeRef] = {}
+        self.call_info: dict[Call, CallInfo] = {}
+        self.is_targets: dict[IsExpr, TypeRef] = {}
+        self.decl_types: dict[ValDecl, TypeRef] = {}
+        # Each implicitly upcast expression -> the type it is upcast to
+        self.coercions: dict[Expr, TypeRef] = {}
 
     @property
     def ok(self) -> bool:
@@ -467,7 +467,7 @@ class _Checker:
         if not subtype(self.table, from_t, to_t):
             self.e_type(loc, f"{from_t.render()} is not a subtype of {what} {to_t.render()}")
         elif from_t != to_t:
-            self.out.coercions[id(node)] = to_t
+            self.out.coercions[node] = to_t
 
     # -- program ----------------------------------------------------------
 
@@ -510,7 +510,7 @@ class _Checker:
             else:
                 bound = init_t
             scope.vars[s.name] = bound
-            self.out.decl_types[id(s)] = bound
+            self.out.decl_types[s] = bound
             return
         if isinstance(s, ExprStmt):
             self.check_expr(s.expr, scope)
@@ -544,7 +544,7 @@ class _Checker:
         if not isinstance(cond, IsExpr) or not isinstance(cond.expr, VarRef):
             return
         current = scope.lookup(cond.expr.name)
-        target = self.out.is_targets.get(id(cond))
+        target = self.out.is_targets.get(cond)
         if current is None or target is None:
             return
         if subtype(self.table, target, current) and target != current:
@@ -554,7 +554,7 @@ class _Checker:
 
     def check_expr(self, e: Expr, scope: _Scope, expected: TypeRef | None = None) -> TypeRef:
         t = self._expr(e, scope, expected)
-        self.out.expr_types[id(e)] = t
+        self.out.expr_types[e] = t
         return t
 
     def _expr(self, e: Expr, scope: _Scope, expected: TypeRef | None) -> TypeRef:
@@ -646,7 +646,7 @@ class _Checker:
         elif e.type_args is not None:
             self.e_type(e.loc, f"{e.name} is not generic")
         result = ClassType(e.name, args)
-        self.out.call_info[id(e)] = CallInfo(kind="ctor", member=None, declared_return=result, type_args=args)
+        self.out.call_info[e] = CallInfo(kind="ctor", member=None, declared_return=result, type_args=args)
         return result
 
     def lookup_member(self, e: Expr, recv_t: TypeRef, name: str, kind: str):
@@ -680,7 +680,7 @@ class _Checker:
             self.coerce(arg, arg_t, want, arg.loc, "parameter type")
         kind = "method" if e.receiver is not None else "fun" if sig.decl is not None else "builtin"
         type_args = tuple(bindings[p] for p in sig.type_params)
-        self.out.call_info[id(e)] = CallInfo(kind, e.name, sig.return_type, type_args, sig.param_types, param_types)
+        self.out.call_info[e] = CallInfo(kind, e.name, sig.return_type, type_args, sig.param_types, param_types)
         return substitute(sig.return_type, bindings)
 
     def check_property_get(self, e: PropertyGet, scope: _Scope) -> TypeRef:
@@ -689,7 +689,7 @@ class _Checker:
         if found is None:
             return ANY_NULLABLE
         sig, bindings = found
-        self.out.call_info[id(e)] = CallInfo(kind="property-get", member=e.name, declared_return=sig.type)
+        self.out.call_info[e] = CallInfo(kind="property-get", member=e.name, declared_return=sig.type)
         return substitute(sig.type, bindings)
 
     def check_cast(self, e: CastExpr, scope: _Scope, expected: TypeRef | None) -> TypeRef:
@@ -714,7 +714,7 @@ class _Checker:
         if target is None:
             return BOOLEAN
         completed = complete_cast_target(self.table, source, target, None)
-        self.out.is_targets[id(e)] = completed
+        self.out.is_targets[e] = completed
         erased_error = False
         generic = isinstance(target, ClassType) and bool(target.args)
         erased_param = isinstance(target, ParamRef) and not subtype(self.table, source, target)

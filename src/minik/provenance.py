@@ -37,23 +37,22 @@ from .typesys import program_bodies
 
 
 class ProvenanceMap(Record):
-    """Per-occurrence provenance: for every expression occurrence, the
-    ordered set of static types its value had held at that point (the
-    current static type always included). `casts` lists the body's explicit
-    casts in preorder, as `walk_body_exprs` meets them, and
-    `cast_snapshots` keeps each one's operand history."""
+    """Per-occurrence provenance, keyed by the expression node: for every
+    expression occurrence, the ordered set of static types its value had
+    held at that point (the current static type always included).
+    `cast_snapshots` lists the body's explicit casts in preorder, as
+    `walk_body_exprs` meets them, each with its operand's history."""
 
-    __slots__ = ("occurrence_sets", "cast_snapshots", "casts")
+    __slots__ = ("occurrence_sets", "cast_snapshots")
 
     def __init__(self) -> None:
-        self.occurrence_sets: dict[int, tuple[TypeRef, ...]] = {}
+        self.occurrence_sets: dict[Expr, tuple[TypeRef, ...]] = {}
         # Snapshot of the operand's history taken at each explicit cast,
         # before the cast's own target type is appended.
-        self.cast_snapshots: dict[int, tuple[TypeRef, ...]] = {}
-        self.casts: list[CastExpr] = []
+        self.cast_snapshots: dict[CastExpr, tuple[TypeRef, ...]] = {}
 
     def at(self, e: Expr) -> tuple[TypeRef, ...]:
-        return self.occurrence_sets.get(id(e), ())
+        return self.occurrence_sets.get(e, ())
 
 
 def _append(history: tuple[TypeRef, ...], t: TypeRef) -> tuple[TypeRef, ...]:
@@ -88,7 +87,7 @@ class _Analysis:
             self.write(vid, history + (t,))
 
     def static_type(self, e: Expr) -> TypeRef:
-        return self.checked.expr_types.get(id(e), BOOLEAN)
+        return self.checked.expr_types.get(e, BOOLEAN)
 
     # -- expressions -----------------------------------------------------
 
@@ -99,20 +98,20 @@ class _Analysis:
                 vid = self.fresh(self.static_type(e))
             # A narrowed occurrence reports its narrowed static type as part
             # of its own set without polluting the value's upcast history.
-            self.out.occurrence_sets[id(e)] = _append(self.values[vid], self.static_type(e))
+            self.out.occurrence_sets[e] = _append(self.values[vid], self.static_type(e))
             return vid
         if isinstance(e, CastExpr):
-            self.out.casts.append(e)  # before its operand's casts: preorder
+            self.out.cast_snapshots[e] = ()  # its place, before its operand's casts: preorder
             vid = self.visit_expr(e.expr, env)
             # The lint wants the history as it stood when the cast ran.
-            self.out.cast_snapshots[id(e)] = self.values[vid]
+            self.out.cast_snapshots[e] = self.values[vid]
             self.extend(vid, self.static_type(e))  # the completed target
-            self.out.occurrence_sets[id(e)] = self.values[vid]
+            self.out.occurrence_sets[e] = self.values[vid]
             return vid
         if isinstance(e, IsExpr):
             self.visit_expr(e.expr, env)
             vid = self.fresh(BOOLEAN)
-            self.out.occurrence_sets[id(e)] = self.values[vid]
+            self.out.occurrence_sets[e] = self.values[vid]
             return vid
         if isinstance(e, Call):
             if e.receiver is not None:
@@ -122,14 +121,14 @@ class _Analysis:
         # Call and container-read results start fresh, as literals do:
         # provenance does not flow through element reads or out of callees.
         vid = self.fresh(self.static_type(e))
-        self.out.occurrence_sets[id(e)] = self.values[vid]
+        self.out.occurrence_sets[e] = self.values[vid]
         return vid
 
     def visit_coerced(self, e: Expr, env: dict[str, int]) -> None:
         """Visit `e`, then add the type it is implicitly upcast to, if any,
         to its value's history."""
         vid = self.visit_expr(e, env)
-        coerced = self.checked.coercions.get(id(e))
+        coerced = self.checked.coercions.get(e)
         if coerced is not None:
             self.extend(vid, coerced)
 
@@ -138,7 +137,7 @@ class _Analysis:
     def visit_stmt(self, s: Stmt, env: dict[str, int]) -> None:
         if isinstance(s, ValDecl):
             vid = self.visit_expr(s.init, env)
-            bound = self.checked.decl_types.get(id(s))
+            bound = self.checked.decl_types.get(s)
             if bound is not None:
                 self.extend(vid, bound)
             env[s.name] = vid
@@ -207,16 +206,15 @@ def lint_function(checked: CheckedProgram, body: tuple[Stmt, ...], prov: Provena
     skipped. One diagnostic per offending cast, in preorder. `prov` is
     `compute_provenance` of `body`, whose casts it lists."""
     diags: list[Diagnostic] = []
-    for e in prov.casts:
-        target = checked.expr_types[id(e)]  # the completed cast target
-        classification = classify_cast_baseline(checked.table, checked.expr_types[id(e.expr)], target)
+    for e, history in prov.cast_snapshots.items():
+        target = checked.expr_types[e]  # the completed cast target
+        classification = classify_cast_baseline(checked.table, checked.expr_types[e.expr], target)
         generic_target = isinstance(target, ClassType) and bool(target.args)
         eligible = classification is CastClassification.UNCHECKED_SILENT or (
             classification is CastClassification.FULLY_CHECKED and generic_target
         )
         if not eligible:
             continue
-        history = prov.cast_snapshots[id(e)]
         culprits = [
             origin
             for origin in history

@@ -342,8 +342,8 @@ def _erase(t: TypeRef) -> TypeRef:
 
 
 def _code_key(sig: Signature, bindings: dict[str, TypeRef]) -> object:
-    """`_Machine.codes`' key of `sig` under `bindings`: `id(sig)` when there are none."""
-    return (id(sig), *bindings.values()) if bindings else id(sig)
+    """`_Machine.codes`' key of `sig` under `bindings`: `sig.decl` when there are none."""
+    return (sig.decl, *bindings.values()) if bindings else sig.decl
 
 
 def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
@@ -352,7 +352,7 @@ def _is_deferred_read(checked: CheckedProgram, e: Expr) -> bool:
     not re-check the value."""
     if not isinstance(e, Call) or e.receiver is None:
         return False
-    info = checked.call_info.get(id(e))
+    info = checked.call_info.get(e)
     return info is not None and isinstance(info.declared_return, ParamRef)
 
 
@@ -441,7 +441,7 @@ class _Compiler:
     def stmt(self, code: list[tuple], s: Stmt, return_type: TypeRef | None) -> None:
         if isinstance(s, ValDecl):
             self.expr(code, s.init)
-            bound = self.checked.decl_types[id(s)]
+            bound = self.checked.decl_types[s]
             if self.erased:
                 reason = "explicit-decl" if s.declared_type is not None else "implicit-decl"
                 self.site(code, s.init, bound, s.loc, reason)
@@ -464,7 +464,7 @@ class _Compiler:
             cond = s.cond
             if isinstance(cond, IsExpr):
                 self.expr(code, cond.expr)
-                read = self.operand(code) + (self.bound(self.checked.is_targets[id(cond)]),)
+                read = self.operand(code) + (self.bound(self.checked.is_targets[cond]),)
             else:
                 self.expr(code, cond)
             branch = len(code)
@@ -495,7 +495,7 @@ class _Compiler:
             code.append(("const", None, StringValue(e.value)))
         elif isinstance(e, CastExpr):
             self.expr(code, e.expr)
-            target = self.checked.expr_types[id(e)]  # the completed cast target
+            target = self.checked.expr_types[e]  # the completed cast target
             if not self.erased:
                 self.check(code, target, e.loc)
             # An explicit cast always verifies the class portion, even in
@@ -504,18 +504,18 @@ class _Compiler:
                 self.check(code, _erase(target), e.loc)
         elif isinstance(e, IsExpr):
             self.expr(code, e.expr)
-            code.append(("is", None, self.bound(self.checked.is_targets[id(e)]), self.cache(dict)))
+            code.append(("is", None, self.bound(self.checked.is_targets[e]), self.cache(dict)))
         else:
             self.call(code, e)
 
     def call(self, code: list[tuple], e: Call) -> None:
         checked, erased = self.checked, self.erased
         receiver, args = e.receiver, e.args
-        info = checked.call_info[id(e)]
+        info = checked.call_info[e]
         kind = info.kind
         if receiver is not None:
             self.expr(code, receiver)
-            recv_t = checked.expr_types[id(receiver)]
+            recv_t = checked.expr_types[receiver]
             if erased:
                 self.site(code, None, recv_t, e.loc, "receiver")
             elif isinstance(recv_t, ClassType):
@@ -559,7 +559,7 @@ class _Compiler:
         if erased and self.eager:
             # Eager mode: verify every acquisition against its static class
             # immediately instead of waiting for a downstream site.
-            t = checked.expr_types.get(id(e))
+            t = checked.expr_types.get(e)
             if isinstance(t, ClassType):
                 self.check(code, _erase(t), e.loc)
 
@@ -572,7 +572,7 @@ class _Machine:
     def __init__(self, checked: CheckedProgram, mode: str, eager_checkcast: bool) -> None:
         self.table = checked.table
         self.compiler = _Compiler(checked, mode, eager_checkcast)
-        self.codes: dict[object, list[tuple]] = {}  # `_code_key` of a Signature and its bindings -> code
+        self.codes: dict[object, list[tuple]] = {}  # `_code_key` of a body's declaration and its bindings -> code
         self.stdout: list[str] = []
         self.oids = count(1)
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 import pytest
 
-from minik.ast import If, IsExpr, VarRef, walk_body_exprs, walk_stmts
+from minik.ast import If, IsExpr, TypeRef, VarRef, walk_body_exprs, walk_stmts
 from minik.cli import build
 from minik.typesys import program_bodies
 
@@ -24,6 +26,20 @@ def call_deep(frames: int, fn, *args, **kwargs):
     return call_deep(frames - 1, fn, *args, **kwargs) if frames else fn(*args, **kwargs)
 
 
+def same_tree(a, b) -> bool:
+    """Whether two syntax trees are the same but for their locations: the
+    same node classes, and every field but `loc` the same, tuples element
+    by element. Syntax nodes compare by identity, so `==` cannot say this;
+    types and the other values compare by `==`."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same_tree, a, b))
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, TypeRef) or not is_dataclass(a):
+        return a == b
+    return all(same_tree(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.name != "loc")
+
+
 def codes(diags) -> list[str]:
     return [d.code for d in diags]
 
@@ -35,10 +51,10 @@ def narrowed_uses(checked):
         for s in walk_stmts(body.stmts):
             if isinstance(s, If) and isinstance(s.cond, IsExpr) and isinstance(s.cond.expr, VarRef):
                 name = s.cond.expr.name
-                before = checked.expr_types[id(s.cond.expr)]
+                before = checked.expr_types[s.cond.expr]
                 for e in walk_body_exprs(s.then_body):
                     if isinstance(e, VarRef) and e.name == name:
-                        yield before, checked.expr_types[id(e)]
+                        yield before, checked.expr_types[e]
 
 
 def pytest_configure(config):

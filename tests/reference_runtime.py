@@ -147,7 +147,7 @@ class Reference:
     def is_deferred_read(self, e: Expr) -> bool:
         if not isinstance(e, Call) or e.receiver is None:
             return False
-        info = self.checked.call_info.get(id(e))
+        info = self.checked.call_info.get(e)
         return info is not None and isinstance(info.declared_return, ParamRef)
 
     def instance_test(self, v: Value, target: TypeRef, bindings: dict) -> bool:
@@ -183,7 +183,7 @@ class Reference:
         for s in stmts:
             if isinstance(s, ValDecl):
                 v = self.eval(s.init, env, bindings)
-                bound = self.checked.decl_types[id(s)]
+                bound = self.checked.decl_types[s]
                 if self.erased:
                     self.site(v, s.init, bound, s.loc, "explicit-decl" if s.declared_type is not None else "implicit-decl")
                 else:
@@ -200,7 +200,7 @@ class Reference:
                 cond = s.cond
                 if isinstance(cond, IsExpr):
                     v = self.eval(cond.expr, env, bindings)
-                    taken = self.instance_test(v, self.checked.is_targets[id(cond)], bindings)
+                    taken = self.instance_test(v, self.checked.is_targets[cond], bindings)
                 else:
                     v = self.eval(cond, env, bindings)
                     self.events.append((cond.loc, "condition", BOOLEAN.name, v.type.name, isinstance(v, BoolValue)))
@@ -226,7 +226,7 @@ class Reference:
             return StringValue(e.value)
         if isinstance(e, CastExpr):
             v = self.eval(e.expr, env, bindings)
-            target = self.checked.expr_types[id(e)]  # the completed cast target
+            target = self.checked.expr_types[e]  # the completed cast target
             if not self.erased:
                 self.full_check(v, target, e.loc, "cast", bindings)
             elif isinstance(target, (ClassType, PrimitiveType)):
@@ -234,21 +234,21 @@ class Reference:
             return v
         if isinstance(e, IsExpr):
             v = self.eval(e.expr, env, bindings)
-            return BoolValue(self.instance_test(v, self.checked.is_targets[id(e)], bindings))
+            return BoolValue(self.instance_test(v, self.checked.is_targets[e], bindings))
         v = self.call(e, env, bindings)
         if self.eager:
-            t = self.checked.expr_types.get(id(e))
+            t = self.checked.expr_types.get(e)
             if isinstance(t, ClassType):
                 self.class_check(v, t.name, e.loc, "eager")
         return v
 
     def call(self, e: Call, env: dict, bindings: dict) -> Value:
         checked, table = self.checked, self.table
-        info = checked.call_info[id(e)]
+        info = checked.call_info[e]
         recv = None
         if e.receiver is not None:
             recv = self.eval(e.receiver, env, bindings)
-            recv_t = checked.expr_types[id(e.receiver)]
+            recv_t = checked.expr_types[e.receiver]
             if self.erased:
                 self.site(recv, None, recv_t, e.loc, "receiver")
             elif isinstance(recv_t, ClassType):

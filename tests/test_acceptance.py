@@ -193,7 +193,7 @@ def test_smart_cast_hole():
         for d in checked.program.decls
         if isinstance(d, StmtDecl) and isinstance(d.stmt, ValDecl) and d.stmt.name == "bad"
     )
-    assert checked.decl_types[id(bad_decl)] == INT
+    assert checked.decl_types[bad_decl] == INT
 
     _, strict_diags = build_entry("P5", strict=True)
     assert "E-GENERIC-IS" in codes(strict_diags)

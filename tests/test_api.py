@@ -156,6 +156,18 @@ def test_only_typesys_reads_the_ancestor_tables():
     assert readers == []
 
 
+def test_no_module_calls_id():
+    # Per-node tables are keyed by the node itself, which hashes by identity.
+    package = Path(minik.__file__).parent
+    callers = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert callers == []
+
+
 def test_only_the_syntax_modules_name_index():
     # Everywhere else an index read is the `get` call it stands for.
     namers = sorted(path.name for path in SOURCES if re.search(r"\bIndex\b", path.read_text(encoding="utf-8")))
@@ -272,7 +284,7 @@ RECORDS = [
         ProvenanceMap,
         (),
         _provenance_with_one_occurrence(),
-        "ProvenanceMap(occurrence_sets={}, cast_snapshots={}, casts=[])",
+        "ProvenanceMap(occurrence_sets={}, cast_snapshots={})",
     ),
     (runtime.Value, (), runtime.UnitValue(), "Value()"),
     (runtime.IntValue, (1,), runtime.IntValue(2), "IntValue(value=1)"),

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from minik import corpus
-from minik.ast import ANY, ClassType
+from minik.ast import ANY, ClassType, VarRef, walk_body_exprs
 from minik.checker import (
     CastClassification,
     check_inheritance_variance,
@@ -17,7 +17,7 @@ from minik.checker import (
 from minik.cli import build, run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
-from minik.typesys import build_class_table, subtype
+from minik.typesys import build_class_table, program_bodies, subtype
 
 from conftest import codes, narrowed_uses
 
@@ -339,6 +339,30 @@ def test_narrowing_never_widens_on_corpus():
             assert subtype(checked.table, narrowed, before), (entry.id, before, narrowed)
 
 
+def test_each_expression_occurrence_has_its_own_static_type():
+    """`expr_types` is keyed by the node itself, so occurrences that read
+    alike, such as two uses of one variable, are separate entries."""
+    clean = 0
+    for entry in corpus.ENTRIES:
+        checked, _ = build(entry.source(), entry.filename)
+        if checked is None or not checked.ok:
+            continue
+        clean += 1
+        occurrences = [e for body in program_bodies(checked.table, checked.program) for e in walk_body_exprs(body.stmts)]
+        assert len(checked.expr_types) == len(occurrences), entry.id
+        assert all(e in checked.expr_types for e in occurrences), entry.id
+    assert clean == 14
+
+
+def test_a_narrowed_use_and_the_tested_use_have_their_own_types(check_source):
+    checked, diags = check_source(AB + "fun f(x: B) {\n    if (x is A) {\n        println(x)\n    }\n}\n")
+    assert diags == []
+    f = checked.program.decls[-1]
+    tested, used = (e for e in walk_body_exprs(f.body) if isinstance(e, VarRef))
+    assert tested.name == used.name == "x"
+    assert (checked.expr_types[tested], checked.expr_types[used]) == (t("B"), t("A"))
+
+
 # ============================================================
 # CALL TYPE-ARGUMENT INFERENCE
 # ============================================================
@@ -392,7 +416,7 @@ def test_inferred_call_in_program(check_source):
     checked, diags = check_source(src)
     assert diags == []
     decl = checked.program.decls[-1].stmt
-    assert checked.decl_types[id(decl)] == t("Animal")
+    assert checked.decl_types[decl] == t("Animal")
 
 
 # ============================================================

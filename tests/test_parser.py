@@ -26,6 +26,8 @@ from minik.ast import (
 from minik.parser import ParseError, parse
 from minik.printer import pretty_print, render_expr
 
+from conftest import same_tree
+
 
 def test_single_open_class():
     p = parse("open class B")
@@ -40,8 +42,8 @@ def test_single_open_class():
 
 
 def test_empty_source_is_empty_program():
-    assert parse("") == Program(())
-    assert parse("\n\n// just a comment\n") == Program(())
+    assert same_tree(parse(""), Program(()))
+    assert same_tree(parse("\n\n// just a comment\n"), Program(()))
 
 
 def test_main_corpus_program_decl_shape():
@@ -75,21 +77,38 @@ def test_bare_cast_target_prints_without_arguments():
 def test_declaration_may_wrap_after_equals():
     wrapped = "val downcast: MutableList<B> =\n        covariance as MutableList\n"
     flat = "val downcast: MutableList<B> = covariance as MutableList\n"
-    assert parse(wrapped) == parse(flat)
+    assert same_tree(parse(wrapped), parse(flat))
 
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.id)
 def test_corpus_round_trips(entry):
     p = parse(entry.source(), entry.filename)
     printed = pretty_print(p)
-    assert parse(printed, entry.filename) == p
+    assert same_tree(parse(printed, entry.filename), p)
+
+
+def test_same_tree_ignores_locations_and_nothing_else():
+    base = parse("val x = f(a, b).c as List<A>\n")
+    assert same_tree(base, parse("\n\nval   x =   f(a,\n b).c as List<A>\n", "other.mk"))
+    assert base != parse("val x = f(a, b).c as List<A>\n")  # nodes compare by identity
+    for other in [
+        "val y = f(a, b).c as List<A>\n",  # one name
+        "val x = f(a, b).d as List<A>\n",
+        "val x = f(a, b).c as List<B>\n",  # one type
+        "val x = f(a).c as List<A>\n",  # one tuple length
+        "val x = f(a, b).c() as List<A>\n",  # one node class: a method call, not a property read
+        "val x = f(a, 1).c as List<A>\n",
+    ]:
+        assert not same_tree(base, parse(other)), other
+    # `Index` and `MethodCall` differ in their class alone.
+    assert not same_tree(parse("xs[0]\n"), parse("xs.get(0)\n"))
 
 
 def test_prelude_round_trips():
     from minik.typesys import PRELUDE_SOURCE
 
     p = parse(PRELUDE_SOURCE, "<prelude>")
-    assert parse(pretty_print(p), "<prelude>") == p
+    assert same_tree(parse(pretty_print(p), "<prelude>"), p)
     names = [d.name for d in p.decls if isinstance(d, ClassDecl)]
     assert names == ["List", "MutableList", "ArrayList"]
 
@@ -107,8 +126,9 @@ def _nodes(obj):
 
 
 def test_no_node_object_appears_twice_in_a_parsed_program():
-    """The checker's and the runtime's per-node tables are keyed by id(),
-    which is sound only if each node sits in exactly one place."""
+    """The per-node tables of the checker, the lint and the runtime are
+    keyed by the node itself, which compares by identity: one node object
+    in two places would give both occurrences one entry."""
     from minik.typesys import PRELUDE_SOURCE
 
     sources = [(e.source(), e.filename) for e in corpus.ENTRIES] + [(PRELUDE_SOURCE, "<prelude>")]
@@ -238,11 +258,11 @@ def test_a_boolean_annotation_round_trips():
     src = "fun g(l: Any): Boolean {\n    return l is List<Boolean>\n}\nval b: Boolean = g(1)\n"
     p = parse(src)
     assert p.decls[1].stmt.declared_type == BOOLEAN
-    assert parse(pretty_print(p)) == p
+    assert same_tree(parse(pretty_print(p)), p)
 
 
 def test_string_escapes_round_trip():
     src = 'val s = "a\\"b\\\\c\\nd"\n'
     p = parse(src)
     assert p.decls[0].stmt.init.value == 'a"b\\c\nd'
-    assert parse(pretty_print(p)) == p
+    assert same_tree(parse(pretty_print(p)), p)

@@ -56,14 +56,14 @@ def test_upcast_chain_history_at_the_downcast(check_source):
     prov = prov_for_fun(checked, "getA")
     body = fun_body(checked, "getA")
     (cast,) = find_casts(body)
-    assert prov.cast_snapshots[id(cast)] == (
+    assert prov.cast_snapshots[cast] == (
         t("MutableList", t("A")),
         t("List", t("A")),
         t("List", t("B")),
     )
     # The occurrence of `covariance` inside the cast carries the same set.
     assert isinstance(cast.expr, VarRef)
-    assert prov.at(cast.expr) == prov.cast_snapshots[id(cast)]
+    assert prov.at(cast.expr) == prov.cast_snapshots[cast]
 
 
 def test_fresh_value_starts_with_singleton(check_source):
@@ -119,7 +119,7 @@ def test_branches_union_at_the_join(check_source):
     assert diags == []
     prov = prov_for_fun(checked, "variant")
     (cast,) = find_casts(fun_body(checked, "variant"))
-    snapshot = prov.cast_snapshots[id(cast)]
+    snapshot = prov.cast_snapshots[cast]
     # The value reached List<B> on both paths; after the join its history
     # still contains both the original MutableList<A> and the branch hop.
     assert t("MutableList", t("A")) in snapshot
@@ -306,12 +306,12 @@ def reference_lint(checked, body, prov):
     for e in walk_body_exprs(body):
         if not isinstance(e, CastExpr):
             continue
-        target = checked.expr_types[id(e)]
-        classification = classify_cast_baseline(table, checked.expr_types[id(e.expr)], target)
+        target = checked.expr_types[e]
+        classification = classify_cast_baseline(table, checked.expr_types[e.expr], target)
         eligible = classification is CastClassification.UNCHECKED_SILENT or (
             classification is CastClassification.FULLY_CHECKED and isinstance(target, ClassType) and bool(target.args)
         )
-        history = prov.cast_snapshots[id(e)]
+        history = prov.cast_snapshots[e]
         culprits = [o for o in history
                     if classify_cast_baseline(table, o, target) is CastClassification.UNCHECKED_WARNED]
         if eligible and culprits:

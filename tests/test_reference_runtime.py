@@ -214,7 +214,7 @@ MUTANTS = {
         "receiver.mk", LAUNDERED_RECEIVER, "erased"),
     "a generic body's code is shared across its instantiations": (
         runtime, "_code_key",
-        [("(id(sig), *bindings.values()) if bindings else id(sig)", "id(sig)")],
+        [("(sig.decl, *bindings.values()) if bindings else sig.decl", "sig.decl")],
         "dispatch.mk", differential.DISPATCH_PROGRAM, "reified"),
     "the last argument is bound to the wrong parameter": (
         runtime._Compiler, "call",
