@@ -3,8 +3,10 @@
 Every node carries a 1-based source location. Syntax nodes compare and hash
 by identity, so each node is its own key in the per-node tables of the
 checker, the lint and the runtime; only types and locations are values.
-Every node class has `__slots__`: a parse makes tens of thousands of nodes,
-and no code sets attributes on them beyond their fields.
+Nodes and types are records (`records.Record`) with `__slots__` and a
+hand-written `__init__`: a parse makes tens of thousands of nodes, no code
+sets attributes on them beyond their fields, and defining them generates no
+code when the module is imported.
 
 Every call is a `Call` with a `receiver` (None for a function or constructor
 call) and `args` (empty for a property read). `a[i]` is an `Index`, a
@@ -18,20 +20,22 @@ depth. No code may build a type with `object.__new__`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import ClassVar
+
+from .records import Record
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SourceLoc:
+class SourceLoc(Record, hashable=True):
     """Equal and hashed by its fields like a frozen record, but built
-    without the frozen `__init__`'s per-field `object.__setattr__`: a parse
+    without a frozen `__init__`'s per-field `object.__setattr__`: a parse
     makes one per node. No code sets a location's fields."""
 
-    file: str
-    line: int  # 1-based
-    col: int  # 1-based
+    __slots__ = ("file", "line", "col")
+
+    def __init__(self, file: str, line: int, col: int) -> None:
+        self.file = file
+        self.line = line  # 1-based
+        self.col = col  # 1-based
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
@@ -46,6 +50,30 @@ class Variance(Enum):
         return self.value
 
 
+class _Tree(Record):
+    """Base of the syntax nodes and the types: records that keep `object`'s
+    identity `==` and hash, both in C, in place of `Record`'s field-wise
+    ones."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init_subclass__(cls, **options) -> None:
+        super().__init_subclass__(**options)
+        # The field names again, under the attribute by which tools written
+        # for dataclasses (the benchmark's node counter among them) find the
+        # nodes and types of a tree and walk their fields.
+        cls.__dataclass_fields__ = cls._fields
+
+
+class Node(_Tree, hidden=("loc",)):
+    """Base of the syntax nodes with a location: every node but `Program`.
+    `loc` is a slot but not a field, so a node's `repr` leaves it out."""
+
+    __slots__ = ("loc",)
+
+
 # ============================================================
 # TYPE REFERENCES
 #
@@ -58,7 +86,7 @@ class Variance(Enum):
 # and builds it only the first time. So `==` is `is`, and a type's hash is
 # its identity, never a walk over its arguments. Copies and unpickling
 # rebuild through the constructor (`__reduce__`) and return the same
-# object; so does `dataclasses.replace` with unchanged fields.
+# object.
 # ============================================================
 
 # Every type built so far, by (class, *fields). A plain dict: bounded by
@@ -74,27 +102,26 @@ def _intern(key: tuple, **values) -> TypeRef:
     return t
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class TypeRef:
+class TypeRef(_Tree, frozen=True):
     """Base for static type references. Abstract."""
+
+    __slots__ = ()
 
     def __new__(cls) -> TypeRef:  # the field-less tops
         key = (cls,)
         return _TYPES.get(key) or _intern(key)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), self._values()
 
     def render(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ClassType(TypeRef):
     """A class or interface type, `Name<args>`; `args=None` is a bare reference."""
 
-    name: str
-    args: tuple[TypeRef, ...] | None = None
+    __slots__ = ("name", "args")
 
     def __new__(cls, name: str, args: tuple[TypeRef, ...] | None = None) -> ClassType:
         key = (cls, name, args)
@@ -123,11 +150,10 @@ class ClassType(TypeRef):
         return "".join(parts)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ParamRef(TypeRef):
     """Occurrence of a type parameter inside its binding declaration."""
 
-    name: str
+    __slots__ = ("name",)
 
     def __new__(cls, name: str) -> ParamRef:
         key = (cls, name)
@@ -137,27 +163,28 @@ class ParamRef(TypeRef):
         return self.name
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TopType(TypeRef):
     """`Any`: supertype of every non-nullable type."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         return "Any"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class NullableTopType(TypeRef):
     """`Any?`: the single top above everything, including `Any`."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         return "Any?"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class PrimitiveType(TypeRef):
     """One of the built-in value types: Int, String, Unit, Boolean."""
 
-    name: str  # "Int" | "String" | "Unit" | "Boolean"
+    __slots__ = ("name",)  # "Int" | "String" | "Unit" | "Boolean"
 
     def __new__(cls, name: str) -> PrimitiveType:
         key = (cls, name)
@@ -182,41 +209,48 @@ BOOLEAN = PrimitiveType("Boolean")
 # ============================================================
 
 
-@dataclass(slots=True, eq=False)
-class Expr:
+class Expr(Node):
     """Base of the expression nodes."""
 
+    __slots__ = ()
 
-@dataclass(slots=True, eq=False)
+
 class IntLit(Expr):
     """An integer literal."""
 
-    value: int
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("value",)
+
+    def __init__(self, value: int, loc: SourceLoc) -> None:
+        self.value = value
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class StringLit(Expr):
     """A string literal; `value` is its unescaped body."""
 
-    value: str
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("value",)
+
+    def __init__(self, value: str, loc: SourceLoc) -> None:
+        self.value = value
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class VarRef(Expr):
     """A use of a local variable or parameter."""
 
-    name: str
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, loc: SourceLoc) -> None:
+        self.name = name
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class Call(Expr):
     """Base of the call nodes; each has a `receiver` and `args`."""
 
+    __slots__ = ()
 
-@dataclass(slots=True, eq=False)
+
 class CallExpr(Call):
     """`name[<T,...>](args)`: a function call or a constructor call.
 
@@ -224,54 +258,68 @@ class CallExpr(Call):
     one it is from the class table.
     """
 
-    receiver: ClassVar[None] = None
-    name: str
-    type_args: tuple[TypeRef, ...] | None
-    args: tuple[Expr, ...]
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("name", "type_args", "args")
+    receiver = None
+
+    def __init__(
+        self, name: str, type_args: tuple[TypeRef, ...] | None, args: tuple[Expr, ...], loc: SourceLoc
+    ) -> None:
+        self.name = name
+        self.type_args = type_args
+        self.args = args
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class MethodCall(Call):
     """`receiver.name(args)`: a method call."""
 
-    receiver: Expr
-    name: str
-    args: tuple[Expr, ...]
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("receiver", "name", "args")
+
+    def __init__(self, receiver: Expr, name: str, args: tuple[Expr, ...], loc: SourceLoc) -> None:
+        self.receiver = receiver
+        self.name = name
+        self.args = args
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class Index(MethodCall):
     """`receiver[index]`, built as `receiver.get(index)`."""
 
+    __slots__ = ()
 
-@dataclass(slots=True, eq=False)
+
 class PropertyGet(Call):
     """`receiver.name`: a property read."""
 
-    receiver: Expr
-    name: str
-    args: ClassVar[tuple[Expr, ...]] = ()
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("receiver", "name")
+    args = ()
+
+    def __init__(self, receiver: Expr, name: str, loc: SourceLoc) -> None:
+        self.receiver = receiver
+        self.name = name
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class CastExpr(Expr):
     """`expr as Target`; `target` may be a bare generic class reference."""
 
-    expr: Expr
-    target: TypeRef
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("expr", "target")
+
+    def __init__(self, expr: Expr, target: TypeRef, loc: SourceLoc) -> None:
+        self.expr = expr
+        self.target = target
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class IsExpr(Expr):
     """`expr is Target`: a runtime instance test."""
 
-    expr: Expr
-    target: TypeRef
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("expr", "target")
+
+    def __init__(self, expr: Expr, target: TypeRef, loc: SourceLoc) -> None:
+        self.expr = expr
+        self.target = target
+        self.loc = loc
 
 
 # ============================================================
@@ -279,45 +327,56 @@ class IsExpr(Expr):
 # ============================================================
 
 
-@dataclass(slots=True, eq=False)
-class Stmt:
+class Stmt(Node):
     """Base of the statement nodes."""
 
+    __slots__ = ()
 
-@dataclass(slots=True, eq=False)
+
 class ValDecl(Stmt):
     """`val name[: Type] = init`."""
 
-    name: str
-    declared_type: TypeRef | None
-    init: Expr
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("name", "declared_type", "init")
+
+    def __init__(self, name: str, declared_type: TypeRef | None, init: Expr, loc: SourceLoc) -> None:
+        self.name = name
+        self.declared_type = declared_type
+        self.init = init
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class ExprStmt(Stmt):
     """An expression evaluated for its effect."""
 
-    expr: Expr
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr, loc: SourceLoc) -> None:
+        self.expr = expr
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class Return(Stmt):
     """`return expr`."""
 
-    expr: Expr
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr, loc: SourceLoc) -> None:
+        self.expr = expr
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class If(Stmt):
     """`if (cond) { ... } [else { ... }]`."""
 
-    cond: Expr
-    then_body: tuple[Stmt, ...]
-    else_body: tuple[Stmt, ...] | None
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("cond", "then_body", "else_body")
+
+    def __init__(
+        self, cond: Expr, then_body: tuple[Stmt, ...], else_body: tuple[Stmt, ...] | None, loc: SourceLoc
+    ) -> None:
+        self.cond = cond
+        self.then_body = then_body
+        self.else_body = else_body
+        self.loc = loc
 
 
 # ============================================================
@@ -325,17 +384,18 @@ class If(Stmt):
 # ============================================================
 
 
-@dataclass(slots=True, eq=False)
-class TypeParam:
+class TypeParam(Node):
     """A declared type parameter with its variance."""
 
-    name: str
-    variance: Variance
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("name", "variance")
+
+    def __init__(self, name: str, variance: Variance, loc: SourceLoc) -> None:
+        self.name = name
+        self.variance = variance
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
-class SupertypeRef:
+class SupertypeRef(Node):
     """One entry of a declaration's supertype list.
 
     `has_ctor_call` distinguishes `B()` (class supertype) from `List<T>`
@@ -343,90 +403,128 @@ class SupertypeRef:
     acknowledgement on the reference itself.
     """
 
-    type: TypeRef
-    has_ctor_call: bool
-    unsafe_variance: bool
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("type", "has_ctor_call", "unsafe_variance")
+
+    def __init__(self, type: TypeRef, has_ctor_call: bool, unsafe_variance: bool, loc: SourceLoc) -> None:
+        self.type = type
+        self.has_ctor_call = has_ctor_call
+        self.unsafe_variance = unsafe_variance
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
-class Param:
+class Param(Node):
     """A value parameter of a function or method."""
 
-    name: str
-    type: TypeRef
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("name", "type")
+
+    def __init__(self, name: str, type: TypeRef, loc: SourceLoc) -> None:
+        self.name = name
+        self.type = type
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
-class Method:
+class Method(Node):
     """A method of a class or interface."""
 
-    name: str
-    params: tuple[Param, ...]
-    return_type: TypeRef
-    body: tuple[Stmt, ...] | None  # None = abstract (interface member)
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("name", "params", "return_type", "body")
+
+    def __init__(
+        self, name: str, params: tuple[Param, ...], return_type: TypeRef, body: tuple[Stmt, ...] | None, loc: SourceLoc
+    ) -> None:
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.body = body  # None = abstract (interface member)
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
-class Property:
+class Property(Node):
     """A `val` or `var` property of a class or interface."""
 
-    name: str
-    type: TypeRef
-    mutable: bool  # var vs val
-    unsafe_variance: bool  # @UnsafeVariance on the property type
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("name", "type", "mutable", "unsafe_variance")
+
+    def __init__(self, name: str, type: TypeRef, mutable: bool, unsafe_variance: bool, loc: SourceLoc) -> None:
+        self.name = name
+        self.type = type
+        self.mutable = mutable  # var vs val
+        self.unsafe_variance = unsafe_variance  # @UnsafeVariance on the property type
+        self.loc = loc
 
 
 Member = Method | Property
 
 
-@dataclass(slots=True, eq=False)
-class Decl:
+class Decl(Node):
     """Base of the top-level declarations."""
 
+    __slots__ = ()
 
-@dataclass(slots=True, eq=False)
+
 class ClassDecl(Decl):
     """A class or interface declaration."""
 
-    name: str
-    type_params: tuple[TypeParam, ...]
-    is_interface: bool
-    is_open: bool
-    ctor_private: bool
-    supertypes: tuple[SupertypeRef, ...]
-    members: tuple[Member, ...]
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("name", "type_params", "is_interface", "is_open", "ctor_private", "supertypes", "members")
+
+    def __init__(
+        self,
+        name: str,
+        type_params: tuple[TypeParam, ...],
+        is_interface: bool,
+        is_open: bool,
+        ctor_private: bool,
+        supertypes: tuple[SupertypeRef, ...],
+        members: tuple[Member, ...],
+        loc: SourceLoc,
+    ) -> None:
+        self.name = name
+        self.type_params = type_params
+        self.is_interface = is_interface
+        self.is_open = is_open
+        self.ctor_private = ctor_private
+        self.supertypes = supertypes
+        self.members = members
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class FunDecl(Decl):
     """A top-level function declaration."""
 
-    name: str
-    type_params: tuple[str, ...]
-    params: tuple[Param, ...]
-    return_type: TypeRef
-    body: tuple[Stmt, ...]
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("name", "type_params", "params", "return_type", "body")
+
+    def __init__(
+        self,
+        name: str,
+        type_params: tuple[str, ...],
+        params: tuple[Param, ...],
+        return_type: TypeRef,
+        body: tuple[Stmt, ...],
+        loc: SourceLoc,
+    ) -> None:
+        self.name = name
+        self.type_params = type_params
+        self.params = params
+        self.return_type = return_type
+        self.body = body
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
 class StmtDecl(Decl):
     """A top-level statement."""
 
-    stmt: Stmt
-    loc: SourceLoc = field(repr=False)
+    __slots__ = ("stmt",)
+
+    def __init__(self, stmt: Stmt, loc: SourceLoc) -> None:
+        self.stmt = stmt
+        self.loc = loc
 
 
-@dataclass(slots=True, eq=False)
-class Program:
+class Program(_Tree):
     """A source file: its declarations in order."""
 
-    decls: tuple[Decl, ...]
+    __slots__ = ("decls",)
+
+    def __init__(self, decls: tuple[Decl, ...]) -> None:
+        self.decls = decls
 
 
 def walk_exprs(e: Expr):

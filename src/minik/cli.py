@@ -195,6 +195,9 @@ def run_corpus(filter_prefix: str | None, bless: bool, out=None) -> int:
     with _collector_paused():
         out = out if out is not None else sys.stdout
         entries = corpus_pkg.select(filter_prefix)
+        if not entries:  # a mistyped filter must not read as a passing check
+            print(f"minik: no corpus entry id starts with {filter_prefix!r}", file=sys.stderr)
+            return 2
         if bless:
             corpus_pkg.GOLDEN_DIR.mkdir(exist_ok=True)
             for entry in entries:

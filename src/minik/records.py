@@ -12,9 +12,10 @@ record is unhashable unless its class statement says otherwise:
 - `hashable=True`: a mutable record that hashes by its fields.
 - `hidden=(...)`: slots that are not fields, so neither compare nor show.
 
-Defining a record generates no code, which keeps importing miniK cheap.
-Only the syntax tree in `ast.py` stays on `@dataclass`, because tools find
-its nodes by their `__dataclass_fields__`.
+A record class that already hashes keeps its hash: the syntax tree's nodes
+and types (`ast.py`) are records that compare and hash by identity, and
+its types are frozen. Defining a record generates no code, which keeps
+importing miniK cheap; no miniK module uses `dataclasses`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Record:
         if frozen:
             cls.__setattr__ = _refuse_assignment
             cls.__delattr__ = _refuse_deletion
-        if frozen or hashable:
+        if (frozen or hashable) and cls.__hash__ is None:
             cls.__hash__ = _hash_fields
 
     def _values(self) -> tuple:

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
-
 import pytest
+from hypothesis.vendor.pretty import for_type_by_name
 
-from minik.ast import If, IsExpr, TypeRef, VarRef, walk_body_exprs, walk_stmts
+import minik.ast
+from minik.ast import If, IsExpr, Node, Program, VarRef, walk_body_exprs, walk_stmts
 from minik.cli import build
 from minik.typesys import program_bodies
 
@@ -28,16 +28,17 @@ def call_deep(frames: int, fn, *args, **kwargs):
 
 def same_tree(a, b) -> bool:
     """Whether two syntax trees are the same but for their locations: the
-    same node classes, and every field but `loc` the same, tuples element
-    by element. Syntax nodes compare by identity, so `==` cannot say this;
-    types and the other values compare by `==`."""
+    same node classes, and every field the same (a node's `loc` is not one
+    of its `_fields`), tuples element by element. Syntax nodes compare by
+    identity, so `==` cannot say this; types and the other values compare
+    by `==`."""
     if isinstance(a, tuple):
         return isinstance(b, tuple) and len(a) == len(b) and all(map(same_tree, a, b))
     if type(a) is not type(b):
         return False
-    if isinstance(a, TypeRef) or not is_dataclass(a):
+    if not isinstance(a, (Node, Program)):
         return a == b
-    return all(same_tree(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.name != "loc")
+    return all(same_tree(getattr(a, name), getattr(b, name)) for name in type(a)._fields)
 
 
 def codes(diags) -> list[str]:
@@ -59,3 +60,13 @@ def narrowed_uses(checked):
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "properties: randomized law suites")
+    # Hypothesis prints a class with `__dataclass_fields__` as a dataclass,
+    # reading that attribute as a dict of fields; the syntax tree's is a
+    # tuple of field names. A failing example shows its trees by `repr`.
+    for cls in vars(minik.ast).values():
+        if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__"):
+            for_type_by_name(cls.__module__, cls.__name__, _print_by_repr)
+
+
+def _print_by_repr(obj, printer, cycle) -> None:
+    printer.text(repr(obj))

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,7 +83,12 @@ def test_a_submodule_loaded_on_first_use_resolves_before_anything_imports_it():
     assert (done.returncode, done.stdout, done.stderr) == (0, "minik.runtime\n", "")
 
 
-SOURCES = sorted(Path(minik.__file__).parent.glob("*.py"))
+PACKAGE = Path(minik.__file__).parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))  # `corpus/__init__.py` too
+
+
+def _name(path: Path) -> str:
+    return path.relative_to(PACKAGE).as_posix()
 
 
 def _module_names(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -105,7 +108,7 @@ def _module_names(tree: ast.Module) -> tuple[set[str], set[str]]:
     return imported, loaded
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=_name)
 def test_every_import_is_used(path):
     imported, loaded = _module_names(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(imported - loaded) == []
@@ -127,7 +130,7 @@ def _references(node: ast.AST, skip: ast.AST | None = None):
 
 
 def test_every_private_module_level_name_is_read_elsewhere():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    trees = {_name(path): ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     unread = []
     for name, tree in trees.items():
         for stmt in tree.body:
@@ -148,9 +151,9 @@ def test_every_private_module_level_name_is_read_elsewhere():
 
 def test_only_typesys_reads_the_ancestor_tables():
     readers = sorted(
-        path.name
+        _name(path)
         for path in SOURCES
-        if path.name != "typesys.py"
+        if _name(path) != "typesys.py"
         and {"ancestor_of", "ancestors"} & set(_references(ast.parse(path.read_text(encoding="utf-8"))))
     )
     assert readers == []
@@ -158,10 +161,9 @@ def test_only_typesys_reads_the_ancestor_tables():
 
 def test_no_module_calls_id():
     # Per-node tables are keyed by the node itself, which hashes by identity.
-    package = Path(minik.__file__).parent
     callers = [
-        f"{path.relative_to(package)}:{node.lineno}"
-        for path in sorted(package.rglob("*.py"))
+        f"{_name(path)}:{node.lineno}"
+        for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
     ]
@@ -170,7 +172,7 @@ def test_no_module_calls_id():
 
 def test_only_the_syntax_modules_name_index():
     # Everywhere else an index read is the `get` call it stands for.
-    namers = sorted(path.name for path in SOURCES if re.search(r"\bIndex\b", path.read_text(encoding="utf-8")))
+    namers = sorted(_name(path) for path in SOURCES if re.search(r"\bIndex\b", path.read_text(encoding="utf-8")))
     assert namers == ["ast.py", "parser.py", "printer.py"]
 
 
@@ -184,7 +186,7 @@ def test_every_diagnostic_code_passed_in_the_sources_is_registered():
                 code = node.args[0]
                 calls += 1
                 assert isinstance(code, ast.Constant) and code.value in registered[node.func.id], (
-                    f"{path.name}:{node.lineno}"
+                    f"{_name(path)}:{node.lineno}"
                 )
     assert calls > 20  # the walk found the call sites
 
@@ -216,9 +218,8 @@ def _provenance_with_one_occurrence() -> ProvenanceMap:
 
 
 # Each record with the constructor arguments of one instance, an unequal
-# instance, and the `repr` text it had as a dataclass. Every record outside
-# the syntax tree keeps its dataclass's equality, hashing, `repr` and
-# frozenness.
+# instance, and the `repr` text it had as a dataclass. Every record keeps
+# the equality, hashing, `repr` and frozenness its dataclass had.
 RECORDS = [
     (SourceLoc, ("a.mk", 1, 2), SourceLoc("a.mk", 2, 1), "SourceLoc(file='a.mk', line=1, col=2)"),
     (
@@ -386,22 +387,41 @@ def test_a_tables_memo_neither_compares_nor_shows():
     assert repr(table) == "ClassTable(classes={}, functions={})"
 
 
-def test_only_the_syntax_tree_is_made_of_dataclasses():
+def test_no_module_defines_a_dataclass():
     # A dataclass generates and compiles its methods when its module is
-    # imported, which every CLI invocation pays; a plain record does not.
-    # The modules loaded on first use are imported here, so that they are
-    # inspected whatever ran before.
+    # imported, which every CLI invocation pays; a record does not. The
+    # modules loaded on first use are imported here, so that they are
+    # inspected whatever ran before. Only the `@dataclass` decorator sets
+    # `__dataclass_params__`; the syntax tree's `__dataclass_fields__` is
+    # the field names, kept for tools that walk trees by it.
     import minik.cli  # noqa: F401
     import minik.corpus  # noqa: F401
     import minik.printer  # noqa: F401
     import minik.provenance  # noqa: F401
     import minik.runtime  # noqa: F401
 
-    defined = Counter(
-        name
+    defined = [
+        f"{name}.{value.__name__}"
         for name, module in list(sys.modules.items())
         if name == "minik" or name.startswith("minik.")
         for value in vars(module).values()
-        if isinstance(value, type) and value.__module__ == name and dataclasses.is_dataclass(value)
-    )
-    assert defined == {"minik.ast": 33}
+        if isinstance(value, type) and value.__module__ == name and "__dataclass_params__" in vars(value)
+    ]
+    assert defined == []
+    importers = [
+        _name(path)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+    ]
+    assert importers == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Together with the stdlib `ast`, `dis` and `tokenize` they pull in, they
+    # were about a third of a fresh interpreter's set-up.
+    probe = "import sys, minik.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -16,8 +16,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import minik.cli
 from minik import corpus
+from minik.ast import Node, TypeRef
+from minik.typesys import PRELUDE_SOURCE
 
 _SPANS = Path(__file__).resolve().parent.parent / "minik_bench" / "spans.py"
 
@@ -155,3 +159,27 @@ def test_front_end_counters_keep_their_definition():
     finally:
         tracer.uninstall()
     assert (tracer.counts["lexer.tokens"], tracer.counts["parser.nodes"]) == (102, 37)
+
+
+def _tree_objects(value) -> int:
+    """The nodes and types `value` holds, itself included, found through
+    `ast`'s own `_fields`: each occurrence once, so a shared type counts at
+    every place it appears."""
+    if isinstance(value, tuple):
+        return sum(map(_tree_objects, value))
+    if isinstance(value, (Node, TypeRef)):
+        return 1 + sum(_tree_objects(getattr(value, name)) for name in type(value)._fields)
+    return 0
+
+
+@pytest.mark.parametrize(
+    "source, filename",
+    [(e.source(), e.filename) for e in corpus.ENTRIES] + [(PRELUDE_SOURCE, "<prelude>")],
+    ids=[e.id for e in corpus.ENTRIES] + ["prelude"],
+)
+def test_the_node_counter_walks_the_fields_the_tree_has(source, filename):
+    # `count_nodes` finds nodes and their fields by `__dataclass_fields__`,
+    # which `ast` keeps for such tools; a tree it could not walk would read
+    # as a small `parser.nodes` without any error.
+    program = minik.cli.parse(source, filename)
+    assert _load_spans().count_nodes(program) == _tree_objects(program.decls)

@@ -294,6 +294,15 @@ def test_corpus_filter_selects_matrix_entries(capsys):
     assert out.strip().endswith("total=60 failed=0")
 
 
+@pytest.mark.parametrize("bless", [[], ["--bless"]], ids=["check", "bless"])
+def test_a_filter_that_matches_no_entry_is_a_usage_error(bless, tmp_path, monkeypatch, capsys):
+    # Else a mistyped filter reads as a passing golden check, or blesses nothing.
+    monkeypatch.setattr(corpus_pkg, "GOLDEN_DIR", tmp_path / "golden")
+    assert main(["corpus", "--filter", "ZZ", *bless]) == 2
+    assert capsys.readouterr() == ("", "minik: no corpus entry id starts with 'ZZ'\n")
+    assert not (tmp_path / "golden").exists()
+
+
 def test_injected_golden_mismatch_fails(tmp_path, monkeypatch):
     shutil.copytree(corpus_pkg.GOLDEN_DIR, tmp_path / "golden")
     p2 = tmp_path / "golden" / "P2.golden"

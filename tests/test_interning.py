@@ -4,7 +4,6 @@ builds it, so equality and hashing never walk a type's arguments."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 import pickle
 import threading
 
@@ -26,10 +25,10 @@ TYPES = [
 ]
 TYPE_IDS = ["bare", "no-args", "with-args", "param", "primitive"]
 
-COPIES = [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)), dataclasses.replace]
+COPIES = [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))]
 
 
-@pytest.mark.parametrize("route", COPIES, ids=["copy", "deepcopy", "pickle", "replace"])
+@pytest.mark.parametrize("route", COPIES, ids=["copy", "deepcopy", "pickle"])
 @pytest.mark.parametrize("t", TYPES, ids=TYPE_IDS)
 def test_copies_of_a_type_are_the_type_itself(t, route):
     assert route(t) is t
@@ -37,7 +36,7 @@ def test_copies_of_a_type_are_the_type_itself(t, route):
 
 @pytest.mark.parametrize("t", TYPES, ids=TYPE_IDS)
 def test_a_type_is_frozen(t):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         t.name = "B"
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from minik.ast import (
     ANY,
@@ -28,6 +29,7 @@ from minik.ast import (
     Member,
     Method,
     MethodCall,
+    Node,
     Param,
     ParamRef,
     Program,
@@ -621,23 +623,24 @@ def test_parse_print_round_trip(program):
         assert 1 <= loc.col <= len(lines[loc.line - 1]) + 1
 
 
+def test_a_failing_example_shows_its_tree():
+    program = Program((StmtDecl(ExprStmt(CallExpr("f", (INT,), (IntLit(1, _LOC),), _LOC), _LOC), _LOC),))
+    assert pretty(program) == repr(program)
+
+
 def _all_locs(obj):
     if isinstance(obj, Program):
         for d in obj.decls:
             yield from _all_locs(d)
         return
-    loc = getattr(obj, "loc", None)
-    if loc is not None:
-        yield loc
-    for name in getattr(obj, "__dataclass_fields__", {}):
-        if name == "loc":
-            continue
+    yield obj.loc
+    for name in type(obj)._fields:
         value = getattr(obj, name)
         if isinstance(value, tuple):
             for item in value:
-                if hasattr(item, "__dataclass_fields__"):
+                if isinstance(item, Node):
                     yield from _all_locs(item)
-        elif hasattr(value, "__dataclass_fields__") and not isinstance(value, (SourceLoc, TypeRef)):
+        elif isinstance(value, Node):
             yield from _all_locs(value)
 
 
