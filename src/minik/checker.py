@@ -558,11 +558,7 @@ class _Checker:
         return t
 
     def _expr(self, e: Expr, scope: _Scope, expected: TypeRef | None) -> TypeRef:
-        if isinstance(e, IntLit):
-            return INT
-        if isinstance(e, StringLit):
-            return STRING
-        if isinstance(e, VarRef):
+        if isinstance(e, VarRef):  # names and calls, the most frequent kinds, first
             t = scope.lookup(e.name)
             if t is None:
                 self.e_type(e.loc, f"unknown name {e.name}")
@@ -570,6 +566,10 @@ class _Checker:
             return t
         if isinstance(e, CallExpr):
             return self.check_call(e, scope)
+        if isinstance(e, IntLit):
+            return INT
+        if isinstance(e, StringLit):
+            return STRING
         if isinstance(e, MethodCall):
             return self.check_member_call(e, scope)
         if isinstance(e, PropertyGet):
@@ -589,7 +589,7 @@ class _Checker:
             for a in e.args:
                 self.check_expr(a, scope)
             return ANY_NULLABLE
-        arg_types = tuple(self.check_expr(a, scope) for a in e.args)
+        arg_types = tuple([self.check_expr(a, scope) for a in e.args])
         if len(arg_types) != len(sig.param_types):
             self.e_type(e.loc, f"{e.name} expects {len(sig.param_types)} argument(s), got {len(arg_types)}")
             return ANY_NULLABLE
@@ -619,7 +619,7 @@ class _Checker:
         if len(e.type_args) != len(type_params):
             self.e_type(e.loc, f"{e.name} expects {len(type_params)} type argument(s)")
             return None
-        resolved = tuple(self.resolve(t, e.loc) for t in e.type_args)
+        resolved = tuple([self.resolve(t, e.loc) for t in e.type_args])
         return None if any(t is None for t in resolved) else resolved  # type: ignore[return-value]
 
     def check_ctor(self, e: CallExpr, scope: _Scope) -> TypeRef:
@@ -634,7 +634,7 @@ class _Checker:
             return ANY_NULLABLE
         if e.args:
             self.e_type(e.loc, f"constructor of {e.name} takes no arguments")
-        names = tuple(p.name for p in entry.type_params)
+        names = tuple([p.name for p in entry.type_params])
         args: tuple[TypeRef, ...] | None = ()
         if names:
             if e.type_args is None:
@@ -661,7 +661,7 @@ class _Checker:
 
     def check_member_call(self, e: MethodCall, scope: _Scope) -> TypeRef:
         recv_t = self.check_expr(e.receiver, scope)
-        arg_types = tuple(self.check_expr(a, scope) for a in e.args)
+        arg_types = tuple([self.check_expr(a, scope) for a in e.args])
         found = self.lookup_member(e, recv_t, e.name, "method")
         if found is None:
             return ANY_NULLABLE
@@ -675,13 +675,16 @@ class _Checker:
                      bindings: dict[str, TypeRef]) -> TypeRef:
         """Coerce `e`'s arity-checked arguments to `sig`'s parameters under
         `bindings`, record how `e` resolved and return its result type."""
-        param_types = tuple(substitute(t, bindings) for t in sig.param_types)
+        param_types, type_args, result = sig.param_types, (), sig.return_type
+        if bindings:  # else `sig` has no type parameters and substituting changes nothing
+            param_types = tuple([substitute(t, bindings) for t in param_types])
+            type_args = tuple([bindings[p] for p in sig.type_params])
+            result = substitute(result, bindings)
         for arg, arg_t, want in zip(e.args, arg_types, param_types):
             self.coerce(arg, arg_t, want, arg.loc, "parameter type")
         kind = "method" if e.receiver is not None else "fun" if sig.decl is not None else "builtin"
-        type_args = tuple(bindings[p] for p in sig.type_params)
         self.out.call_info[e] = CallInfo(kind, e.name, sig.return_type, type_args, sig.param_types, param_types)
-        return substitute(sig.return_type, bindings)
+        return result
 
     def check_property_get(self, e: PropertyGet, scope: _Scope) -> TypeRef:
         recv_t = self.check_expr(e.receiver, scope)

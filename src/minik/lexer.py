@@ -11,7 +11,8 @@ comment before it, or else one character no token matches, which goes to
 
 The result is one `Tokens` value: parallel lists of each token's kind, text
 and character offset, with no object per token. A location is built from an
-offset only when asked for, by bisecting the offsets at which lines start.
+offset only when asked for, by a line cursor that steps forward over the
+offsets at which lines start and bisects them only for an earlier line.
 """
 
 from __future__ import annotations
@@ -78,13 +79,13 @@ class LexError(Exception):
         self.loc = loc
 
 
-class Tokens(Record):
+class Tokens(Record, hidden=("_line",)):
     """The tokens of one file. Token `i` has kind `kinds[i]` ("name", "int",
     "string", "newline", "eof", "@UnsafeVariance" or one of PUNCT), text
     `texts[i]` (a string literal's unescaped body) and starts at character
     offset `starts[i]`. `line_starts` holds the offset of each line."""
 
-    __slots__ = ("kinds", "texts", "starts", "file", "line_starts")
+    __slots__ = ("kinds", "texts", "starts", "file", "line_starts", "_line")
 
     def __init__(self, kinds: list[str], texts: list[str], starts: list[int], file: str, line_starts: list[int]) -> None:
         self.kinds = kinds
@@ -92,12 +93,21 @@ class Tokens(Record):
         self.starts = starts
         self.file = file
         self.line_starts = line_starts
+        self._line = 1
 
     def __len__(self) -> int:
         return len(self.kinds)
 
     def loc(self, i: int) -> SourceLoc:
-        return _source_loc(self.file, self.line_starts, self.starts[i])
+        """Token `i`'s location. The slot `_line`, not a field, holds the line of the last one."""
+        offset, line_starts, line = self.starts[i], self.line_starts, self._line
+        if line_starts[line - 1] <= offset < line_starts[-1]:
+            while line_starts[line] <= offset:
+                line += 1
+        else:
+            line = bisect_right(line_starts, offset)
+        self._line = line
+        return SourceLoc(self.file, line, offset - line_starts[line - 1] + 1)
 
 
 def _source_loc(file: str, line_starts: list[int], offset: int) -> SourceLoc:

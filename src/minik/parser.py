@@ -66,8 +66,9 @@ class ParseError(Exception):
 
 class _Parser:
     # The current token's index, its kind, and its text when it is a name
-    # (else None) are fields that only `seek` and `advance` set: the parser
-    # reads them several times per token.
+    # (else None) are fields that only `seek` and the four token takers set,
+    # each with `seek(i + 1)` inlined so that taking a token is one call;
+    # none is asked to take eof. The parser reads them several times a token.
     def __init__(self, tokens: Tokens) -> None:
         self.kinds = tokens.kinds
         self.texts = tokens.texts
@@ -91,30 +92,37 @@ class _Parser:
         return ParseError(f"expected {expected}, got {got}", self.here())
 
     def advance(self) -> int:
-        """Take the current token (at eof, stay there); return its index."""
-        i = self.pos
-        if self.kind != "eof":  # `seek(i + 1)`, inlined: one call fewer per token
-            pos = self.pos = i + 1
-            kind = self.kind = self.kinds[pos]
-            self.word = self.texts[pos] if kind == "name" else None
-        return i
+        """Take the current token; return its index."""
+        pos = self.pos = self.pos + 1
+        kind = self.kind = self.kinds[pos]
+        self.word = self.texts[pos] if kind == "name" else None
+        return pos - 1
 
     def eat(self, kind: str, expected: str | None = None) -> int:
         if self.kind != kind:
             raise self.error(expected or f"'{kind}'")
-        return self.advance()
+        pos = self.pos = self.pos + 1
+        kind = self.kind = self.kinds[pos]
+        self.word = self.texts[pos] if kind == "name" else None
+        return pos - 1
 
     def eat_word(self, word: str) -> int:
         if self.word != word:
             raise self.error(f"'{word}'")
-        return self.advance()
+        pos = self.pos = self.pos + 1
+        kind = self.kind = self.kinds[pos]
+        self.word = self.texts[pos] if kind == "name" else None
+        return pos - 1
 
     def eat_ident(self) -> int:
         if self.word is None:
             raise self.error("an identifier")
         if self.word in KEYWORDS:
             raise ParseError(f"'{self.word}' is a keyword", self.here())
-        return self.advance()
+        pos = self.pos = self.pos + 1
+        kind = self.kind = self.kinds[pos]
+        self.word = self.texts[pos] if kind == "name" else None
+        return pos - 1
 
     def skip_newlines(self) -> None:
         while self.kind == "newline":
@@ -379,7 +387,42 @@ class _Parser:
     # -- expressions -----------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        e = self.parse_postfix()
+        # A primary, then postfix `.` and `[`, which bind tighter than `as`
+        # and `is` and never follow them: `x as T.f()` is not an expression.
+        if self.word is not None:
+            if self.word in KEYWORDS:
+                raise self.error("an expression")
+            i = self.advance()
+            type_args = self.parse_type_args() if self.kind == "<" else None
+            if type_args is not None or self.kind == "(":
+                e = CallExpr(self.texts[i], type_args, self.parse_args(), self.loc(i))
+            else:
+                e = VarRef(self.texts[i], self.loc(i))
+        elif self.kind == "int":
+            i = self.advance()
+            try:
+                value = int(self.texts[i])
+            except ValueError:  # longer than the host's int-string limit
+                raise ParseError("integer literal too long", self.loc(i)) from None
+            e = IntLit(value, self.loc(i))
+        elif self.kind == "string":
+            i = self.advance()
+            e = StringLit(self.texts[i], self.loc(i))
+        else:
+            raise self.error("an expression")
+        while self.kind == "." or self.kind == "[":
+            if self.kind == ".":
+                self.advance()
+                name = self.texts[self.eat_ident()]
+                if self.kind == "(":
+                    e = MethodCall(e, name, self.parse_args(), loc=e.loc)
+                else:
+                    e = PropertyGet(e, name, loc=e.loc)
+            else:
+                self.advance()
+                idx = self.parse_expr()
+                self.eat("]", "']' to close indexing")
+                e = Index(e, "get", (idx,), loc=e.loc)
         while self.word == "as" or self.word == "is":
             i = self.advance()
             target = self.parse_type()
@@ -388,42 +431,6 @@ class _Parser:
             else:
                 e = IsExpr(e, target, self.loc(i))
         return e
-
-    def parse_postfix(self) -> Expr:
-        e = self.parse_primary()
-        while True:
-            if self.kind == ".":
-                self.advance()
-                name = self.texts[self.eat_ident()]
-                if self.kind == "(":
-                    args = self.parse_args()
-                    e = MethodCall(e, name, args, loc=e.loc)
-                else:
-                    e = PropertyGet(e, name, loc=e.loc)
-            elif self.kind == "[":
-                self.advance()
-                idx = self.parse_expr()
-                self.eat("]", "']' to close indexing")
-                e = Index(e, "get", (idx,), loc=e.loc)
-            else:
-                return e
-
-    def parse_primary(self) -> Expr:
-        if self.kind == "int":
-            i = self.advance()
-            return IntLit(int(self.texts[i]), self.loc(i))
-        if self.kind == "string":
-            i = self.advance()
-            return StringLit(self.texts[i], self.loc(i))
-        if self.word is not None:
-            if self.word in KEYWORDS:
-                raise self.error("an expression")
-            i = self.advance()
-            type_args = self.parse_type_args() if self.kind == "<" else None
-            if type_args is not None or self.kind == "(":
-                return CallExpr(self.texts[i], type_args, self.parse_args(), self.loc(i))
-            return VarRef(self.texts[i], self.loc(i))
-        raise self.error("an expression")
 
     def parse_args(self) -> tuple[Expr, ...]:
         self.eat("(")

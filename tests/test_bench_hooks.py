@@ -149,16 +149,27 @@ def test_runtime_checks_decided_do_not_grow_with_the_calls_run(tmp_path, capsys,
 
 
 def test_front_end_counters_keep_their_definition():
-    # Fixed numbers for P1: a lexer or AST change that alters what the
-    # benchmark's `lexer.tokens` or `parser.nodes` count must say so here.
+    # Fixed numbers for P1: a lexer, AST or checker change that alters what
+    # the benchmark's `lexer.tokens`, `parser.nodes`, `checker.*` or
+    # `typesys.*_calls` count must say so here. A checker that stops calling
+    # `subtype` or `supertype_instantiation` through the globals the tracer
+    # patches, or that records fewer nodes, fails here too.
     path = corpus.BY_ID["P1"].source_path
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
-        minik.cli.parse(path.read_text(), str(path))  # looked up at call time
+        program = minik.cli.parse(path.read_text(), str(path))  # looked up at call time
+        parsed = (tracer.counts["lexer.tokens"], tracer.counts["parser.nodes"])
+        table, _ = minik.cli.build_class_table(program)  # may parse the prelude
+        tracer.counts.clear()
+        minik.cli.check_program(table, program)
     finally:
         tracer.uninstall()
-    assert (tracer.counts["lexer.tokens"], tracer.counts["parser.nodes"]) == (102, 37)
+    assert parsed == (102, 37)
+    checked = {name: tracer.counts[name] for name in (
+        "checker.exprs", "checker.coercions", "typesys.subtype_calls", "typesys.supinst_calls", "typesys.lub_calls")}
+    assert checked == {"checker.exprs": 13, "checker.coercions": 2, "typesys.subtype_calls": 9,
+                       "typesys.supinst_calls": 8, "typesys.lub_calls": 0}
 
 
 def _tree_objects(value) -> int:

@@ -7,6 +7,10 @@ or `else`, and integer literals are runs of decimal digits.
 
 from __future__ import annotations
 
+import functools
+import random
+
+import differential
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,9 +129,20 @@ def reference_tokenize(source: str, file: str = "<input>") -> list[tuple[str, st
     return tokens
 
 
-def triples(source: str, file: str) -> list[tuple[str, str, SourceLoc]]:
+def triples(source: str, file: str, order: str = "forward") -> list[tuple[str, str, SourceLoc]]:
+    """The lexer's (kind, text, loc) stream, its locations asked for in
+    `order`: "forward", "reverse" or "shuffled" (seeded)."""
     tokens = tokenize(source, file)
-    return [(tokens.kinds[i], tokens.texts[i], tokens.loc(i)) for i in range(len(tokens))]
+    asked = list(range(len(tokens)))
+    if order == "reverse":
+        asked.reverse()
+    elif order == "shuffled":
+        random.Random(len(asked)).shuffle(asked)
+    locs = {i: tokens.loc(i) for i in asked}
+    return [(tokens.kinds[i], tokens.texts[i], locs[i]) for i in range(len(tokens))]
+
+
+ORDERS = ("forward", "reverse", "shuffled")
 
 
 def outcome(lex, source: str):
@@ -156,8 +171,21 @@ def test_lexer_agrees_with_the_reference_loop(source):
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.id)
 def test_corpus_lexes_as_the_reference(entry):
+    # `Tokens.loc` moves a line cursor, so the order locations are asked in
+    # must not change them.
     source = entry.source_path.read_text()
-    assert outcome(triples, source) == outcome(reference_tokenize, source)
+    expected = outcome(reference_tokenize, source)
+    for order in ORDERS:
+        assert outcome(functools.partial(triples, order=order), source) == expected, order
+
+
+_GEN = differential._load_gen()
+
+
+@pytest.mark.parametrize("generated", [_GEN.launder(1, 5), _GEN.calltree(1, 3)], ids=["launder", "calltree"])
+@pytest.mark.parametrize("order", ORDERS)
+def test_generated_programs_lex_as_the_reference(generated, order):
+    assert triples(generated.source, generated.filename, order) == reference_tokenize(generated.source, generated.filename)
 
 
 @pytest.mark.parametrize("text", ["=", "else", "as", ",", "("])
@@ -176,6 +204,11 @@ def test_integer_literals_are_decimal_digits():
     with pytest.raises(ParseError) as e:
         parse("val x = ⅷ", "t.mk")
     assert str(e.value) == "t.mk:1:9: unexpected character 'ⅷ'"
+    # Past the host's int-string limit (4,300 digits by default), a literal
+    # is a parse error, not a host exception.
+    with pytest.raises(ParseError) as e:
+        parse("println(" + "1" * 5000 + ")", "t.mk")
+    assert str(e.value) == "t.mk:1:9: integer literal too long"
 
 
 @pytest.mark.parametrize(

@@ -250,6 +250,19 @@ def test_error_locations_past_the_first_line(source, line, col, message):
     assert (exc.value.message, exc.value.loc) == (message, SourceLoc("t.mk", line, col))
 
 
+def test_locations_after_an_if_without_else():
+    # `parse_if` skips the newlines after the block, finds no `else` and
+    # steps back; the call after it then asks for its argument's location
+    # before its own, an earlier line.
+    src = "fun f(b: Boolean) {\n    if (b) {\n        println(1)\n    }\n\n    // c\n\n    println(\n        2)\n}\n"
+    stmts = parse(src, "t.mk").decls[0].body
+    assert stmts[0].else_body is None
+    assert stmts[0].then_body[0].loc == SourceLoc("t.mk", 3, 9)
+    call = stmts[1].expr
+    assert (stmts[1].loc, call.loc, call.args[0].loc) == (
+        SourceLoc("t.mk", 8, 5), SourceLoc("t.mk", 8, 5), SourceLoc("t.mk", 9, 9))
+
+
 def test_method_call_chain_and_index():
     p = parse("getA().secretMethod()\nxs[0]\n")
     first, second = (d.stmt.expr for d in p.decls)
