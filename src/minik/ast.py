@@ -12,6 +12,9 @@ Every call is a `Call` with a `receiver` (None for a function or constructor
 call) and `args` (empty for a property read). `a[i]` is an `Index`, a
 `MethodCall` of `get` that only the printer tells apart, as in Kotlin.
 
+`walk` is the one tree walk: every node and type under a root, in preorder
+and field order, without recursion; callers filter it with `isinstance`.
+
 Types are hash-consed: each type class's constructor returns the one object
 for its fields, so structurally equal types are the same object, and `==`
 and `hash` on types are `object`'s identity versions, O(1) at any nesting
@@ -527,35 +530,16 @@ class Program(_Tree):
         self.decls = decls
 
 
-def walk_exprs(e: Expr):
-    """Yield `e` and every sub-expression, preorder."""
-    yield e
-    if isinstance(e, Call):
-        if e.receiver is not None:
-            yield from walk_exprs(e.receiver)
-        for a in e.args:
-            yield from walk_exprs(a)
-    elif isinstance(e, (CastExpr, IsExpr)):
-        yield from walk_exprs(e.expr)
-
-
-def walk_stmts(stmts):
-    """Yield every statement in a body, preorder, descending into ifs."""
-    for s in stmts:
-        yield s
-        if isinstance(s, If):
-            yield from walk_stmts(s.then_body)
-            if s.else_body is not None:
-                yield from walk_stmts(s.else_body)
-
-
-def walk_body_exprs(stmts):
-    """Yield every expression in a body: statement by statement, preorder,
-    each statement's expression before those of the statements nested in it."""
-    for s in walk_stmts(stmts):
-        if isinstance(s, If):
-            yield from walk_exprs(s.cond)
-        elif isinstance(s, ValDecl):
-            yield from walk_exprs(s.init)
-        else:  # ExprStmt, Return
-            yield from walk_exprs(s.expr)
+def walk(root):
+    """Yield the nodes and types of `root` (a node, a type or a tuple of
+    them) and every one reachable from them through `_fields`: preorder, in
+    field order, each occurrence once (an interned type at every place it
+    appears). The stack is explicit, so a tree of any depth walks."""
+    todo = [root]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):
+            todo.extend(reversed(x))
+        elif isinstance(x, _Tree):
+            yield x
+            todo.extend(getattr(x, name) for name in reversed(type(x)._fields))

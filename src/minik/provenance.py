@@ -41,7 +41,7 @@ class ProvenanceMap(Record):
     expression occurrence, the ordered set of static types its value had
     held at that point (the current static type always included).
     `cast_snapshots` lists the body's explicit casts in preorder, as
-    `walk_body_exprs` meets them, each with its operand's history."""
+    `ast.walk` meets them, each with its operand's history."""
 
     __slots__ = ("occurrence_sets", "cast_snapshots")
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis.vendor.pretty import for_type_by_name
 
 import minik.ast
-from minik.ast import If, IsExpr, Node, Program, VarRef, walk_body_exprs, walk_stmts
+from minik.ast import If, IsExpr, Node, Program, VarRef, walk
 from minik.cli import build
 from minik.typesys import program_bodies
 
@@ -49,11 +49,11 @@ def narrowed_uses(checked):
     """(type before the check, type at the use) for every use of `x` inside
     the then-branch of an `if (x is T)`, read from the uses' `expr_types`."""
     for body in program_bodies(checked.table, checked.program):
-        for s in walk_stmts(body.stmts):
+        for s in walk(body.stmts):
             if isinstance(s, If) and isinstance(s.cond, IsExpr) and isinstance(s.cond.expr, VarRef):
                 name = s.cond.expr.name
                 before = checked.expr_types[s.cond.expr]
-                for e in walk_body_exprs(s.then_body):
+                for e in walk(s.then_body):
                     if isinstance(e, VarRef) and e.name == name:
                         yield before, checked.expr_types[e]
 

@@ -176,6 +176,20 @@ def test_only_the_syntax_modules_name_index():
     assert namers == ["ast.py", "parser.py", "printer.py"]
 
 
+def _reads_fields(path: Path) -> bool:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return any(isinstance(node, ast.Attribute) and node.attr == "_fields" for node in ast.walk(tree))
+
+
+def test_only_the_record_modules_and_same_tree_read_fields():
+    # A tree is walked by `minik.ast.walk`, the one walk; besides the records
+    # themselves, only `conftest.same_tree`, which compares two trees field
+    # by field, reads the field list.
+    assert [_name(path) for path in SOURCES if _reads_fields(path)] == ["ast.py", "records.py"]
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert [path.name for path in tests if _reads_fields(path)] == ["conftest.py"]
+
+
 def test_every_diagnostic_code_passed_in_the_sources_is_registered():
     # So `warning` and `error` never raise their ValueError for miniK's own code.
     registered = {"warning": diagnostics.WARNING_CODES, "error": diagnostics.ERROR_CODES}

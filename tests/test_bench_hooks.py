@@ -20,7 +20,7 @@ import pytest
 
 import minik.cli
 from minik import corpus
-from minik.ast import Node, TypeRef
+from minik.ast import walk
 from minik.typesys import PRELUDE_SOURCE
 
 _SPANS = Path(__file__).resolve().parent.parent / "minik_bench" / "spans.py"
@@ -172,17 +172,6 @@ def test_front_end_counters_keep_their_definition():
                        "typesys.supinst_calls": 8, "typesys.lub_calls": 0}
 
 
-def _tree_objects(value) -> int:
-    """The nodes and types `value` holds, itself included, found through
-    `ast`'s own `_fields`: each occurrence once, so a shared type counts at
-    every place it appears."""
-    if isinstance(value, tuple):
-        return sum(map(_tree_objects, value))
-    if isinstance(value, (Node, TypeRef)):
-        return 1 + sum(_tree_objects(getattr(value, name)) for name in type(value)._fields)
-    return 0
-
-
 @pytest.mark.parametrize(
     "source, filename",
     [(e.source(), e.filename) for e in corpus.ENTRIES] + [(PRELUDE_SOURCE, "<prelude>")],
@@ -193,4 +182,11 @@ def test_the_node_counter_walks_the_fields_the_tree_has(source, filename):
     # which `ast` keeps for such tools; a tree it could not walk would read
     # as a small `parser.nodes` without any error.
     program = minik.cli.parse(source, filename)
-    assert _load_spans().count_nodes(program) == _tree_objects(program.decls)
+    assert _load_spans().count_nodes(program) == sum(1 for _ in walk(program.decls))
+
+
+@pytest.mark.parametrize("workload", ["launder", "calltree"])
+def test_the_node_counter_walks_generated_programs(workload, monkeypatch):
+    generated = getattr(_load_gen(monkeypatch), workload)(1, 3)
+    program = minik.cli.parse(generated.source, generated.filename)
+    assert _load_spans().count_nodes(program) == sum(1 for _ in walk(program.decls))

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from minik import corpus
-from minik.ast import ANY, ClassType, VarRef, walk_body_exprs
+from minik.ast import ANY, ClassType, Expr, VarRef, walk
 from minik.checker import (
     CastClassification,
     check_inheritance_variance,
@@ -348,7 +348,8 @@ def test_each_expression_occurrence_has_its_own_static_type():
         if checked is None or not checked.ok:
             continue
         clean += 1
-        occurrences = [e for body in program_bodies(checked.table, checked.program) for e in walk_body_exprs(body.stmts)]
+        occurrences = [e for body in program_bodies(checked.table, checked.program)
+                       for e in walk(body.stmts) if isinstance(e, Expr)]
         assert len(checked.expr_types) == len(occurrences), entry.id
         assert all(e in checked.expr_types for e in occurrences), entry.id
     assert clean == 14
@@ -358,7 +359,7 @@ def test_a_narrowed_use_and_the_tested_use_have_their_own_types(check_source):
     checked, diags = check_source(AB + "fun f(x: B) {\n    if (x is A) {\n        println(x)\n    }\n}\n")
     assert diags == []
     f = checked.program.decls[-1]
-    tested, used = (e for e in walk_body_exprs(f.body) if isinstance(e, VarRef))
+    tested, used = (e for e in walk(f.body) if isinstance(e, VarRef))
     assert tested.name == used.name == "x"
     assert (checked.expr_types[tested], checked.expr_types[used]) == (t("B"), t("A"))
 

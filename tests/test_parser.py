@@ -6,11 +6,12 @@ import minik.ast
 from minik import corpus
 from minik.ast import (
     BOOLEAN,
+    CallExpr,
     CastExpr,
     ClassDecl,
     ClassType,
-    ExprStmt,
     FunDecl,
+    If,
     Index,
     MethodCall,
     Node,
@@ -19,7 +20,7 @@ from minik.ast import (
     StmtDecl,
     ValDecl,
     VarRef,
-    walk_exprs,
+    walk,
 )
 from minik.parser import ParseError, parse
 from minik.printer import pretty_print, render_expr
@@ -112,18 +113,6 @@ def test_prelude_round_trips():
     assert names == ["List", "MutableList", "ArrayList"]
 
 
-def _nodes(obj):
-    """Every syntax node object reachable from `obj`, with repeats; type
-    references and locations are values and may be shared."""
-    if isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _nodes(item)
-    elif isinstance(obj, (Node, Program)):
-        yield obj
-        for name in type(obj)._fields:
-            yield from _nodes(getattr(obj, name))
-
-
 def test_no_node_object_appears_twice_in_a_parsed_program():
     """The per-node tables of the checker, the lint and the runtime are
     keyed by the node itself, which compares by identity: one node object
@@ -132,7 +121,7 @@ def test_no_node_object_appears_twice_in_a_parsed_program():
 
     sources = [(e.source(), e.filename) for e in corpus.ENTRIES] + [(PRELUDE_SOURCE, "<prelude>")]
     for source, filename in sources:
-        nodes = list(_nodes(parse(source, filename)))
+        nodes = [n for n in walk(parse(source, filename)) if isinstance(n, Node)]
         assert len({id(n) for n in nodes}) == len(nodes), filename
 
 
@@ -166,29 +155,29 @@ def test_corpus_locations_within_bounds(entry):
         assert 1 <= loc.line <= len(lines)
         assert 1 <= loc.col <= len(lines[loc.line - 1]) + 1
 
-    for d in p.decls:
-        assert_loc(d.loc)
-        if isinstance(d, StmtDecl):
-            for e in _stmt_exprs(d.stmt):
-                assert_loc(e.loc)
-        if isinstance(d, FunDecl):
-            for s in d.body:
-                assert_loc(s.loc)
+    for node in walk(p.decls):
+        if isinstance(node, Node):  # types have no location
+            assert_loc(node.loc)
 
 
-def _stmt_exprs(s):
-    from minik.ast import If, Return
+_LOC = SourceLoc("t.mk", 1, 1)
+# One level of a deep tree: built around `inner`, which holds the root of the
+# level below or nothing, it returns the nodes and types it adds, in preorder.
+_LEVELS = {
+    "calls": lambda inner: [CallExpr("f", None, inner, _LOC)],
+    "ifs": lambda inner: [If(c := VarRef("c", _LOC), inner, None, _LOC), c],
+    "list-types": lambda inner: [ClassType("List", inner)],
+}
 
-    if isinstance(s, ValDecl):
-        yield from walk_exprs(s.init)
-    elif isinstance(s, ExprStmt):
-        yield from walk_exprs(s.expr)
-    elif isinstance(s, Return):
-        yield from walk_exprs(s.expr)
-    elif isinstance(s, If):
-        yield from walk_exprs(s.cond)
-        for inner in s.then_body + (s.else_body or ()):
-            yield from _stmt_exprs(inner)
+
+@pytest.mark.parametrize("level", _LEVELS.values(), ids=list(_LEVELS))
+def test_walk_yields_every_node_of_a_deep_tree_once(level):
+    # 5,000 levels, built directly: the parser and checker cannot yet take
+    # trees this deep.
+    levels = [level(())]
+    for _ in range(4_999):
+        levels.append(level((levels[-1][0],)))
+    assert list(walk(levels[-1][0])) == [x for added in reversed(levels) for x in added]
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,7 @@ from minik.ast import (
     ValDecl,
     VarRef,
     Variance,
+    walk,
 )
 from conftest import narrowed_uses, same_tree
 from minik.checker import check_variance_positions, classify_cast_baseline
@@ -618,30 +619,15 @@ def test_parse_print_round_trip(program):
     assert pretty_print(reparsed) == printed
     # And every reparsed node's location lies within the printed source.
     lines = printed.split("\n")
-    for loc in _all_locs(reparsed):
-        assert 1 <= loc.line <= len(lines)
-        assert 1 <= loc.col <= len(lines[loc.line - 1]) + 1
+    for node in walk(reparsed.decls):
+        if isinstance(node, Node):  # types have no location
+            assert 1 <= node.loc.line <= len(lines)
+            assert 1 <= node.loc.col <= len(lines[node.loc.line - 1]) + 1
 
 
 def test_a_failing_example_shows_its_tree():
     program = Program((StmtDecl(ExprStmt(CallExpr("f", (INT,), (IntLit(1, _LOC),), _LOC), _LOC), _LOC),))
     assert pretty(program) == repr(program)
-
-
-def _all_locs(obj):
-    if isinstance(obj, Program):
-        for d in obj.decls:
-            yield from _all_locs(d)
-        return
-    yield obj.loc
-    for name in type(obj)._fields:
-        value = getattr(obj, name)
-        if isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, Node):
-                    yield from _all_locs(item)
-        elif isinstance(value, Node):
-            yield from _all_locs(value)
 
 
 # ============================================================

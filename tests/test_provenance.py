@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import differential
 from minik import corpus
-from minik.ast import CastExpr, ClassType, FunDecl, ValDecl, VarRef, walk_body_exprs, walk_exprs, walk_stmts
+from minik.ast import CastExpr, ClassType, FunDecl, VarRef, walk
 from minik.checker import CastClassification, classify_cast_baseline
 from minik.cli import build, run_command
 from minik.diagnostics import warning
@@ -31,18 +32,7 @@ def prov_for_fun(checked, name: str):
 
 
 def find_casts(body):
-    casts = []
-    for s in walk_stmts(body):
-        roots = []
-        if isinstance(s, ValDecl):
-            roots.append(s.init)
-        elif hasattr(s, "expr"):
-            roots.append(s.expr)
-        elif hasattr(s, "cond"):
-            roots.append(s.cond)
-        for root in roots:
-            casts.extend(e for e in walk_exprs(root) if isinstance(e, CastExpr))
-    return casts
+    return [e for e in walk(body) if isinstance(e, CastExpr)]
 
 
 # ============================================================
@@ -303,9 +293,7 @@ def reference_lint(checked, body, prov):
     afresh on a copy of the table with an empty memo."""
     table = ClassTable(checked.table.classes, checked.table.functions)
     diags = []
-    for e in walk_body_exprs(body):
-        if not isinstance(e, CastExpr):
-            continue
+    for e in find_casts(body):
         target = checked.expr_types[e]
         classification = classify_cast_baseline(table, checked.expr_types[e.expr], target)
         eligible = classification is CastClassification.UNCHECKED_SILENT or (
@@ -384,6 +372,29 @@ def test_lint_lists_the_then_branch_before_the_else_branch(check_source):
     checked, _ = check_source(CASTS_IN_BOTH_BRANCHES)
     lint = assert_lint_matches_reference(checked)
     assert [d.loc.line for d in lint] == [9, 12]
+
+
+# A cast in a call's receiver and one in its argument: the receiver's first.
+RECEIVER_AND_ARGUMENT_CASTS = AB + "fun h(m: List<MutableList<B>>, x: B) {\n    m.get(0 as Int).add(x as A)\n}\n"
+
+
+def test_cast_snapshots_list_the_casts_in_walk_order():
+    # The order `ProvenanceMap` documents; the reference lint above sees
+    # only the order of the casts that warn. The texts are the corpus, the
+    # differential runner's fixed texts and small generated programs, and
+    # this file's texts that put two casts in one statement.
+    texts = differential.make_texts(0, 0) + [
+        ("nested.mk", NESTED_CASTS), ("branches.mk", CASTS_IN_BOTH_BRANCHES), ("calls.mk", RECEIVER_AND_ARGUMENT_CASTS)]
+    casts = 0
+    for filename, source in texts:
+        checked, _ = build(source, filename)
+        if checked is None or not checked.ok:
+            continue
+        for body in program_bodies(checked.table, checked.program):
+            prov = compute_provenance(checked, body.stmts, body.params)
+            assert list(prov.cast_snapshots) == find_casts(body.stmts), filename
+            casts += len(prov.cast_snapshots)
+    assert casts > 0
 
 
 def test_lint_matches_the_reference_on_the_corpus():

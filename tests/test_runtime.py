@@ -5,7 +5,7 @@ import pytest
 import differential
 from conftest import call_deep
 from minik import corpus, runtime
-from minik.ast import ANY, CastExpr, ClassType, PrimitiveType, walk_body_exprs
+from minik.ast import ANY, CastExpr, ClassType, PrimitiveType, walk
 from minik.cli import build, run_command
 from minik.runtime import (
     ERASED,
@@ -339,7 +339,7 @@ def test_erased_crashes_sit_at_a_cast_or_at_a_site_of_the_same_class():
         if not isinstance(outcome, ClassCastException):
             continue
         casts = {e.loc for body in program_bodies(checked.table, checked.program)
-                 for e in walk_body_exprs(body.stmts) if isinstance(e, CastExpr)}
+                 for e in walk(body.stmts) if isinstance(e, CastExpr)}
         sites = {(s.loc, s.expected_class) for s in checkcast_sites(checked)}
         assert outcome.loc in casts or (outcome.loc, outcome.expected) in sites, entry.id
 
