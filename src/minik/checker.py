@@ -9,10 +9,13 @@ Function and method calls end in one resolution step, `resolve_call`; a
 method and its bindings come from `typesys.find_member`, and an index read
 is a `get` call like any other.
 
-Strict mode adds two opt-in rules on top of the baseline diagnostics (it
-never removes one): non-variant inheritance from a variant class is flagged,
-and generic smart casts from a variant class to a non-variant class are
-rejected.
+Strict mode adds two opt-in rules to the baseline diagnostics: non-variant
+inheritance from a variant class is flagged, and generic smart casts from a
+variant class to a non-variant class are rejected. Such a rejected `is`
+check drops the baseline's `W-REDUNDANT-IS` at the same place, so strict is
+not a superset of baseline. One check pass files each diagnostic under the
+levels it belongs to, so a program checked at one level also reads at the
+other (`CheckedProgram.at_strictness`).
 """
 
 from __future__ import annotations
@@ -98,8 +101,11 @@ class CallInfo(Record, hashable=True):
         self.param_types = param_types
 
 
-class CheckedProgram(Record):
-    __slots__ = ("program", "table", "diagnostics", "expr_types", "call_info", "is_targets", "decl_types", "coercions")
+class CheckedProgram(Record, hidden=("level_diagnostics",)):
+    __slots__ = (
+        "program", "table", "diagnostics", "expr_types", "call_info", "is_targets", "decl_types", "coercions",
+        "level_diagnostics",
+    )
 
     def __init__(self, program: Program, table: ClassTable, diagnostics: list[Diagnostic]) -> None:
         self.program = program
@@ -113,6 +119,21 @@ class CheckedProgram(Record):
         self.decl_types: dict[ValDecl, TypeRef] = {}
         # Each implicitly upcast expression -> the type it is upcast to
         self.coercions: dict[Expr, TypeRef] = {}
+        # The check pass's diagnostics at each strictness, baseline then
+        # strict; `diagnostics` is one of the two
+        self.level_diagnostics = (diagnostics, diagnostics)
+
+    def at_strictness(self, strict: bool) -> CheckedProgram:
+        """This program as checked at `strict`: the same typing, read with
+        that level's diagnostics."""
+        diagnostics = self.level_diagnostics[strict]
+        if diagnostics is self.diagnostics:
+            return self
+        import copy  # loaded only where both levels are read: a golden run
+
+        other = copy.copy(self)
+        other.diagnostics = diagnostics
+        return other
 
     @property
     def ok(self) -> bool:
@@ -438,10 +459,15 @@ class _Scope:
 
 
 class _Checker:
-    def __init__(self, table: ClassTable, program: Program, strict: bool) -> None:
+    """One pass over a program that gives its diagnostics at both
+    strictness levels: each is filed under baseline, strict or both, so
+    each level's list is in the order the pass met its diagnostics."""
+
+    def __init__(self, table: ClassTable, program: Program) -> None:
         self.table = table
         self.out = CheckedProgram(program, table, diagnostics=[])
-        self.strict = strict
+        self.baseline: list[Diagnostic] = []
+        self.strict: list[Diagnostic] = []
         self.type_param_scope: frozenset[str] = frozenset()
         self.return_type: TypeRef | None = None
         self.current_class: str | None = None
@@ -449,7 +475,8 @@ class _Checker:
     # -- plumbing --------------------------------------------------------
 
     def diag(self, d: Diagnostic) -> None:
-        self.out.diagnostics.append(d)
+        self.baseline.append(d)
+        self.strict.append(d)
 
     def e_type(self, loc: SourceLoc, message: str) -> None:
         self.diag(error("E-TYPE", loc, message))
@@ -471,16 +498,20 @@ class _Checker:
 
     # -- program ----------------------------------------------------------
 
-    def check(self) -> CheckedProgram:
-        self.out.diagnostics.extend(_prelude_variance_diagnostics(self.strict))
+    def check(self, strict: bool) -> CheckedProgram:
+        self.baseline.extend(_prelude_variance_diagnostics(False))
+        self.strict.extend(_prelude_variance_diagnostics(True))
         for entry in self.table.classes.values():
             if entry.is_prelude:
                 continue
-            self.out.diagnostics.extend(check_variance_positions(self.table, entry))
-            self.out.diagnostics.extend(check_inheritance_variance(self.table, entry, self.strict))
+            for d in check_variance_positions(self.table, entry):
+                self.diag(d)
+            self.strict.extend(check_inheritance_variance(self.table, entry, True))
 
         for body in program_bodies(self.table, self.out.program):
             self.check_body(body)
+        self.out.diagnostics = self.strict if strict else self.baseline
+        self.out.level_diagnostics = (self.baseline, self.strict)
         return self.out
 
     def check_body(self, body: Body) -> None:
@@ -718,7 +749,7 @@ class _Checker:
             return BOOLEAN
         completed = complete_cast_target(self.table, source, target, None)
         self.out.is_targets[e] = completed
-        erased_error = False
+        erased_error = strict_error = False
         generic = isinstance(target, ClassType) and bool(target.args)
         erased_param = isinstance(target, ParamRef) and not subtype(self.table, source, target)
         if erased_param or generic and any(not isinstance(a, ParamRef) for a in target.args):
@@ -733,7 +764,7 @@ class _Checker:
                 )
             )
             erased_error = True
-        elif generic and self.strict and isinstance(source, ClassType):
+        elif generic and isinstance(source, ClassType):
             src_entry = self.table.classes.get(source.name)
             tgt_entry = self.table.classes.get(target.name)
             if (
@@ -742,7 +773,7 @@ class _Checker:
                 and src_entry.is_variant
                 and not tgt_entry.is_variant
             ):
-                self.diag(
+                self.strict.append(
                     error(
                         "E-GENERIC-IS",
                         e.loc,
@@ -750,16 +781,20 @@ class _Checker:
                         f"to non-variant class {target.name} is not allowed in strict mode",
                     )
                 )
-                erased_error = True
+                strict_error = True
         if not erased_error and subtype(self.table, source, completed):
-            self.diag(warning("W-REDUNDANT-IS", e.loc, "check for instance is always 'true'"))
+            redundant = warning("W-REDUNDANT-IS", e.loc, "check for instance is always 'true'")
+            self.baseline.append(redundant)
+            if not strict_error:
+                self.strict.append(redundant)
         return BOOLEAN
 
 
 def check_program(table: ClassTable, program: Program, strict: bool = False) -> CheckedProgram:
     """Type-check a program against a built class table.
 
-    Returns the typed program with its diagnostics; `strict` layers the
-    opt-in variance rules on top of the baseline behavior.
+    Returns the typed program with its diagnostics at `strict`, which adds
+    the opt-in variance rules to the baseline behavior; `at_strictness`
+    reads the same pass at the other level.
     """
-    return _Checker(table, program, strict).check()
+    return _Checker(table, program).check(strict)

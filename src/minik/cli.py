@@ -59,15 +59,15 @@ def build(source: str, filename: str, strict: bool = False) -> tuple[CheckedProg
 
 
 def _builds(source: str, filename: str, levels: tuple[bool, ...]) -> dict[bool, tuple[CheckedProgram | None, list[Diagnostic]]]:
-    """`build` at each strictness in `levels`, from one parse and one class
-    table: checking only reads the program and the table, whose memo keeps
-    answers that do not depend on the strictness."""
+    """`build` at each strictness in `levels`, from one parse, one class
+    table and one check pass, which gives its diagnostics at both levels."""
     program = parse(source, filename)
     table, table_diags = build_class_table(program)
     if has_errors(table_diags):
         return dict.fromkeys(levels, (None, table_diags))
-    checked = {strict: check_program(table, program, strict) for strict in levels}
-    return {strict: (c, table_diags + c.diagnostics) for strict, c in checked.items()}
+    checked = check_program(table, program, levels[0])
+    at_level = {strict: checked.at_strictness(strict) for strict in levels}
+    return {strict: (c, table_diags + c.diagnostics) for strict, c in at_level.items()}
 
 
 Built = tuple[CheckedProgram | None, list[Diagnostic]] | ParseError
@@ -113,8 +113,8 @@ def run_command(
 
 
 def _entry_builds(source: str, filename: str) -> dict[bool, Built]:
-    """`build_or_error` at both strictness levels, from one parse and one
-    class table checked twice: every golden column renders from one of
+    """`build_or_error` at both strictness levels, from one parse, one
+    class table and one check: every golden column renders from one of
     these, `check-strict` from the strict one."""
     try:
         return _builds(source, filename, (False, True))

@@ -13,6 +13,8 @@ The texts are the corpus programs, one program built around index reads and
 that calls a generic method under two instantiations, one that copies,
 returns, passes and tests a laundered element held in a variable, one
 whose jumps land on returns and whose methods take a laundered receiver,
+one with casts nested in a cast and in both a call's receiver and its
+argument,
 `--count` seeded character, line and identifier mutations of those, and
 small `launder` and `calltree` programs from `minik_bench/gen.py` (loaded
 by path, unchanged).
@@ -317,6 +319,32 @@ greet(list, 1, A())
 greet(list, 1, "s")
 """
 
+# Two casts in one top-level statement, twice: a cast in a call's receiver
+# (`0 as Int`) and one in its argument, and a cast nested in a cast. The
+# laundered list takes a `B`, so the erased run fails at the second read of
+# an `A`, and the reified run at the laundering cast.
+CASTS_PROGRAM = """\
+open class B
+
+class A : B() {
+    fun name(): String {
+        return "A"
+    }
+}
+
+val m = mutableListOf<A>()
+m.add(A())
+val l: List<B> = m
+val lists = mutableListOf<MutableList<B>>()
+lists.add(l as MutableList)
+val x: Any = B()
+lists.get(0 as Int).add(x as B)
+val n = l as List<A> as MutableList
+println(n.size)
+println(n.get(0).name())
+println(n.get(1).name())
+"""
+
 _SNIPPETS = ("[0]", ".get(0)", ".size", ".m()", " as Any", " as MutableList", " is A", "<B>")
 _CHARS = "abAB01 \n()[]<>{}.,:=\"?"
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -371,6 +399,7 @@ def make_texts(seed: int, count: int) -> list[tuple[str, str]]:
     bases.append(("dispatch.mk", DISPATCH_PROGRAM))
     bases.append(("reads.mk", LAUNDERED_READS_PROGRAM))
     bases.append(("threaded.mk", THREADED_PROGRAM))
+    bases.append(("casts.mk", CASTS_PROGRAM))
     texts = list(bases)
     rng = random.Random(f"differential:{seed}")
     for _ in range(count):

@@ -18,7 +18,6 @@ from minik.runtime import (
     checkcast_sites,
     run_program,
 )
-from minik.typesys import subtype
 
 from conftest import codes
 

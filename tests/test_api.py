@@ -108,7 +108,14 @@ def _module_names(tree: ast.Module) -> tuple[set[str], set[str]]:
     return imported, loaded
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=_name)
+TESTS = Path(__file__).parent
+
+
+@pytest.mark.parametrize(
+    "path",
+    SOURCES + sorted(TESTS.glob("*.py")),
+    ids=lambda path: f"tests/{path.name}" if path.parent == TESTS else _name(path),
+)
 def test_every_import_is_used(path):
     imported, loaded = _module_names(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(imported - loaded) == []

@@ -10,6 +10,7 @@ test runs every driver command under the tracer and fails instead.
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -170,6 +171,18 @@ def test_front_end_counters_keep_their_definition():
         "checker.exprs", "checker.coercions", "typesys.subtype_calls", "typesys.supinst_calls", "typesys.lub_calls")}
     assert checked == {"checker.exprs": 13, "checker.coercions": 2, "typesys.subtype_calls": 9,
                        "typesys.supinst_calls": 8, "typesys.lub_calls": 0}
+
+
+def test_a_traced_golden_run_checks_each_entry_once():
+    # P1 has 13 expressions (above); checking it once per strictness would
+    # count each of them twice.
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert minik.cli.run_corpus("P1", False, out=io.StringIO()) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["checker.exprs"] == 13
 
 
 @pytest.mark.parametrize(

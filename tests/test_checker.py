@@ -19,7 +19,7 @@ from minik.diagnostics import has_errors
 from minik.parser import parse
 from minik.typesys import build_class_table, program_bodies, subtype
 
-from conftest import codes, narrowed_uses
+from conftest import DISPLACED_REDUNDANT_IS, codes, narrowed_uses
 
 AB = "open class B\n\nclass A private constructor() : B()\n"
 
@@ -68,6 +68,7 @@ def test_condition_must_be_boolean(check_source):
 
 
 def test_strict_is_a_superset_of_baseline():
+    # On the corpus; `DISPLACED_REDUNDANT_IS` is a program where it is not.
     for entry in corpus.ENTRIES:
         _, base = build(entry.source(), entry.filename, strict=False)
         _, strict = build(entry.source(), entry.filename, strict=True)
@@ -314,6 +315,21 @@ def test_parameter_generic_instance_check_narrows_in_baseline(check_source):
 def test_parameter_generic_instance_check_rejected_in_strict(check_source):
     _, diags = check_source(GENERIC_IS, strict=True)
     assert "E-GENERIC-IS" in codes(diags)
+
+
+def test_a_strict_instance_check_error_displaces_the_redundant_warning(check_source):
+    # Strict is not a superset of baseline: the `is` it rejects no longer
+    # reads as always true.
+    checked, diags = check_source(DISPLACED_REDUNDANT_IS)
+    assert [(d.code, d.loc.line, d.loc.col) for d in diags] == [("W-REDUNDANT-IS", 6, 11)]
+    strict_checked, strict_diags = check_source(DISPLACED_REDUNDANT_IS, strict=True)
+    assert [(d.code, d.loc.file, d.loc.line, d.loc.col) for d in strict_diags] == [
+        ("W-VARIANT-INHERITANCE", "<prelude>", 6, 28),
+        ("E-GENERIC-IS", "test.mk", 6, 11),
+    ]
+    # One check pass gives both levels.
+    assert checked.at_strictness(True).diagnostics == strict_checked.diagnostics
+    assert strict_checked.at_strictness(False).diagnostics == checked.diagnostics
 
 
 def test_instance_check_against_a_type_parameter_is_an_error(check_source):

@@ -45,7 +45,7 @@ def _programs(texts: list[tuple[str, str]]) -> list[tuple[str, object]]:
     return programs
 
 
-# The corpus entries that check clean (all but P3a), the runner's five
+# The corpus entries that check clean (all but P3a), the runner's six
 # fixed texts and its four small generated programs.
 FIXED = _programs(differential.make_texts(0, 0))
 # The mutated texts of one seed that check clean, about one in twelve.
@@ -65,8 +65,8 @@ def _disagreements(programs, modes=MODES) -> list[tuple]:
 
 def test_the_fixed_texts_cover_the_corpus_and_every_runner_program():
     names = [filename for filename, _ in FIXED]
-    assert len(names) == 14 + 5 + 4
-    assert {"index.mk", "receiver.mk", "dispatch.mk", "reads.mk", "threaded.mk"} <= set(names)
+    assert len(names) == 14 + 6 + 4
+    assert {"index.mk", "receiver.mk", "dispatch.mk", "reads.mk", "threaded.mk", "casts.mk"} <= set(names)
 
 
 @pytest.mark.parametrize("name", sorted(MODES))
