@@ -229,7 +229,8 @@ def check_inheritance_variance(table: ClassTable, entry: ClassEntry, strict: boo
     """Strict-mode rule: a type parameter that weakens the variance of the
     supertype parameter it instantiates (e.g. a non-variant T filling an
     'out' slot) must be acknowledged with @UnsafeVariance on the supertype
-    reference."""
+    reference. With `strict` false it reports nothing; the check pass asks
+    for strict and files the result under that level alone."""
     if not strict:
         return []
     diags: list[Diagnostic] = []
@@ -260,16 +261,18 @@ def check_inheritance_variance(table: ClassTable, entry: ClassEntry, strict: boo
 
 
 @functools.cache
-def _prelude_variance_diagnostics(strict: bool) -> tuple[Diagnostic, ...]:
-    """Both variance checks over the prelude's entries, once per process and
-    strictness: every table shares those entries, and they refer only to
-    one another."""
+def _prelude_variance_diagnostics() -> tuple[tuple[Diagnostic, ...], tuple[Diagnostic, ...]]:
+    """Both variance checks over the prelude's entries, baseline then
+    strict, once per process: every table shares those entries, and they
+    refer only to one another."""
     table = ClassTable(_prelude_classes(), {})
-    return tuple(
-        d
-        for entry in table.classes.values()
-        for d in check_variance_positions(table, entry) + check_inheritance_variance(table, entry, strict)
-    )
+    baseline: list[Diagnostic] = []
+    strict: list[Diagnostic] = []
+    for entry in table.classes.values():
+        positions = check_variance_positions(table, entry)
+        baseline += positions
+        strict += positions + check_inheritance_variance(table, entry, True)
+    return tuple(baseline), tuple(strict)
 
 
 # ============================================================
@@ -499,8 +502,9 @@ class _Checker:
     # -- program ----------------------------------------------------------
 
     def check(self, strict: bool) -> CheckedProgram:
-        self.baseline.extend(_prelude_variance_diagnostics(False))
-        self.strict.extend(_prelude_variance_diagnostics(True))
+        prelude_baseline, prelude_strict = _prelude_variance_diagnostics()
+        self.baseline.extend(prelude_baseline)
+        self.strict.extend(prelude_strict)
         for entry in self.table.classes.values():
             if entry.is_prelude:
                 continue

@@ -53,21 +53,16 @@ def run_program(checked: CheckedProgram, mode: str, eager_checkcast: bool = Fals
 
 
 def build(source: str, filename: str, strict: bool = False) -> tuple[CheckedProgram | None, list[Diagnostic]]:
-    """Parse, build the class table, and check. Returns (checked, all
-    diagnostics); checked is None when table construction already failed."""
-    return _builds(source, filename, (strict,))[strict]
-
-
-def _builds(source: str, filename: str, levels: tuple[bool, ...]) -> dict[bool, tuple[CheckedProgram | None, list[Diagnostic]]]:
-    """`build` at each strictness in `levels`, from one parse, one class
-    table and one check pass, which gives its diagnostics at both levels."""
+    """Parse, build the class table, and check. Returns (checked, its
+    diagnostics at `strict`), or (None, the table's diagnostics) when the
+    table has any: each is an `E-TABLE` error. The one check pass holds
+    both levels, so `run_command` reads either level from this build."""
     program = parse(source, filename)
     table, table_diags = build_class_table(program)
-    if has_errors(table_diags):
-        return dict.fromkeys(levels, (None, table_diags))
-    checked = check_program(table, program, levels[0])
-    at_level = {strict: checked.at_strictness(strict) for strict in levels}
-    return {strict: (c, table_diags + c.diagnostics) for strict, c in at_level.items()}
+    if table_diags:
+        return None, table_diags
+    checked = check_program(table, program, strict)
+    return checked, checked.diagnostics
 
 
 Built = tuple[CheckedProgram | None, list[Diagnostic]] | ParseError
@@ -92,7 +87,8 @@ def run_command(
 ) -> tuple[str, int]:
     """The stdout and exit code of `check`, `lint`, `run` or `sites` on one
     source text. `built`, when given, is `build_or_error` of that text at
-    the same strictness; no command mutates it, so callers may share it."""
+    either strictness, and the command reads `strict`'s level from it; no
+    command mutates it, so callers may share it."""
     if command not in ("check", "lint", "run", "sites"):
         raise ValueError(f"unknown command {command}")
     if built is None:
@@ -100,6 +96,9 @@ def run_command(
     if isinstance(built, ParseError):
         return f"parse error {built.loc}: {built.message}\n", 2
     checked, diags = built
+    if checked is not None:
+        checked = checked.at_strictness(strict)
+        diags = checked.diagnostics
     if command in ("check", "lint"):
         if command == "lint" and checked is not None:
             diags = diags + lint_program(checked)
@@ -112,17 +111,7 @@ def run_command(
     return "".join(s.render() + "\n" for s in checkcast_sites(checked)), 0
 
 
-def _entry_builds(source: str, filename: str) -> dict[bool, Built]:
-    """`build_or_error` at both strictness levels, from one parse, one
-    class table and one check: every golden column renders from one of
-    these, `check-strict` from the strict one."""
-    try:
-        return _builds(source, filename, (False, True))
-    except ParseError as e:
-        return dict.fromkeys((False, True), e)
-
-
-def _column_output(source: str, filename: str, column: str, builds: dict[bool, Built]) -> str:
+def _column_output(source: str, filename: str, column: str, built: Built) -> str:
     """The exact text a golden records for one driver column: the command's
     stdout, marked where errors blocked a run or a site listing."""
     from .corpus import COLUMNS
@@ -130,8 +119,7 @@ def _column_output(source: str, filename: str, column: str, builds: dict[bool, B
     if column not in COLUMNS:
         raise ValueError(f"unknown column {column}")
     command, _, variant = column.partition("-")  # check-strict, run-erased, run-reified
-    strict = variant == "strict"
-    out, code = run_command(command, source, filename, strict=strict, mode=variant, built=builds[strict])
+    out, code = run_command(command, source, filename, strict=variant == "strict", mode=variant, built=built)
     if command in ("run", "sites") and code == 1:
         out += BLOCKED_MARKER + "\n"
     return out
@@ -143,21 +131,24 @@ def _column_output(source: str, filename: str, column: str, builds: dict[bool, B
 
 
 def _golden_render(entry: CorpusEntry) -> str:
+    """The golden text of one entry: every column's output under its
+    header, all six from one build. `--bless` writes it; the check compares
+    its sections with the golden file's."""
     from .corpus import COLUMNS
 
-    lines = [f"# {entry.id}: {entry.title}"]
     source = entry.source()
-    builds = _entry_builds(source, entry.filename)
+    built = build_or_error(source, entry.filename, False)
+    lines = [f"# {entry.id}: {entry.title}"]
     for column in COLUMNS:
         lines.append(f"== {column} ==")
-        out = _column_output(source, entry.filename, column, builds)
-        lines.extend(out.splitlines())
+        lines.extend(_column_output(source, entry.filename, column, built).splitlines())
     return "\n".join(lines) + "\n"
 
 
 def _golden_sections(text: str) -> dict[str, list[str]]:
-    # Lines starting with '#' are annotations and blank lines are layout;
-    # corpus programs must not print either shape.
+    # Lines starting with '#' are annotations, blank lines are layout and
+    # `== <column> ==` lines are headers; corpus programs must not print any
+    # of these shapes.
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
     for line in text.splitlines():
@@ -169,10 +160,6 @@ def _golden_sections(text: str) -> dict[str, list[str]]:
         if current is not None:
             current.append(line.rstrip())
     return sections
-
-
-def _significant(text: str) -> list[str]:
-    return [ln.rstrip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
 
 
 @contextlib.contextmanager
@@ -200,40 +187,34 @@ def run_corpus(filter_prefix: str | None, bless: bool, out=None) -> int:
             return 2
         if bless:
             corpus_pkg.GOLDEN_DIR.mkdir(exist_ok=True)
-            for entry in entries:
-                entry.golden_path.write_text(_golden_render(entry), encoding="utf-8")
-                print(f"{entry.id} blessed", file=out)
-            return 0
-        total = 0
         failed = 0
         for entry in entries:
-            golden = (
-                _golden_sections(entry.golden_path.read_text(encoding="utf-8"))
-                if entry.golden_path.exists()
-                else {}
-            )
-            source = entry.source()
-            builds = _entry_builds(source, entry.filename)
+            rendered = _golden_render(entry)
+            if bless:
+                entry.golden_path.write_text(rendered, encoding="utf-8")
+                print(f"{entry.id} blessed", file=out)
+                continue
+            path = entry.golden_path
+            golden = _golden_sections(path.read_text(encoding="utf-8")) if path.exists() else {}
+            actual_sections = _golden_sections(rendered)
             for column in corpus_pkg.COLUMNS:
-                total += 1
-                actual = _significant(_column_output(source, entry.filename, column, builds))
-                expected = golden.get(column)
-                if expected is None:
-                    failed += 1
-                    print(f"{entry.id} {column} FAIL", file=out)
-                    print(f"  missing golden section {column}", file=out)
-                    continue
+                actual, expected = actual_sections[column], golden.get(column)
                 if actual == expected:
                     print(f"{entry.id} {column} PASS", file=out)
-                else:
-                    failed += 1
-                    print(f"{entry.id} {column} FAIL", file=out)
-                    for a, b in zip(expected + ["<end>"] * len(actual), actual + ["<end>"] * len(expected)):
-                        if a != b:
-                            print(f"  expected: {a}", file=out)
-                            print(f"  actual:   {b}", file=out)
-                            break
-        print(f"total={total} failed={failed}", file=out)
+                    continue
+                failed += 1
+                print(f"{entry.id} {column} FAIL", file=out)
+                if expected is None:
+                    print(f"  missing golden section {column}", file=out)
+                    continue
+                for a, b in zip(expected + ["<end>"] * len(actual), actual + ["<end>"] * len(expected)):
+                    if a != b:
+                        print(f"  expected: {a}", file=out)
+                        print(f"  actual:   {b}", file=out)
+                        break
+        if bless:
+            return 0
+        print(f"total={len(entries) * len(corpus_pkg.COLUMNS)} failed={failed}", file=out)
         return 1 if failed else 0
 
 
@@ -262,10 +243,6 @@ def cmd_file(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
-    return run_corpus(args.filter, args.bless)
-
-
 @functools.cache
 def _argument_parser() -> argparse.ArgumentParser:
     """Built on the first `main` call and reused by every later one:
@@ -276,11 +253,9 @@ def _argument_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="type-check a program and print diagnostics")
     p.add_argument("file")
     p.add_argument("--strict", action="store_true", help="enable the strict variance rules")
-    p.set_defaults(fn=cmd_file)
 
     p = sub.add_parser("lint", help="baseline diagnostics plus the provenance cast lint")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_file)
 
     p = sub.add_parser("run", help="evaluate a program")
     p.add_argument("file")
@@ -290,23 +265,22 @@ def _argument_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="erased mode: also verify every acquisition at its own location",
     )
-    p.set_defaults(fn=cmd_file)
 
     p = sub.add_parser("sites", help="print the checkcast sites the erased runtime will verify")
     p.add_argument("file")
-    p.set_defaults(fn=cmd_file)
 
     p = sub.add_parser("corpus", help="diff every bundled program against its golden")
     p.add_argument("--filter", help="only entries whose id starts with this prefix")
     p.add_argument("--bless", action="store_true", help="regenerate the golden files")
-    p.set_defaults(fn=cmd_corpus)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     with _collector_paused():
         args = _argument_parser().parse_args(argv)
-        return args.fn(args)
+        if args.command == "corpus":
+            return run_corpus(args.filter, args.bless)
+        return cmd_file(args)
 
 
 if __name__ == "__main__":

@@ -38,13 +38,14 @@ from .ast import (
     Variance,
 )
 from .diagnostics import Diagnostic, error
-from .parser import parse
+from .parser import _BUILTIN_TYPES, parse
 from .records import Record
 
 PRELUDE_FILE = "<prelude>"
 
-# Types the language provides without a class declaration.
-_BUILT_IN_TYPE_NAMES = frozenset({"Any", "Boolean", "Int", "String", "Unit"})
+# Types the language provides without a class declaration: the parser's
+# built-in types, and `Any`, which it reads apart for `Any?`.
+_BUILT_IN_TYPE_NAMES = frozenset(_BUILTIN_TYPES) | {"Any"}
 
 # The always-present collection hierarchy: a covariant read-only List with a
 # non-variant MutableList below it, plus the backing ArrayList class.

@@ -177,6 +177,18 @@ def test_no_module_calls_id():
     assert callers == []
 
 
+def test_only_the_driver_calls_at_strictness():
+    # A build holds both strictness levels, and a command reads its own in
+    # `cli.run_command`; nothing else picks a level from a checked program.
+    callers = [
+        _name(path)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "at_strictness"
+    ]
+    assert callers == ["cli.py"]
+
+
 def test_only_the_syntax_modules_name_index():
     # Everywhere else an index read is the `get` call it stands for.
     namers = sorted(_name(path) for path in SOURCES if re.search(r"\bIndex\b", path.read_text(encoding="utf-8")))

@@ -103,8 +103,9 @@ def test_tracer_counts_every_layer_in_a_fresh_interpreter():
 
 
 def test_tracer_counts_the_front_end_of_a_golden_run_alone(capsys):
-    # The golden run parses, builds and checks without `cli.build`, through
-    # the globals the tracer patches.
+    # The golden run builds each entry once through `cli.build`, which
+    # parses, builds the table and checks through the globals the tracer
+    # patches.
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -114,6 +115,7 @@ def test_tracer_counts_the_front_end_of_a_golden_run_alone(capsys):
     capsys.readouterr()
     for counter in ("lexer.tokens", "typesys.classes", "checker.coercions"):
         assert tracer.counts[counter] > 0, counter
+    assert tracer.counts["cli.builds"] == 1
 
 
 def _load_gen(monkeypatch):

@@ -214,9 +214,10 @@ def test_the_argument_parser_is_built_once(monkeypatch, capsys, corpus_file, fre
     capsys.readouterr()
 
 
-# Each golden column of these renders from one shared build per strictness:
+# Each golden column of these renders from one build shared by all six:
 # every corpus entry, P3a among them (errors block its run and sites
-# columns), a parse error and a class-table failure.
+# columns), a parse error, a class-table failure, and a program whose strict
+# level is not a superset of its baseline.
 SHARED_BUILD_SOURCES = [(e.source(), e.filename) for e in corpus_pkg.ENTRIES] + [
     ("class A {\n", "unclosed.mk"),
     ("open class A : A()\n", "cycle.mk"),
@@ -224,14 +225,19 @@ SHARED_BUILD_SOURCES = [(e.source(), e.filename) for e in corpus_pkg.ENTRIES] + 
 ]
 
 
+def _fresh(source: str, filename: str, column: str) -> cli.Built:
+    """A build of its own at the strictness of `column`."""
+    return cli.build_or_error(source, filename, column == "check-strict")
+
+
 @pytest.mark.parametrize("source, filename", SHARED_BUILD_SOURCES, ids=[f for _, f in SHARED_BUILD_SOURCES])
 def test_a_shared_build_gives_the_output_of_a_fresh_one(source, filename):
+    # In either column order: no column changes what the next one reads.
     for columns in (corpus_pkg.COLUMNS, tuple(reversed(corpus_pkg.COLUMNS))):
-        shared = cli._entry_builds(source, filename)
+        shared = cli.build_or_error(source, filename, False)
         for column in columns:
-            fresh = cli._entry_builds(source, filename)
             assert cli._column_output(source, filename, column, shared) == cli._column_output(
-                source, filename, column, fresh
+                source, filename, column, _fresh(source, filename, column)
             ), column
 
 
@@ -259,19 +265,20 @@ def test_a_golden_run_builds_and_checks_each_entry_once(monkeypatch):
         counting(name)  # the module globals the golden run looks up
     assert run_corpus(None, False, out=io.StringIO()) == 0
     n = len(corpus_pkg.ENTRIES)
-    assert sorted(calls) == ["build_class_table"] * n + ["check_program"] * n + ["parse"] * n
+    assert sorted(calls) == ["build"] * n + ["build_class_table"] * n + ["check_program"] * n + ["parse"] * n
 
 
 @pytest.mark.parametrize("source, filename", SHARED_BUILD_SOURCES, ids=[f for _, f in SHARED_BUILD_SOURCES])
 def test_golden_builds_render_what_separate_builds_render(source, filename):
-    # `_entry_builds` parses and builds the table once for both levels;
-    # every column must read as if `build` had run at each level alone.
-    separate = {strict: cli.build_or_error(source, filename, strict) for strict in (False, True)}
-    shared = cli._entry_builds(source, filename)
+    # The golden run renders all six columns from one baseline build, and
+    # `run_command` reads each column's level from it; every column must
+    # read as if `build` had run at that level alone, and so must every
+    # column of one strict build.
+    shared = {strict: cli.build_or_error(source, filename, strict) for strict in (False, True)}
     for column in corpus_pkg.COLUMNS:
-        assert cli._column_output(source, filename, column, shared) == cli._column_output(
-            source, filename, column, separate
-        ), column
+        expected = cli._column_output(source, filename, column, _fresh(source, filename, column))
+        for strict, built in shared.items():
+            assert cli._column_output(source, filename, column, built) == expected, (column, strict)
 
 
 def test_full_corpus_passes(capsys):
@@ -320,6 +327,32 @@ def test_injected_golden_mismatch_fails(tmp_path, monkeypatch):
     out = report.getvalue()
     assert "P2 check FAIL" in out
     assert "P2 run-erased PASS" in out
+
+
+def test_the_golden_report_names_a_missing_section_a_missing_file_and_a_short_golden(tmp_path, monkeypatch):
+    shutil.copytree(corpus_pkg.GOLDEN_DIR, tmp_path / "golden")
+    goldens = tmp_path / "golden"
+    (goldens / "P1.golden").unlink()
+    p2 = goldens / "P2.golden"
+    p2.write_text(p2.read_text(encoding="utf-8").partition("== sites ==")[0], encoding="utf-8")
+    p3b = goldens / "P3b.golden"
+    p3b.write_text(p3b.read_text(encoding="utf-8").replace("== run-erased ==\ncompleted\n", "== run-erased ==\n"),
+                   encoding="utf-8")
+    monkeypatch.setattr(corpus_pkg, "GOLDEN_DIR", goldens)
+    report = io.StringIO()
+    assert run_corpus(None, bless=False, out=report) == 1
+    lines = report.getvalue().splitlines()
+    for column in corpus_pkg.COLUMNS:
+        at = lines.index(f"P1 {column} FAIL")
+        assert lines[at + 1] == f"  missing golden section {column}"
+    at = lines.index("P2 sites FAIL")
+    assert lines[at + 1] == "  missing golden section sites"
+    assert "P2 check PASS" in lines
+    at = lines.index("P3b run-erased FAIL")
+    assert lines[at + 1 : at + 3] == ["  expected: <end>", "  actual:   completed"]
+    assert "P3b run-reified PASS" in lines
+    assert sum(line.endswith(" FAIL") for line in lines) == 8
+    assert lines[-1] == "total=90 failed=8"
 
 
 def test_bless_writes_identical_goldens(tmp_path, monkeypatch):
