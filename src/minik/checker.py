@@ -385,7 +385,7 @@ def infer_call_type_args(
     table: ClassTable,
     type_params: tuple[str, ...],
     declared_params: tuple[TypeRef, ...],
-    arg_types: tuple[TypeRef, ...],
+    arg_types: tuple[TypeRef, ...] | list[TypeRef],
 ) -> dict[str, TypeRef] | str:
     """Infer a substitution for a generic call: each type parameter becomes
     the least upper bound of every argument type constraining it. Returns an
@@ -494,9 +494,11 @@ class _Checker:
     def coerce(self, node: Expr, from_t: TypeRef, to_t: TypeRef, loc: SourceLoc, what: str) -> None:
         """Report `node` unless `from_t` is a subtype of `to_t` (its `what`);
         record a real upcast for the provenance lint."""
+        if from_t is to_t:  # types are interned
+            return
         if not subtype(self.table, from_t, to_t):
             self.e_type(loc, f"{from_t.render()} is not a subtype of {what} {to_t.render()}")
-        elif from_t != to_t:
+        else:
             self.out.coercions[node] = to_t
 
     # -- program ----------------------------------------------------------
@@ -588,35 +590,35 @@ class _Checker:
     # -- expressions --------------------------------------------------------
 
     def check_expr(self, e: Expr, scope: _Scope, expected: TypeRef | None = None) -> TypeRef:
-        t = self._expr(e, scope, expected)
-        self.out.expr_types[e] = t
-        return t
-
-    def _expr(self, e: Expr, scope: _Scope, expected: TypeRef | None) -> TypeRef:
+        """`e`'s static type, recorded in `expr_types`: the one dispatch on
+        the expression kinds. A nested expression costs two Python frames,
+        this one and its kind's method's."""
         if isinstance(e, VarRef):  # names and calls, the most frequent kinds, first
             t = scope.lookup(e.name)
             if t is None:
                 self.e_type(e.loc, f"unknown name {e.name}")
-                return ANY_NULLABLE
-            return t
-        if isinstance(e, CallExpr):
-            return self.check_call(e, scope)
-        if isinstance(e, IntLit):
-            return INT
-        if isinstance(e, StringLit):
-            return STRING
-        if isinstance(e, MethodCall):
-            return self.check_member_call(e, scope)
-        if isinstance(e, PropertyGet):
-            return self.check_property_get(e, scope)
-        if isinstance(e, CastExpr):
-            return self.check_cast(e, scope, expected)
-        if isinstance(e, IsExpr):
-            return self.check_is(e, scope)
-        raise TypeError(f"unknown expression {e!r}")
+                t = ANY_NULLABLE
+        elif isinstance(e, CallExpr):
+            t = self.check_call(e, scope)
+        elif isinstance(e, IntLit):
+            t = INT
+        elif isinstance(e, StringLit):
+            t = STRING
+        elif isinstance(e, MethodCall):
+            t = self.check_member_call(e, scope)
+        elif isinstance(e, PropertyGet):
+            t = self.check_property_get(e, scope)
+        elif isinstance(e, CastExpr):
+            t = self.check_cast(e, scope, expected)
+        elif isinstance(e, IsExpr):
+            t = self.check_is(e, scope)
+        else:
+            raise TypeError(f"unknown expression {e!r}")
+        self.out.expr_types[e] = t
+        return t
 
     def check_call(self, e: CallExpr, scope: _Scope) -> TypeRef:
-        if self.table.has_class(e.name):
+        if e.name in self.table.classes:
             return self.check_ctor(e, scope)
         sig = self.table.functions.get(e.name)
         if sig is None:
@@ -624,7 +626,10 @@ class _Checker:
             for a in e.args:
                 self.check_expr(a, scope)
             return ANY_NULLABLE
-        arg_types = tuple([self.check_expr(a, scope) for a in e.args])
+        # A loop, not a comprehension, which is one more frame per level on Python 3.11.
+        arg_types = []
+        for a in e.args:
+            arg_types.append(self.check_expr(a, scope))
         if len(arg_types) != len(sig.param_types):
             self.e_type(e.loc, f"{e.name} expects {len(sig.param_types)} argument(s), got {len(arg_types)}")
             return ANY_NULLABLE
@@ -696,7 +701,9 @@ class _Checker:
 
     def check_member_call(self, e: MethodCall, scope: _Scope) -> TypeRef:
         recv_t = self.check_expr(e.receiver, scope)
-        arg_types = tuple([self.check_expr(a, scope) for a in e.args])
+        arg_types = []
+        for a in e.args:
+            arg_types.append(self.check_expr(a, scope))
         found = self.lookup_member(e, recv_t, e.name, "method")
         if found is None:
             return ANY_NULLABLE
@@ -706,7 +713,7 @@ class _Checker:
             return substitute(sig.return_type, bindings)
         return self.resolve_call(e, arg_types, sig, bindings)
 
-    def resolve_call(self, e: Call, arg_types: tuple[TypeRef, ...], sig: Signature,
+    def resolve_call(self, e: Call, arg_types: list[TypeRef], sig: Signature,
                      bindings: dict[str, TypeRef]) -> TypeRef:
         """Coerce `e`'s arity-checked arguments to `sig`'s parameters under
         `bindings`, record how `e` resolved and return its result type."""

@@ -159,13 +159,15 @@ class ClassTable(Record, hidden=("memo",)):
         self.functions = functions
         # Answers to type questions on this table, keyed by the query's name
         # and its arguments: ("subtype", s, t) for two class types,
-        # ("supinst", t, ancestor) including None answers, ("resolve", t,
-        # scope, allow_bare) for successful resolutions only, ("lub", s, t),
-        # and the checker's ("cast", source, target) for completed targets.
-        # Types are interned, so a key hashes and compares in O(1). Valid as
-        # long as the table: the class names and arities that resolution
-        # reads are fixed once the classes are collected, and the rest once
-        # the table is built. Neither compared nor shown.
+        # ("supinst", t, ancestor) and ("member", t, name, kind) including
+        # None answers, ("resolve", t, scope, allow_bare) for successful
+        # resolutions only, ("lub", s, t), and the checker's ("cast",
+        # source, target) for completed targets. Types are interned, so a
+        # key hashes and compares in O(1). Valid as long as the table: the
+        # class names and arities that resolution reads are fixed once the
+        # classes are collected, and the rest once the table is built. An
+        # answer is shared by every caller that asks, so none may change it
+        # (`find_member`'s bindings included). Neither compared nor shown.
         self.memo: dict[tuple, object] = {}
 
     def entry(self, name: str) -> ClassEntry:
@@ -572,10 +574,11 @@ def program_bodies(table: ClassTable, program: Program) -> Iterator[Body]:
 
 
 def substitute(t: TypeRef, bindings: dict[str, TypeRef]) -> TypeRef:
-    if isinstance(t, ParamRef):
+    cls = type(t)  # no type class has subclasses
+    if cls is ParamRef:
         return bindings.get(t.name, t)
-    if isinstance(t, ClassType) and t.args:
-        return ClassType(t.name, tuple(substitute(a, bindings) for a in t.args))
+    if cls is ClassType and t.args:
+        return ClassType(t.name, tuple([substitute(a, bindings) for a in t.args]))
     return t
 
 
@@ -608,14 +611,23 @@ def find_member(table: ClassTable, t: ClassType, name: str, kind: str):
     """(signature, bindings) of the method or property (`kind`) `name` that
     instances of `t` see, the first up its ancestors in `ancestor_of` order;
     else None. The bindings are the declaring class's parameters as `t`
-    instantiates them: none when `t` is bare or that class is not generic."""
+    instantiates them: none when `t` is bare or that class is not generic.
+    Memoized on the table, so every caller gets the same bindings dict and
+    only reads it."""
+    key = ("member", t, name, kind)
+    found = table.memo.get(key, _UNKNOWN)
+    if found is not _UNKNOWN:
+        return found
+    found = None
     for owner in table.classes[t.name].ancestor_of:
         entry = table.classes[owner]
         sig = (entry.methods if kind == "method" else entry.properties).get(name)
         if sig is not None:
             instantiated = t.args is not None and entry.type_params
-            return sig, entry.bindings(supertype_instantiation(table, t, owner).args) if instantiated else {}
-    return None
+            found = sig, entry.bindings(supertype_instantiation(table, t, owner).args) if instantiated else {}
+            break
+    table.memo[key] = found
+    return found
 
 
 def class_conforms(table: ClassTable, actual: str, expected: str) -> bool:
@@ -647,8 +659,20 @@ def subtype(table: ClassTable, s: TypeRef, t: TypeRef) -> bool:
     Reflexive; everything is below Any?; every non-nullable type is below
     Any; class heads compare per-parameter by declared variance.
     """
-    if s == t:
+    if s is t:  # types are interned
         return True
+    if type(s) is ClassType and type(t) is ClassType:  # the most frequent case, first
+        if s.args is None or t.args is None:
+            return False
+        key = ("subtype", s, t)
+        found = table.memo.get(key)
+        if found is not None:
+            return found
+        inst = supertype_instantiation(table, s, t.name)
+        # `inst` has arguments: it is `s` or an ancestor, and every ancestor has.
+        found = inst is not None and _args_conform(table, table.classes[t.name].type_params, inst.args, t.args)
+        table.memo[key] = found
+        return found
     if isinstance(t, NullableTopType):
         return True
     if isinstance(s, NullableTopType):
@@ -663,19 +687,8 @@ def subtype(table: ClassTable, s: TypeRef, t: TypeRef) -> bool:
         return False  # equal ParamRefs already matched above
     if isinstance(s, PrimitiveType) or isinstance(t, PrimitiveType):
         return False  # distinct primitives are unrelated
-    if not isinstance(s, ClassType) or not isinstance(t, ClassType):
-        raise TypeError(f"not a miniK type: {s!r} or {t!r}")
-    if s.args is None or t.args is None:
-        return False
-    key = ("subtype", s, t)
-    found = table.memo.get(key)
-    if found is not None:
-        return found
-    inst = supertype_instantiation(table, s, t.name)
-    # `inst` has arguments: it is `s` or an ancestor, and every ancestor has.
-    found = inst is not None and _args_conform(table, table.classes[t.name].type_params, inst.args, t.args)
-    table.memo[key] = found
-    return found
+    # Two class types returned above, so a class type here faces a non-type.
+    raise TypeError(f"not a miniK type: {s!r} or {t!r}")
 
 
 def nominal_ancestors(table: ClassTable, t: TypeRef) -> list[TypeRef]:
@@ -712,14 +725,10 @@ def lub(table: ClassTable, s: TypeRef, t: TypeRef) -> TypeRef:
     found = table.memo.get(key)
     if found is not None:
         return found
-    candidates = nominal_ancestors(table, s) + nominal_ancestors(table, t)
+    # Both sides share ancestors (Any and Any? at least); each is scanned once.
+    candidates = dict.fromkeys(nominal_ancestors(table, s) + nominal_ancestors(table, t))
     common = [c for c in candidates if subtype(table, s, c) and subtype(table, t, c)]
-    minimal: list[TypeRef] = []
-    for c in common:
-        if any(d != c and subtype(table, d, c) for d in common):
-            continue
-        if c not in minimal:
-            minimal.append(c)
+    minimal = [c for c in common if not any(d is not c and subtype(table, d, c) for d in common)]
     if len(minimal) == 1:
         found = minimal[0]
     elif subtype(table, s, ANY) and subtype(table, t, ANY):

@@ -18,13 +18,15 @@ argument,
 `--count` seeded character, line and identifier mutations of those, and
 small `launder` and `calltree` programs from `minik_bench/gen.py` (loaded
 by path, unchanged).
-Each tree runs every text through the seven command forms in `FORMS`, in
-one subprocess per tree. A Python exception escaping a command is a host
-exception: its type and message become that result, and its innermost
-frames are reported beside it. The JSON summary gives the texts, the
-results, the host exceptions per side and the differing results grouped by
-command form and by first differing line. The exit code is 0 when nothing
-differs and neither side raised, 1 otherwise.
+Each tree builds every text once and runs that build through the seven
+command forms in `FORMS`, in one subprocess per tree. A Python exception
+escaping a build or a command is a host exception: its type and message
+become that result (a build's, every form's), and its innermost frames are
+reported beside it. The JSON summary gives the texts, the results, each
+side's worker wall time over the texts (`worker_s`), the host exceptions
+per side and the differing results grouped by command form and by first
+differing line. The exit code is 0 when nothing differs and neither side
+raised, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import traceback
 from pathlib import Path
 
@@ -420,7 +423,8 @@ def make_texts(seed: int, count: int) -> list[tuple[str, str]]:
 
 
 def work(tree: Path, texts: list[tuple[str, str]]) -> dict:
-    """Every text through every form with the `minik` of `tree`."""
+    """Every text through every form with the `minik` of `tree`, and the
+    seconds that took."""
     sys.path.insert(0, str(tree / "src"))
     import minik
     from minik.cli import build_or_error, run_command
@@ -430,22 +434,29 @@ def work(tree: Path, texts: list[tuple[str, str]]) -> dict:
         raise RuntimeError(f"imported {imported}, not the minik of {tree}")
 
     results, where = [], {}
+    started = time.perf_counter()
     for i, (filename, source) in enumerate(texts):
-        builds: dict[bool, object] = {}
+        # One build serves every form: each command reads its level from it.
+        failed = built = None
+        try:
+            built = build_or_error(source, filename, False)
+        except Exception as exc:  # reported on every form below
+            failed = exc
         row = []
         for form, command, strict, mode, eager in FORMS:
             try:
-                if strict not in builds:
-                    builds[strict] = build_or_error(source, filename, strict)
+                if failed is not None:
+                    raise failed
                 out, code = run_command(command, source, filename, strict=strict, mode=mode,
-                                        eager_checkcast=eager, built=builds[strict])
+                                        eager_checkcast=eager, built=built)
                 row.append(f"exit {code}\n{out}")
             except Exception as exc:  # a host exception is a finding: kept as the result, traced apart
                 row.append(f"{HOST_EXCEPTION}{type(exc).__name__}: {exc}")
                 frames = traceback.extract_tb(exc.__traceback__)[-3:]
                 where[f"{i} {form}"] = [f"{Path(f.filename).name}:{f.lineno} {f.name}" for f in frames]
         results.append(row)
-    return {"minik": str(imported.relative_to(tree)), "results": results, "where": where}
+    seconds = time.perf_counter() - started
+    return {"minik": str(imported.relative_to(tree)), "results": results, "where": where, "seconds": seconds}
 
 
 def _run_tree(tree: Path, inputs: Path, output: Path) -> subprocess.Popen:
@@ -511,6 +522,7 @@ def compare(old_tree: Path, new_tree: Path, seed: int = 0, count: int = 2000) ->
         "forms": [f[0] for f in FORMS],
         "texts": len(texts),
         "results": len(texts) * len(FORMS),
+        "worker_s": {"old": old["seconds"], "new": new["seconds"]},
         "host_exceptions": {side: len(found) for side, found in host.items()},
         "host_exception_examples": {side: found[:5] for side, found in host.items()},
         "differing_results": sum(g["count"] for g in differences.values()),

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import threading
 
 import pytest
 
-from minik import corpus
+from minik import cli, corpus
 from minik.ast import ANY, ClassType, Expr, VarRef, walk
 from minik.checker import (
     CastClassification,
@@ -537,3 +538,42 @@ def test_an_index_read_without_a_get_is_a_missing_get():
     source = "class Plain\nval p = Plain()\nprintln(p[0])\nval n = 1\nprintln(n[0])\n"
     expected = "error E-TYPE v.mk:3:9: Plain has no method get\nerror E-TYPE v.mk:5:9: Int has no member get\n"
     assert run_command("check", source, "v.mk") == (expected, 1)
+
+
+# Every program's strict check repeats the prelude's one strict warning.
+PRELUDE_STRICT = (
+    "warning W-VARIANT-INHERITANCE <prelude>:6:28: parameter T of MutableList weakens the 'out' variance "
+    "of List.T; acknowledge with @UnsafeVariance on the supertype reference\n"
+)
+DEEP_FORMS = [
+    (["check"], ""),
+    (["check", "--strict"], PRELUDE_STRICT),
+    (["lint"], ""),
+    (["sites"], ""),
+    (["run", "--mode", "erased"], "1\ncompleted\n"),
+    (["run", "--mode", "reified"], "1\ncompleted\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", DEEP_FORMS, ids=["check", "strict", "lint", "sites", "erased", "reified"])
+@pytest.mark.parametrize(
+    "source",
+    [
+        "fun f(x: Int): Int {\n    return x\n}\nprintln(" + "f(" * 400 + "1" + ")" * 400 + ")\n",
+        "val a: Any = 1\nval b = a" + " as Any" * 400 + "\nprintln(b)\n",
+    ],
+    ids=["nested-calls", "cast-chain"],
+)
+def test_400_levels_of_nesting_pass_every_command(tmp_path, capsys, source, argv, stdout):
+    # The checker spends two Python frames per expression level, so both
+    # shapes check at 400 deep; at three or four frames a level they raised
+    # RecursionError at about 330 and 250. `main` runs in a thread of its
+    # own, whose Python stack starts empty.
+    path = tmp_path / "deep.mk"
+    path.write_text(source, encoding="utf-8")
+    exits = []
+    thread = threading.Thread(target=lambda: exits.append(cli.main(argv + [str(path)])))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and exits == [0]
+    assert capsys.readouterr().out == stdout

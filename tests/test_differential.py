@@ -13,6 +13,7 @@ def test_a_tree_compared_with_itself_shows_no_difference():
     assert summary["results"] == summary["texts"] * len(differential.FORMS) == summary["texts"] * 7
     assert summary["differing_results"] == 0
     assert summary["host_exceptions"] == {"old": 0, "new": 0}
+    assert set(summary["worker_s"]) == {"old", "new"} and all(s > 0 for s in summary["worker_s"].values())
 
 
 def test_the_texts_are_a_function_of_seed_and_count():

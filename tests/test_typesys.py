@@ -10,8 +10,10 @@ from minik.cli import build_or_error, run_command
 from minik.diagnostics import has_errors
 from minik.parser import parse
 from minik.typesys import (
+    ClassTable,
     TypeResolutionError,
     build_class_table,
+    find_member,
     lub,
     nominal_ancestors,
     resolve_type,
@@ -299,6 +301,23 @@ def test_lub_is_memoized_per_table(ab_table):
     query = (t("MutableList", t("A")), t("List", t("B")))
     assert lub(ab_table, *query) is lub(ab_table, *query)
     assert ab_table.memo[("lub", *query)] == t("List", t("B"))
+
+
+@pytest.mark.parametrize("query, want", [
+    ((t("MutableList", t("A")), "get", "method"), ("get", {"T": t("A")})),
+    ((t("ArrayList", t("B")), "size", "property"), ("size", {"T": t("B")})),
+    ((ClassType("MutableList", None), "add", "method"), ("add", {})),
+    ((t("A"), "get", "method"), None),
+], ids=["inherited", "property", "bare", "missing"])
+def test_find_member_is_memoized_per_table(ab_table, query, want):
+    # Asked again, the table hands out the same pair, bindings dict
+    # included, which is why no caller may change it; a table with an empty
+    # memo works out an equal answer, a missing member's None included.
+    found = find_member(ab_table, *query)
+    assert (found and (found[0].name, found[1])) == want
+    assert find_member(ab_table, *query) is found
+    assert ab_table.memo[("member", *query)] is found
+    assert find_member(ClassTable(ab_table.classes, ab_table.functions), *query) == found
 
 
 def _answers(table):
